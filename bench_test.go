@@ -215,8 +215,7 @@ func BenchmarkLiteralDetermination(b *testing.B) {
 }
 
 // yelpScaleCatalog builds a catalog with thousands of distinct string
-// values — the scale where the phonetic BK-tree index pays off. Shared by
-// the YelpScale literal benchmarks; SetIndexed picks the voting path.
+// values — the scale where the phonetic BK-tree index pays off.
 var (
 	yelpScaleOnce sync.Once
 	yelpScaleCat  *literal.Catalog
@@ -238,21 +237,9 @@ var (
 )
 
 // BenchmarkLiteralDeterminationYelpScale measures literal determination
-// against the multi-thousand-value catalog on the BK-indexed path;
-// …YelpScaleNaive is the same work on the retained full scan (the pre-index
-// behavior). The ratio is the index's speedup; rankings are bit-identical.
+// against the multi-thousand-value catalog on the BK-indexed path.
 func BenchmarkLiteralDeterminationYelpScale(b *testing.B) {
-	cat := yelpScaleCatalog(b).SetIndexed(true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		literal.Determine(yelpScaleTranscript, yelpScaleStruct, cat, 5)
-	}
-}
-
-func BenchmarkLiteralDeterminationYelpScaleNaive(b *testing.B) {
-	cat := yelpScaleCatalog(b).SetIndexed(false)
-	defer cat.SetIndexed(true)
+	cat := yelpScaleCatalog(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

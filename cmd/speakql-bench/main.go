@@ -6,23 +6,21 @@
 // Usage:
 //
 //	speakql-bench [-scale test|default|paper] [-run id[,id…]] [-parallel n]
-//	              [-cachesize n] [-literal-index=true|false] [-json FILE]
+//	              [-cachesize n] [-json FILE]
 //	              [-faults SPEC] [-list]
 //
 // -parallel n searches the trie index's length partitions on n workers
 // (n < 0 means GOMAXPROCS); results are bit-identical to the serial search,
 // only latency changes. -cachesize n memoizes structure searches in an LRU
-// keyed by the masked transcript (0 disables). -literal-index=false turns
-// off the catalogs' phonetic BK-tree index, restoring naive full-scan
-// literal voting (identical rankings; for ablations). -json FILE
-// additionally runs a micro-benchmark suite over the built index and writes
+// keyed by the masked transcript (0 disables). -json FILE additionally
+// runs a micro-benchmark suite over the built index and writes
 // machine-readable results — ns/op, B/op, allocs/op per benchmark,
 // per-artifact wall-clock, and the cache hit rate — for the perf trajectory
-// (CI uploads it as an artifact). The suite includes vote_indexed_yelp /
-// vote_naive_yelp, literal determination over a Yelp-scale catalog on both
-// voting paths; myers_vs_banded / banded_reference, the bounded character
-// edit-distance kernels (bit-parallel Myers vs the frozen banded-DP
-// reference) over a fixed operand corpus; alternatives_batch /
+// (CI uploads it as an artifact). The suite includes vote_indexed_yelp,
+// literal determination over a Yelp-scale catalog; myers_vs_banded /
+// banded_reference, the bounded character edit-distance kernels
+// (bit-parallel Myers vs the frozen banded-DP reference) over a fixed
+// operand corpus; alternatives_batch /
 // alternatives_sequential, n-best correction through one batched
 // CorrectAlternatives call vs the n independent Correct calls it replaces;
 // stream_fragment, one full clause-streaming dictation
@@ -77,14 +75,13 @@ func faultSpec(flagVal string) string {
 
 // benchJSON is the -json payload.
 type benchJSON struct {
-	Scale        string           `json:"scale"`
-	Workers      int              `json:"workers"`
-	CacheSize    int              `json:"cachesize"`
-	LiteralIndex bool             `json:"literal_index"`
-	EnvSecs      float64          `json:"env_build_seconds"`
-	Micro        []microResult    `json:"micro"`
-	Artifacts    []artifactTiming `json:"artifacts"`
-	Cache        *cacheJSON       `json:"cache,omitempty"`
+	Scale     string           `json:"scale"`
+	Workers   int              `json:"workers"`
+	CacheSize int              `json:"cachesize"`
+	EnvSecs   float64          `json:"env_build_seconds"`
+	Micro     []microResult    `json:"micro"`
+	Artifacts []artifactTiming `json:"artifacts"`
+	Cache     *cacheJSON       `json:"cache,omitempty"`
 }
 
 type microResult struct {
@@ -113,8 +110,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "trie-search workers: 0|1 serial, n>1 parallel, <0 GOMAXPROCS")
 	cacheSize := flag.Int("cachesize", 0,
 		"LRU memo cache entries for structure searches, keyed by masked transcript (0 disables)")
-	literalIndex := flag.Bool("literal-index", true,
-		"use the catalogs' phonetic BK-tree index for literal voting (false restores the naive full scan)")
 	jsonOut := flag.String("json", "", "write machine-readable benchmark results to this file")
 	list := flag.Bool("list", false, "list artifact ids and exit")
 	faults := flag.String("faults", "",
@@ -153,13 +148,12 @@ func main() {
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	fmt.Printf("SpeakQL experiment harness — scale=%s search-workers=%d cachesize=%d literal-index=%v\n",
-		sc, workers, *cacheSize, *literalIndex)
+	fmt.Printf("SpeakQL experiment harness — scale=%s search-workers=%d cachesize=%d\n",
+		sc, workers, *cacheSize)
 	t0 := time.Now()
 	env, err := experiments.NewEnvWithOptions(sc, experiments.EnvOptions{
-		Search:              trieindex.Options{Workers: workers},
-		CacheSize:           *cacheSize,
-		DisableLiteralIndex: !*literalIndex,
+		Search:    trieindex.Options{Workers: workers},
+		CacheSize: *cacheSize,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
@@ -172,8 +166,7 @@ func main() {
 		mem.Structures, mem.Nodes,
 		len(env.Corpus.EmployeesTrain), len(env.Corpus.EmployeesTest), len(env.Corpus.YelpTest))
 
-	report := benchJSON{Scale: string(sc), Workers: workers, CacheSize: *cacheSize,
-		LiteralIndex: *literalIndex, EnvSecs: envSecs}
+	report := benchJSON{Scale: string(sc), Workers: workers, CacheSize: *cacheSize, EnvSecs: envSecs}
 
 	ids := experiments.IDs()
 	if *run != "all" {
@@ -504,32 +497,18 @@ func runMicro(name string, fn func(b *testing.B)) microResult {
 }
 
 // voteMicroBench benchmarks literal determination against a Yelp-scale
-// catalog (thousands of distinct string values) on both voting paths: the
-// phonetic BK-tree index and the retained naive full scan. The two keys
-// carry the index's speedup in the perf-trajectory artifact; rankings are
-// bit-identical between them.
+// catalog (thousands of distinct string values) on the phonetic BK-tree
+// index.
 func voteMicroBench() []microResult {
 	db := dataset.NewYelpDB(dataset.YelpConfig{Businesses: 12000, Users: 400, Reviews: 1500, Seed: 2})
 	cat := literal.NewCatalog(db.TableNames(), db.AttributeNames(), db.StringValues(0))
 	transcript := strings.Fields("select business name from business where city equals fenix and stars greater than 4")
 	structToks := strings.Fields("SELECT x1 FROM x2 WHERE x3 = x4 AND x5 > x6")
 	fmt.Printf("vote micro-bench catalog: %d string values\n", len(cat.Values()))
-	var out []microResult
-	for _, c := range []struct {
-		name    string
-		indexed bool
-	}{
-		{"vote_indexed_yelp", true},
-		{"vote_naive_yelp", false},
-	} {
-		cat.SetIndexed(c.indexed)
-		out = append(out, runMicro(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				literal.Determine(transcript, structToks, cat, 5)
-			}
-		}))
-	}
-	cat.SetIndexed(true)
-	return out
+	return []microResult{runMicro("vote_indexed_yelp", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			literal.Determine(transcript, structToks, cat, 5)
+		}
+	})}
 }

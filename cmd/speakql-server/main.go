@@ -20,7 +20,7 @@
 //
 // Usage: speakql-server [-addr :8080] [-db employees|yelp]
 // [-scale test|default|paper] [-workers n] [-timeout 10s] [-cachesize 1024]
-// [-literal-index=true|false] [-max-inflight n] [-max-queue n]
+// [-max-inflight n] [-max-queue n]
 // [-session-ttl d] [-drain-timeout d] [-faults SPEC] [-pprof]
 // [-max-tenants n] [-tenant-dir DIR] [-memo-size n] [-gomemlimit SIZE]
 // [-node ID] [-session-store DIR] [-validate off|bind|execute]
@@ -79,9 +79,7 @@
 // (0 disables).
 // -cachesize bounds the LRU memo cache of structure searches keyed by the
 // masked transcript (0 disables; hit/miss/eviction counters appear in
-// GET /api/stats). -literal-index=false turns off the catalog's phonetic
-// BK-tree index, restoring naive full-scan literal voting (identical
-// rankings; the literal block of GET /api/stats reports the active mode).
+// GET /api/stats).
 //
 // Resilience: -max-inflight bounds concurrent correction requests with a
 // FIFO wait queue of -max-queue; excess load is shed with 503 + Retry-After
@@ -135,8 +133,6 @@ func main() {
 		"per-request correction deadline for /api/correct and /api/dictate (0 disables)")
 	cacheSize := flag.Int("cachesize", 1024,
 		"LRU memo cache entries for structure searches, keyed by masked transcript (0 disables)")
-	literalIndex := flag.Bool("literal-index", true,
-		"use the catalog's phonetic BK-tree index for literal voting (false restores the naive full scan)")
 	maxInflight := flag.Int("max-inflight", 64,
 		"max concurrent correction requests admitted to /api/correct and /api/dictate (0 disables admission control)")
 	maxQueue := flag.Int("max-queue", 128,
@@ -237,15 +233,14 @@ func main() {
 			log.Fatal(err)
 		}
 		comp := structure.NewFromIndex(ix, searchOpts, gcfg)
-		eng = core.NewEngineWithComponent(comp, speakql.CatalogOf(db).SetIndexed(*literalIndex), 5)
+		eng = core.NewEngineWithComponent(comp, speakql.CatalogOf(db), 5)
 		eng.EnableSearchCache(*cacheSize)
 	} else {
 		log.Printf("building structure index (%s scale)…", *scale)
 		var err error
 		eng, err = speakql.NewEngine(speakql.Config{
 			Grammar: gcfg, Search: searchOpts, Catalog: speakql.CatalogOf(db),
-			StructureCacheSize:  *cacheSize,
-			DisableLiteralIndex: !*literalIndex,
+			StructureCacheSize: *cacheSize,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -265,11 +260,10 @@ func main() {
 	// demo database becomes the pinned seed tenant "default".
 	reg, err := registry.New(registry.Config{
 		Shared: registry.Shared{
-			Structure:           eng.StructureComponent(),
-			Cache:               eng.SearchCache(),
-			TopKLiterals:        5,
-			DisableLiteralIndex: !*literalIndex,
-			Validation:          validateCfg,
+			Structure:    eng.StructureComponent(),
+			Cache:        eng.SearchCache(),
+			TopKLiterals: 5,
+			Validation:   validateCfg,
 		},
 		MaxLive: *maxTenants,
 		Dir:     *tenantDir,
@@ -305,8 +299,8 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("listening on %s (db=%s, search-workers=%d, request-timeout=%s, cachesize=%d, literal-index=%v, max-inflight=%d, max-queue=%d, session-ttl=%s, max-tenants=%d, tenant-dir=%q)",
-			*addr, db.Name, *workers, *timeout, *cacheSize, *literalIndex, *maxInflight, *maxQueue, *sessionTTL, *maxTenants, *tenantDir)
+		log.Printf("listening on %s (db=%s, search-workers=%d, request-timeout=%s, cachesize=%d, max-inflight=%d, max-queue=%d, session-ttl=%s, max-tenants=%d, tenant-dir=%q)",
+			*addr, db.Name, *workers, *timeout, *cacheSize, *maxInflight, *maxQueue, *sessionTTL, *maxTenants, *tenantDir)
 		errCh <- hs.ListenAndServe()
 	}()
 
@@ -372,11 +366,7 @@ func loadOrBuildIndex(path string, gcfg grammar.GenConfig) (*trieindex.Index, er
 		return trieindex.ReadIndex(f, false)
 	}
 	log.Printf("building structure index (cache miss)…")
-	ix := trieindex.NewIndex(gcfg.MaxTokens, false)
-	err := grammar.Generate(gcfg, func(toks []string) bool {
-		ix.Insert(toks)
-		return true
-	})
+	ix, err := structure.BuildIndex(gcfg, false)
 	if err != nil {
 		return nil, err
 	}

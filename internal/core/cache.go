@@ -17,9 +17,8 @@ import (
 // sessions and the Table 2 train/test sweeps repeat masked shapes heavily,
 // so even a small cache absorbs most of the search latency.
 //
-// Entries never go stale in practice: the index is frozen before serving
-// and never mutated afterwards. If an index is ever re-opened for inserts,
-// the owner must Purge the cache after re-freezing.
+// Entries never go stale: a trieindex.Index is immutable once built, and a
+// cache serves one index (see structure.SetSearchCache).
 //
 // Safe for concurrent use. Hit/miss/eviction counts are kept locally (for
 // HitRate and the bench JSON) and mirrored into the obs default registry

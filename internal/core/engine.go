@@ -39,10 +39,6 @@ type Config struct {
 	// StructureCacheSize bounds the LRU memo cache for structure searches,
 	// keyed by the masked transcript (see SearchLRU). 0 disables caching.
 	StructureCacheSize int
-	// DisableLiteralIndex turns off the catalog's phonetic BK-tree index,
-	// restoring the naive full-scan voting path (rankings are identical;
-	// the toggle exists for ablation and differential benchmarking).
-	DisableLiteralIndex bool
 	// LiteralBudgetFraction is the graceful-degradation soft budget: when a
 	// deadline-carrying correction finishes structure determination with
 	// less than this fraction of the deadline window remaining, the literal
@@ -83,9 +79,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if cfg.Catalog == nil {
 		cfg.Catalog = literal.NewCatalog(nil, nil, nil)
-	}
-	if cfg.DisableLiteralIndex {
-		cfg.Catalog.SetIndexed(false)
 	}
 	if cfg.LiteralBudgetFraction == 0 {
 		cfg.LiteralBudgetFraction = DefaultLiteralBudget

@@ -287,22 +287,3 @@ func TestCorrectAlternativesEmpty(t *testing.T) {
 		t.Errorf("nil alternatives returned %d outputs", len(outs))
 	}
 }
-
-func TestDisableLiteralIndexConfig(t *testing.T) {
-	cfg := testEngineConfig()
-	cfg.DisableLiteralIndex = true
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Catalog().Indexed() {
-		t.Error("DisableLiteralIndex left the catalog indexed")
-	}
-	// Corrections on the naive path must match the indexed engine's.
-	transcript := "select first name from employees where last name equals Jon"
-	naive := e.Correct(transcript).Best()
-	indexed := engine(t).Correct(transcript).Best()
-	if naive.SQL != indexed.SQL {
-		t.Errorf("naive path SQL %q != indexed path SQL %q", naive.SQL, indexed.SQL)
-	}
-}

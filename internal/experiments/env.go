@@ -94,10 +94,6 @@ type EnvOptions struct {
 	Search trieindex.Options
 	// CacheSize bounds the structure-search LRU memo cache (0 disables).
 	CacheSize int
-	// DisableLiteralIndex turns off the catalogs' phonetic BK-tree index,
-	// restoring naive full-scan literal voting (identical rankings; for
-	// ablations and before/after benchmarking).
-	DisableLiteralIndex bool
 }
 
 // NewEnvWithSearch is NewEnv with explicit trie-search options, so harnesses
@@ -151,10 +147,6 @@ func NewEnvWithOptions(scale Scale, opts EnvOptions) (*Env, error) {
 
 	empCat := literal.NewCatalog(env.EmpDB.TableNames(), env.EmpDB.AttributeNames(), env.EmpDB.StringValues(0))
 	yelpCat := literal.NewCatalog(env.YelpDB.TableNames(), env.YelpDB.AttributeNames(), env.YelpDB.StringValues(0))
-	if opts.DisableLiteralIndex {
-		empCat.SetIndexed(false)
-		yelpCat.SetIndexed(false)
-	}
 	env.Engine = core.NewEngineWithComponent(sc, empCat, 5)
 	env.YelpEngine = core.NewEngineWithComponent(sc, yelpCat, 5)
 

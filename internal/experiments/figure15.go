@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"speakql/internal/grammar"
 	"speakql/internal/metrics"
 	"speakql/internal/sqltoken"
 	"speakql/internal/structure"
@@ -46,16 +45,11 @@ func (Figure15Result) ID() string { return "figure15" }
 // RunFigure15 evaluates each variant over the Employees test set, sharing a
 // single INV-capable index so that only the search options differ.
 func RunFigure15(env *Env) Figure15Result {
-	// A fresh index with the corpus retained (INV needs it).
-	ix := trieindex.NewIndex(env.GrammarCfg.MaxTokens, true)
-	err := grammar.Generate(env.GrammarCfg, func(toks []string) bool {
-		ix.Insert(toks)
-		return true
-	})
+	// A fresh index with the inverted lists kept (INV needs them).
+	ix, err := structure.BuildIndex(env.GrammarCfg, true)
 	if err != nil {
 		panic(err)
 	}
-	ix.Freeze() // arena kernel, like every serving index
 	variants := []struct {
 		name string
 		opts trieindex.Options

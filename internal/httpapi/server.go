@@ -632,15 +632,21 @@ func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
 		writeTenantErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"id": s.newSession(t), "tenant": t.ID})
+	id, err := s.newSession(t)
+	if err != nil {
+		writeTenantErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"id": id, "tenant": t.ID})
 }
 
 // newSession creates a session entry — display session (correcting against
 // the tenant's engine), event broadcaster, streaming config — and registers
 // it under a fresh id. The entry is fully wired before it becomes visible
 // in the map, so concurrent requests never see a session without its
-// broadcaster.
-func (s *Server) newSession(t *registry.Tenant) string {
+// broadcaster. It fails with registry.ErrUnknownTenant when the tenant was
+// deleted after the caller acquired it.
+func (s *Server) newSession(t *registry.Tenant) (string, error) {
 	id := "s" + strconv.FormatInt(s.nextID.Add(1), 10)
 	if s.nodeID != "" {
 		id = s.nodeID + "-" + id
@@ -652,7 +658,21 @@ func (s *Server) newSession(t *registry.Tenant) string {
 	// created moments before its replica dies is still restorable elsewhere.
 	s.checkpointLocked(id, entry)
 	s.sessions.put(id, entry)
-	return id
+	// Double-check against a racing DELETE, which unregisters the tenant
+	// before its evict hook closes the tenant's sessions: an entry registered
+	// after the hook ran would keep its feed open with nothing left to close
+	// it. Checking *after* registering means a Delete that wins this race is
+	// always observed here (the same register-then-recheck as
+	// lookupSession's restore), and one that loses it finds the entry.
+	if s.tenants != nil && !s.tenants.Known(t.ID) {
+		s.sessions.removeExact(id, entry)
+		entry.events.Close()
+		if s.store != nil {
+			_ = s.store.Delete(id) // a leftover snapshot never restores: its tenant is gone
+		}
+		return "", fmt.Errorf("%w: %q", registry.ErrUnknownTenant, t.ID)
+	}
+	return id, nil
 }
 
 // session looks up a session entry, refreshing its idle timestamp and
@@ -905,10 +925,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"gc_pause_max_ms":  float64(rt.GCPauseMax) / 1e6,
 		},
 		// The literal block groups the voting counters (vote calls, BK nodes
-		// visited, catalog entries the index skipped) with whether the
-		// phonetic index is active at all.
+		// visited, catalog entries the index skipped).
 		"literal": map[string]any{
-			"indexed":  s.engine.Catalog().Indexed(),
 			"counters": snap.CountersWithPrefix("literal."),
 		},
 		// The stream block groups the clause-streaming counters: fragments

@@ -93,7 +93,12 @@ func (s *Server) handleStreamDictate(w http.ResponseWriter, r *http.Request) {
 			writeTenantErr(w, terr)
 			return
 		}
-		req.ID = s.newSession(t)
+		id, err := s.newSession(t)
+		if err != nil {
+			writeTenantErr(w, err)
+			return
+		}
+		req.ID = id
 	}
 	ctx := r.Context()
 	entry, resumedNs, ok := s.lookupSession(ctx, req.ID)

@@ -162,6 +162,5 @@ func tenantSummary(t *registry.Tenant, resident bool) map[string]any {
 		"tables":     len(t.Catalog.Tables()),
 		"attributes": len(t.Catalog.Attributes()),
 		"values":     len(t.Catalog.Values()),
-		"indexed":    t.Catalog.Indexed(),
 	}
 }

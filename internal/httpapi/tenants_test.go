@@ -69,6 +69,39 @@ func doJSON(t *testing.T, method, url string, body any) (int, map[string]any) {
 	return resp.StatusCode, out
 }
 
+// TestSessionForDeletedTenantUnwinds replays the session-create/DELETE race
+// deterministically: the request acquires its tenant, a concurrent DELETE
+// then unregisters it and runs the evict hook, and only after that does the
+// request create its session. That session must not stay registered:
+// nothing would ever close its feed, because a later DELETE of the
+// now-unknown tenant answers 404 without running the hook.
+func TestSessionForDeletedTenantUnwinds(t *testing.T) {
+	ts, api, reg := tenantServer(t, 4)
+	code, _ := doJSON(t, http.MethodPut, ts.URL+"/api/tenants/gone", map[string]any{
+		"tables":     []string{"Projects"},
+		"attributes": []string{"ProjectName"},
+		"values":     []string{"Apollo"},
+	})
+	if code != http.StatusOK {
+		t.Fatalf("PUT = %d", code)
+	}
+	tn, err := reg.Acquire("gone") // the handler resolves its tenant…
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Delete("gone"); err != nil { // …a DELETE runs the hook…
+		t.Fatal(err)
+	}
+	before := api.sessions.len()
+	api.newSession(tn) // …and the handler creates the session.
+	if n := api.sessions.len() - before; n != 0 {
+		t.Fatalf("%d session(s) left registered for a deleted tenant", n)
+	}
+	if code, _ := doJSON(t, http.MethodDelete, ts.URL+"/api/tenants/gone", nil); code != http.StatusNotFound {
+		t.Fatalf("second DELETE = %d, want 404", code)
+	}
+}
+
 func TestTenantLifecycleOverHTTP(t *testing.T) {
 	ts, _, reg := tenantServer(t, 4)
 

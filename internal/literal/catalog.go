@@ -12,9 +12,9 @@
 // entries collapse into groups by identical Metaphone code, and each
 // category set carries a BK-tree over the distinct codes, so a candidate
 // substring finds its nearest entries by triangle-inequality radius search
-// instead of scanning the whole set (see DESIGN.md §8). The pre-index full
-// scan is retained as the differential reference; rankings are bit-identical
-// either way.
+// instead of scanning the whole set (see DESIGN.md §8). The tests keep the
+// pre-index full scan as the differential reference; rankings are
+// bit-identical to it.
 package literal
 
 import (
@@ -74,9 +74,6 @@ type Catalog struct {
 	// per-category sets (its future work singles literals out as the
 	// accuracy bottleneck).
 	byAttr map[string]*catSet
-	// noIndex disables the BK-tree fast path, restoring the naive full scan
-	// (the -literal-index=false toggle; rankings are identical either way).
-	noIndex bool
 }
 
 // NewCatalog builds the phonetic catalog. Duplicate names are collapsed.
@@ -100,18 +97,6 @@ func (c *Catalog) WithColumnValues(byAttr map[string][]string) *Catalog {
 	}
 	return c
 }
-
-// SetIndexed enables (the default) or disables the phonetic BK-tree fast
-// path for voting. Disabled, every vote falls back to the naive full scan —
-// the differential reference — with bit-identical rankings. Returns the
-// catalog for chaining.
-func (c *Catalog) SetIndexed(on bool) *Catalog {
-	c.noIndex = !on
-	return c
-}
-
-// Indexed reports whether voting uses the phonetic BK-tree index.
-func (c *Catalog) Indexed() bool { return !c.noIndex }
 
 // columnValues returns the value set for one attribute, ok=false when no
 // per-column domain is attached.

@@ -1,14 +1,11 @@
 package literal
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 
 	"speakql/internal/faultinject"
 	"speakql/internal/grammar"
-	"speakql/internal/metrics"
-	"speakql/internal/phonetic"
 	"speakql/internal/speech"
 	"speakql/internal/sqltoken"
 )
@@ -102,9 +99,9 @@ func DetermineMemoErr(transOut, bestStruct []string, cat *Catalog, k int, memo *
 		case grammar.CatLimit:
 			b.TopK, consumedTo = determineNumber(window, begin)
 		case grammar.CatTable:
-			b.TopK, consumedTo = voteMemo(window, begin, &cat.tables, k, cat.noIndex, memo)
+			b.TopK, consumedTo = voteMemo(window, begin, &cat.tables, k, memo)
 		default:
-			b.TopK, consumedTo = voteMemo(window, begin, &cat.attrs, k, cat.noIndex, memo)
+			b.TopK, consumedTo = voteMemo(window, begin, &cat.attrs, k, memo)
 			lastAttr = b.Best()
 		}
 		if len(b.TopK) == 0 {
@@ -243,14 +240,11 @@ func alignGaps(transOut, bestStruct []string) map[int]*gap {
 // transcript position consumed.
 //
 // The work runs on the set's phonetic BK-tree through a pooled scratch
-// (votescratch.go) unless naive is set, which restores the pre-index full
-// scan; both paths return bit-identical results.
-func vote(window []string, base int, set *catSet, k int, naive bool) ([]string, int) {
-	if len(window) == 0 || len(set.entries) == 0 {
+// (votescratch.go). Every entry belongs to a phonetic group and every group
+// to the tree, so an empty tree means an empty set.
+func vote(window []string, base int, set *catSet, k int) ([]string, int) {
+	if len(window) == 0 || len(set.bk) == 0 {
 		return nil, base
-	}
-	if naive || len(set.bk) == 0 {
-		return voteNaive(window, base, set.entries, k)
 	}
 	s := getVoteScratch()
 	top, pos := s.run(window, base, set, k)
@@ -261,99 +255,6 @@ func vote(window []string, base int, set *catSet, k int, naive bool) ([]string, 
 	}
 	putVoteScratch(s)
 	return out, pos
-}
-
-// voteNaive is the full-scan reference implementation the BK-indexed
-// kernel is differentially tested against (TestVoteIndexMatchesNaive): it
-// compares every candidate substring with every entry in the set. Keep its
-// semantics frozen — tie-break rules included — when touching the kernel.
-func voteNaive(window []string, base int, entries []entry, k int) ([]string, int) {
-	if len(window) == 0 || len(entries) == 0 {
-		return nil, base
-	}
-	type cand struct {
-		enc string
-		raw string
-		pos int // last transcript index covered (absolute)
-	}
-	var cands []cand
-	for i := 0; i < len(window); i++ {
-		var raw strings.Builder
-		for j := i; j < len(window) && j-i < WindowSize; j++ {
-			raw.WriteString(strings.ToLower(window[j]))
-			// Encode the joined fragment as one word so multi-token
-			// fragments match identifiers exactly (see phonetic.EncodeTokens).
-			cands = append(cands, cand{
-				enc: phonetic.Encode(raw.String()),
-				raw: raw.String(),
-				pos: base + j,
-			})
-		}
-	}
-
-	count := make([]int, len(entries))
-	loc := make([]int, len(entries))
-	bestDist := make([]int, len(entries))
-	minRaw := make([]int, len(entries))
-	for i := range loc {
-		loc[i] = base - 1
-		bestDist[i] = 1 << 30
-		minRaw[i] = 1 << 30
-	}
-	for _, a := range cands {
-		best := 1 << 30
-		var winners []int
-		for bi, b := range entries {
-			d := metrics.CharEditDistance(a.enc, b.Phonetic)
-			if d < best {
-				best = d
-				winners = winners[:0]
-				winners = append(winners, bi)
-			} else if d == best {
-				winners = append(winners, bi)
-			}
-		}
-		for _, w := range winners {
-			count[w]++
-			// Consume the transcript only up to the span that best matches
-			// the winning literal — not the farthest voting span, which
-			// would swallow the next placeholder's tokens in shared gaps.
-			if best < bestDist[w] || (best == bestDist[w] && a.pos > loc[w]) {
-				bestDist[w] = best
-				loc[w] = a.pos
-			}
-			if rd := metrics.CharEditDistance(a.raw, strings.ToLower(entries[w].Name)); rd < minRaw[w] {
-				minRaw[w] = rd
-			}
-		}
-	}
-
-	order := make([]int, len(entries))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		cx, cy := order[x], order[y]
-		if count[cx] != count[cy] {
-			return count[cx] > count[cy]
-		}
-		if minRaw[cx] != minRaw[cy] {
-			return minRaw[cx] < minRaw[cy]
-		}
-		return entries[cx].Name < entries[cy].Name
-	})
-	top := make([]string, 0, k)
-	for _, i := range order {
-		if count[i] == 0 || len(top) == k {
-			break
-		}
-		top = append(top, entries[i].Name)
-	}
-	if len(top) == 0 {
-		return nil, base
-	}
-	winnerIdx := order[0]
-	return top, loc[winnerIdx]
 }
 
 // determineValue fills a V-type placeholder: dates and numbers are
@@ -385,7 +286,7 @@ func determineValue(window []string, base int, cat *Catalog, lastAttr string, k 
 	if tops, end := determineNumber(window, base); len(tops) > 0 {
 		return tops, end
 	}
-	return voteMemo(window, base, values, k, cat.noIndex, memo)
+	return voteMemo(window, base, values, k, memo)
 }
 
 // determineNumber recognizes a numeric value at the head of the window,

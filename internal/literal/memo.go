@@ -4,7 +4,7 @@ import "strings"
 
 // VoteMemo caches literal-voting results across the fragment re-corrections
 // of one clause-streaming session. vote is a pure function of (window, set,
-// k, naive) up to translation of the consumed position by the window's base
+// k) up to translation of the consumed position by the window's base
 // offset, so a hit replays the cached ranking exactly — the streaming path's
 // bit-identity to one-shot correction does not depend on the memo's hit
 // rate, only on this purity (TestVoteMemoIdentical).
@@ -16,10 +16,9 @@ type VoteMemo struct {
 }
 
 type voteKey struct {
-	set   *catSet // identity: category sets are fixed per catalog
-	win   string  // window tokens, newline-joined
-	k     int
-	naive bool
+	set *catSet // identity: category sets are fixed per catalog
+	win string  // window tokens, newline-joined
+	k   int
 }
 
 type voteVal struct {
@@ -37,11 +36,11 @@ func NewVoteMemo() *VoteMemo {
 }
 
 // voteMemo is vote through the memo (memo == nil degenerates to vote).
-func voteMemo(window []string, base int, set *catSet, k int, naive bool, memo *VoteMemo) ([]string, int) {
+func voteMemo(window []string, base int, set *catSet, k int, memo *VoteMemo) ([]string, int) {
 	if memo == nil || len(window) == 0 {
-		return vote(window, base, set, k, naive)
+		return vote(window, base, set, k)
 	}
-	key := voteKey{set: set, win: strings.Join(window, "\n"), k: k, naive: naive}
+	key := voteKey{set: set, win: strings.Join(window, "\n"), k: k}
 	if v, ok := memo.m[key]; ok {
 		// Copy: bindings own their TopK, and the memo outlives them.
 		var top []string
@@ -50,7 +49,7 @@ func voteMemo(window []string, base int, set *catSet, k int, naive bool, memo *V
 		}
 		return top, base + v.rel
 	}
-	top, pos := vote(window, base, set, k, naive)
+	top, pos := vote(window, base, set, k)
 	if len(memo.m) >= memoCap {
 		memo.m = make(map[voteKey]voteVal)
 	}

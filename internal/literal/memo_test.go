@@ -21,25 +21,20 @@ func TestVoteMemoIdentical(t *testing.T) {
 		{"SELECT gender FROM employees WHERE title = senior engineer", "SELECT x1 FROM x2 WHERE x3 = x4"},
 		{"SELECT salary FROM salaries WHERE employee number = d002", "SELECT x1 FROM x2 WHERE x3 = x4"},
 	}
-	for _, naive := range []bool{false, true} {
-		cat.SetIndexed(!naive)
-		memo := NewVoteMemo()
-		for round := 0; round < 3; round++ { // later rounds are all memo hits
-			for ci, c := range cases {
-				trans, st := fields(c.trans), fields(c.structToks)
-				want, werr := DetermineErr(trans, st, cat, 5)
-				got, gerr := DetermineMemoErr(trans, st, cat, 5, memo)
-				if (werr == nil) != (gerr == nil) {
-					t.Fatalf("case %d: err %v vs %v", ci, werr, gerr)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("naive=%v round=%d case %d:\n memo: %v\n want: %v",
-						naive, round, ci, got, want)
-				}
+	memo := NewVoteMemo()
+	for round := 0; round < 3; round++ { // later rounds are all memo hits
+		for ci, c := range cases {
+			trans, st := fields(c.trans), fields(c.structToks)
+			want, werr := DetermineErr(trans, st, cat, 5)
+			got, gerr := DetermineMemoErr(trans, st, cat, 5, memo)
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("case %d: err %v vs %v", ci, werr, gerr)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("round=%d case %d:\n memo: %v\n want: %v", round, ci, got, want)
 			}
 		}
 	}
-	cat.SetIndexed(true)
 }
 
 // TestVoteMemoGrowingPrefix mimics the streaming pattern: the transcript

@@ -39,8 +39,8 @@ const (
 	preallocHint = 1 << 12
 )
 
-// WriteCatalog serializes c (its entry sets, group layout, and per-column
-// domains; the Indexed toggle is a serving-mode choice and is not stored).
+// WriteCatalog serializes c: its entry sets, group layout, and per-column
+// domains.
 func WriteCatalog(w io.Writer, c *Catalog) (err error) {
 	bw := bufio.NewWriter(w)
 	defer func() {
@@ -120,8 +120,7 @@ func writeCatSet(w *bufio.Writer, set *catSet) error {
 }
 
 // ReadCatalog loads a catalog written by WriteCatalog, validating every
-// structural invariant. The returned catalog has voting indexed (callers
-// apply their own SetIndexed policy).
+// structural invariant.
 func ReadCatalog(r io.Reader) (*Catalog, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(catalogMagic))

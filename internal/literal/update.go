@@ -75,11 +75,10 @@ type UpdateStats struct {
 // only on the entry population, not on group order or BK-tree shape).
 func (c *Catalog) ApplyDelta(d CatalogDelta) (*Catalog, UpdateStats) {
 	out := &Catalog{
-		tables:  c.tables,
-		attrs:   c.attrs,
-		values:  c.values,
-		byAttr:  c.byAttr,
-		noIndex: c.noIndex,
+		tables: c.tables,
+		attrs:  c.attrs,
+		values: c.values,
+		byAttr: c.byAttr,
 	}
 	var st UpdateStats
 	if len(d.AddTables)+len(d.RemoveTables) > 0 {

@@ -111,13 +111,13 @@ func sameRankings(t *testing.T, got, want *catSet, rng *rand.Rand) {
 	}
 	for _, w := range windows {
 		for _, k := range []int{1, 3, 5} {
-			gotTop, gotPos := vote(w, 0, got, k, false)
-			wantTop, wantPos := vote(w, 0, want, k, false)
+			gotTop, gotPos := vote(w, 0, got, k)
+			wantTop, wantPos := vote(w, 0, want, k)
 			if !reflect.DeepEqual(gotTop, wantTop) || gotPos != wantPos {
 				t.Fatalf("window %v k=%d: incremental %v@%d, rebuild %v@%d",
 					w, k, gotTop, gotPos, wantTop, wantPos)
 			}
-			naiveTop, naivePos := vote(w, 0, got, k, true)
+			naiveTop, naivePos := voteNaive(w, 0, got.entries, k)
 			if !reflect.DeepEqual(gotTop, naiveTop) || gotPos != naivePos {
 				t.Fatalf("window %v k=%d: indexed %v@%d, naive %v@%d",
 					w, k, gotTop, gotPos, naiveTop, naivePos)

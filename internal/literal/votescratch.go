@@ -8,10 +8,10 @@
 // run is the batched pass of DESIGN.md §12: all candidate substrings of one
 // determination are enumerated into shared arenas, deduplicated by phonetic
 // encoding, resolved through the exact-code map or one shared BK-tree
-// traversal, and only then voted in enumeration order. runPerToken keeps the
-// original candidate-at-a-time walker as the frozen differential reference
-// (TestVoteBatchMatchesPerToken); both are pinned to the naive full scan by
-// TestVoteIndexMatchesNaive.
+// traversal, and only then voted in enumeration order. The tests keep the
+// original candidate-at-a-time walker (TestVoteBatchMatchesPerToken) and
+// the naive full scan (TestVoteIndexMatchesNaive) as frozen differential
+// references.
 
 package literal
 
@@ -27,7 +27,7 @@ import (
 	"speakql/internal/phonetic"
 )
 
-const sentinelDist = 1 << 30 // "no distance recorded yet"; matches voteNaive
+const sentinelDist = 1 << 30 // "no distance recorded yet"; matches the naive scan
 
 // voteCand is one enumerated window substring: its lowered text and
 // phonetic encoding live as [off, end) ranges of the scratch arenas
@@ -64,11 +64,9 @@ type voteScratch struct {
 	minRaw   []int32
 	loc      []int32
 
-	stack   []int32 // BK traversal of runPerToken (node indices)
-	winners []int32 // runPerToken's group indices at the current best radius
-	order   []int32 // ranking permutation over counter rows
-	topBuf  []string
-	ranker  voteRanker
+	order  []int32 // ranking permutation over counter rows
+	topBuf []string
+	ranker voteRanker
 
 	// Batched-pass state. Candidates with identical encodings collapse into
 	// one representative each; representatives without an exact-code hit
@@ -92,11 +90,12 @@ func putVoteScratch(s *voteScratch) { votePool.Put(s) }
 // run votes the window against one indexed category set in one batched
 // pass. The returned top-k slice is scratch-backed — callers must copy it
 // before the scratch is recycled. Rankings, tie-breaks, and the consumed
-// transcript position are bit-identical to runPerToken and voteNaive
-// (TestVoteBatchMatchesPerToken, TestVoteIndexMatchesNaive): nearest-code
-// search depends only on a candidate's encoding, winner membership is the
-// order-independent set of groups at the final best radius, and votes are
-// applied in the original enumeration order.
+// transcript position are bit-identical to the per-token walker and the
+// naive scan the tests keep as references (TestVoteBatchMatchesPerToken,
+// TestVoteIndexMatchesNaive): nearest-code search depends only on a
+// candidate's encoding, winner membership is the order-independent set of
+// groups at the final best radius, and votes are applied in the original
+// enumeration order.
 func (s *voteScratch) run(window []string, base int, set *catSet, k int) ([]string, int) {
 	s.enumerate(window, base)
 
@@ -231,55 +230,9 @@ func (s *voteScratch) run(window []string, base int, set *catSet, k int) ([]stri
 	return s.rank(set, base, k)
 }
 
-// runPerToken is the original candidate-at-a-time walker, kept verbatim as
-// the frozen differential reference for the batched run. Each candidate
-// re-walks the BK-tree with its own stack and bound.
-func (s *voteScratch) runPerToken(window []string, base int, set *catSet, k int) ([]string, int) {
-	s.enumerate(window, base)
-	s.resetCounters(set)
-
-	for ci := range s.cands {
-		c := &s.cands[ci]
-		enc := s.encBuf[c.encOff:c.encEnd]
-
-		// Nearest-code radius search. best starts at an a-priori upper
-		// bound on the distance to any code (Levenshtein never exceeds the
-		// longer string), so the first node visited already tightens it.
-		best := int32(len(enc))
-		if int32(set.maxCode) > best {
-			best = int32(set.maxCode)
-		}
-		s.winners = s.winners[:0]
-		s.stack = append(s.stack[:0], 0)
-		for len(s.stack) > 0 {
-			ni := s.stack[len(s.stack)-1]
-			s.stack = s.stack[:len(s.stack)-1]
-			node := &set.bk[ni]
-			g := &set.groups[node.group]
-			d := int32(metrics.CharEditDistanceBounded(enc, g.code, int(best)+int(node.maxChild)))
-			if d < best {
-				best = d
-				s.winners = s.winners[:0]
-				s.winners = append(s.winners, node.group)
-			} else if d == best {
-				s.winners = append(s.winners, node.group)
-			}
-			lo, hi := d-best, d+best
-			for ni := node.firstChild; ni != -1; ni = set.bk[ni].nextSibling {
-				if e := int32(set.bk[ni].edge); e >= lo && e <= hi {
-					s.stack = append(s.stack, ni)
-				}
-			}
-		}
-
-		s.applyVotes(set, c, int32(base), best, s.winners)
-	}
-
-	return s.rank(set, base, k)
-}
-
 // enumerate fills the candidate arenas with every window substring, exactly
-// voteNaive's (i, j) order — candidate order feeds the position tie-break.
+// the naive scan's (i, j) order — candidate order feeds the position
+// tie-break.
 func (s *voteScratch) enumerate(window []string, base int) {
 	s.rawBuf, s.encBuf, s.cands = s.rawBuf[:0], s.encBuf[:0], s.cands[:0]
 	for i := 0; i < len(window); i++ {
@@ -326,7 +279,7 @@ func (s *voteScratch) applyVotes(set *catSet, c *voteCand, base, best int32, win
 			si--
 			s.count[si]++
 			// Consume the transcript only up to the span that best
-			// matches the winning literal (see voteNaive).
+			// matches the winning literal (as the naive scan does).
 			if best < s.bestDist[si] || (best == s.bestDist[si] && c.pos > s.loc[si]) {
 				s.bestDist[si] = best
 				s.loc[si] = c.pos
@@ -343,9 +296,9 @@ func (s *voteScratch) applyVotes(set *catSet, c *voteCand, base, best int32, win
 
 // rank orders the touched entries — votes desc, raw distance asc, name asc —
 // and returns the scratch-backed top-k plus the consumed position. The
-// comparator is total (names are unique), so the result matches voteNaive's
-// stable sort over the full entry list, whose zero-vote tail never reaches
-// the top-k anyway.
+// comparator is total (names are unique), so the result matches the naive
+// scan's stable sort over the full entry list, whose zero-vote tail never
+// reaches the top-k anyway.
 func (s *voteScratch) rank(set *catSet, base, k int) ([]string, int) {
 	s.order = s.order[:0]
 	for i := range s.touched {

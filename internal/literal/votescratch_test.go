@@ -38,7 +38,7 @@ func randWords(rng *rand.Rand, min, max int) []string {
 func checkIndexMatchesNaive(t *testing.T, set *catSet, window []string, base, k int) {
 	t.Helper()
 	wantTop, wantPos := voteNaive(window, base, set.entries, k)
-	gotTop, gotPos := vote(window, base, set, k, false)
+	gotTop, gotPos := vote(window, base, set, k)
 	if !reflect.DeepEqual(gotTop, wantTop) || gotPos != wantPos {
 		t.Fatalf("indexed vote diverged from naive\nwindow=%q entries=%d k=%d\n naive: top=%q pos=%d\n index: top=%q pos=%d",
 			window, len(set.entries), k, wantTop, wantPos, gotTop, gotPos)

@@ -55,9 +55,6 @@ type Shared struct {
 	// LiteralBudget overrides the degradation ladder's soft-budget fraction
 	// for tenant engines; 0 keeps core.DefaultLiteralBudget.
 	LiteralBudget float64
-	// DisableLiteralIndex serves every tenant catalog on the naive voting
-	// path (the -literal-index=false ablation toggle).
-	DisableLiteralIndex bool
 	// Validation configures the execution-guided validation stage for tenant
 	// engines (DESIGN.md §15). Non-seed tenants are registered as bare
 	// catalogs — table/attribute/value name lists with no rows — so their
@@ -130,12 +127,19 @@ type Registry struct {
 	dir    string
 	max    int
 
+	// writeMu serializes Put, Update and Delete: each pairs a tenant-file
+	// write or removal with the matching change to known, and two of them
+	// interleaving on one tenant would leave a registered tenant without a
+	// file (or a file without a tenant).
+	writeMu sync.Mutex
+
 	mu      sync.Mutex
 	seed    *Tenant
 	order   []*liveEntry          // LRU order, most recent first
 	live    map[string]*liveEntry // resident non-seed tenants
 	known   map[string]bool       // every undeleted tenant ID (resident or on disk)
 	loading map[string]*loadCall
+	deletes uint64 // Delete calls so far; lets a failed load spot a racing delete
 
 	evictHook func(id string) // called (outside mu) after evict or delete
 }
@@ -187,13 +191,23 @@ func (r *Registry) SetSeed(id string, eng *core.Engine, cat *literal.Catalog) {
 }
 
 // SetEvictHook installs fn, called with the tenant ID after every eviction
-// or deletion — outside the registry lock, so the hook may call back into
-// the registry or take its own locks (the HTTP layer closes the tenant's
-// session event feeds here). Call before serving.
+// or deletion — outside the registry's state lock, so the hook may take its
+// own locks or call Acquire, Known or List (the HTTP layer closes the
+// tenant's session event feeds here). It must not call Put, Update or
+// Delete: one of those may be the caller running it. Call before serving.
 func (r *Registry) SetEvictHook(fn func(id string)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.evictHook = fn
+}
+
+// Known reports whether id names an undeleted tenant — the seed, or one
+// registered here or discovered in the tenant directory — without loading
+// or discovering anything.
+func (r *Registry) Known(id string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.known[id]
 }
 
 // SeedID returns the pinned seed tenant's ID ("" when none is set).
@@ -208,7 +222,6 @@ func (r *Registry) SeedID() string {
 
 // buildTenant assembles the cheap per-tenant half around the shared half.
 func (r *Registry) buildTenant(id string, cat *literal.Catalog) *Tenant {
-	cat.SetIndexed(!r.shared.DisableLiteralIndex)
 	eng := core.NewEngineWithComponent(r.shared.Structure, cat, r.shared.TopKLiterals)
 	if r.shared.LiteralBudget != 0 {
 		eng.SetLiteralBudgetFraction(r.shared.LiteralBudget)
@@ -238,6 +251,8 @@ func (r *Registry) Put(id string, cat *literal.Catalog) (*Tenant, error) {
 		return nil, ErrSeedImmutable
 	}
 	t := r.buildTenant(id, cat)
+	r.writeMu.Lock()
+	defer r.writeMu.Unlock()
 	if err := r.persist(t); err != nil {
 		obs.Add("registry.persist_failures", 1)
 		return nil, err
@@ -297,11 +312,20 @@ func (r *Registry) Acquire(id string) (*Tenant, error) {
 	}
 	lc := &loadCall{done: make(chan struct{})}
 	r.loading[id] = lc
-	r.mu.Unlock()
-
-	t, err := r.load(id)
-
-	r.mu.Lock()
+	var t *Tenant
+	var err error
+	for {
+		deletes := r.deletes
+		r.mu.Unlock()
+		t, err = r.load(id)
+		r.mu.Lock()
+		// A load that failed while a Delete removed the tenant's file, for a
+		// tenant a Put has since registered again, read nothing current:
+		// load the new file instead of reporting the stale failure.
+		if err == nil || !r.known[id] || r.deletes == deletes {
+			break
+		}
+	}
 	delete(r.loading, id)
 	var evicted []*liveEntry
 	if !r.known[id] {
@@ -334,6 +358,8 @@ func (r *Registry) Update(id string, d literal.CatalogDelta) (*Tenant, literal.U
 	if r.isSeed(id) {
 		return nil, literal.UpdateStats{}, ErrSeedImmutable
 	}
+	r.writeMu.Lock()
+	defer r.writeMu.Unlock()
 	old, err := r.Acquire(id)
 	if err != nil {
 		return nil, literal.UpdateStats{}, err
@@ -359,22 +385,31 @@ func (r *Registry) Delete(id string) error {
 	if r.isSeed(id) {
 		return ErrSeedImmutable
 	}
+	r.writeMu.Lock()
+	defer r.writeMu.Unlock()
 	r.mu.Lock()
 	if !r.known[id] {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, id)
 	}
 	delete(r.known, id)
+	r.deletes++
 	if le, ok := r.live[id]; ok {
 		delete(r.live, id)
 		r.removeOrderLocked(le)
 	}
 	hook := r.evictHook
-	r.mu.Unlock()
+	// Remove the file before unlocking: Acquire rediscovers unknown ids from
+	// the directory under mu, and must not find a deleted tenant's file.
+	var rmErr error
 	if r.dir != "" {
 		if err := os.Remove(r.path(id)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("registry: remove tenant file: %w", err)
+			rmErr = fmt.Errorf("registry: remove tenant file: %w", err)
 		}
+	}
+	r.mu.Unlock()
+	if rmErr != nil {
+		return rmErr
 	}
 	obs.Add("registry.deletes", 1)
 	if hook != nil {

@@ -362,6 +362,58 @@ func TestRegistryDeleteDuringLoad(t *testing.T) {
 	}
 }
 
+// TestRegistryLifecycleRace hammers one tenant with concurrent Put, Delete
+// and cold Acquire through a capacity-1 LRU, so most Acquires of it load
+// from disk. A load may fail only as an unknown tenant — never on a file a
+// racing Delete removed while the tenant was still registered — and once
+// the writers stop, the tenant is known exactly when its file exists.
+func TestRegistryLifecycleRace(t *testing.T) {
+	reg := newTestRegistry(t, 1)
+	const rounds = 300
+	var wg sync.WaitGroup
+	errc := make(chan error, 4*rounds)
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := reg.Put("a", testCat(1)); err != nil {
+				errc <- err
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := reg.Delete("a"); err != nil && !errors.Is(err, ErrUnknownTenant) {
+				errc <- err
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if _, err := reg.Put("b", testCat(2)); err != nil { // evicts "a"
+				errc <- err
+			}
+			if _, err := reg.Acquire("a"); err != nil && !errors.Is(err, ErrUnknownTenant) {
+				errc <- err
+			}
+		}
+	}()
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatalf("lifecycle race: %v", err)
+	}
+	known := false
+	for _, info := range reg.List() {
+		known = known || info.ID == "a"
+	}
+	if _, err := os.Stat(reg.path("a")); known != (err == nil) {
+		t.Fatalf("tenant known=%v, but file present=%v", known, err == nil)
+	}
+}
+
 func TestRegistryLoadFaultInjection(t *testing.T) {
 	reg := newTestRegistry(t, 4)
 	if _, err := reg.Put("flaky", testCat(2)); err != nil {

@@ -53,19 +53,26 @@ type Config struct {
 
 // New generates the structure corpus for cfg.Grammar and indexes it.
 func New(cfg Config) (*Component, error) {
-	keepINV := cfg.Search.INV
-	ix := trieindex.NewIndex(cfg.Grammar.MaxTokens, keepINV)
-	err := grammar.Generate(cfg.Grammar, func(toks []string) bool {
-		ix.Insert(toks)
+	ix, err := BuildIndex(cfg.Grammar, cfg.Search.INV)
+	if err != nil {
+		return nil, err
+	}
+	return &Component{ix: ix, opts: cfg.Search, cfg: cfg.Grammar}, nil
+}
+
+// BuildIndex generates the structure corpus for gcfg and builds its trie
+// index (the offline step of Section 3.2). keepINV keeps the inverted lists
+// the INV search option needs.
+func BuildIndex(gcfg grammar.GenConfig, keepINV bool) (*trieindex.Index, error) {
+	b := trieindex.NewBuilder(gcfg.MaxTokens, keepINV)
+	err := grammar.Generate(gcfg, func(toks []string) bool {
+		b.Insert(toks)
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Compact the pointer tries into their arena form: construction is
-	// done, and searches run on the allocation-free arena kernel.
-	ix.Freeze()
-	return &Component{ix: ix, opts: cfg.Search, cfg: cfg.Grammar}, nil
+	return b.Build(), nil
 }
 
 // NewFromIndex wraps an existing index (used by ablation experiments that

@@ -1,13 +1,14 @@
-// Arena-flattened tries. The pointer trie built by Insert is a build-time
+// Arena-flattened tries. The pointer trie the Builder grows is a build-time
 // structure: 2.7M separately-allocated nodes at default scale, each child
 // visit a pointer chase into a cold cache line, and the whole graph a
-// standing GC workload. Freeze compacts each per-length trie into a
+// standing GC workload. Build compacts each per-length trie into a
 // struct-of-arrays arena — token, leaf flag, and a [firstChild, childCount)
 // index range per node, all in four contiguous slices — which the DP search
 // kernel then walks by index. Children are laid out breadth-first, so each
 // node's children are contiguous and keep the pointer trie's sorted order;
 // depth-first traversal order (and with it result enumeration order and
-// every Stats counter) is bit-identical to the pointer walk.
+// every Stats counter) is bit-identical to a walk of the pointer trie — the
+// pointer kernel kept in the tests as the reference (TestArenaMatchesPointer).
 package trieindex
 
 // flatTrie is one per-length trie in arena form. Node 0 is the root (its
@@ -47,29 +48,9 @@ func flatten(root *node) *flatTrie {
 	return ft
 }
 
-// thaw rebuilds the pointer trie from an arena, so Insert keeps working on
-// an index that has already been frozen (the arena is dropped and rebuilt
-// by the next Freeze). All nodes come from one backing slice; child order
-// is preserved, so re-freezing reproduces the identical arena.
-func thaw(ft *flatTrie) *node {
-	nodes := make([]node, len(ft.tok))
-	for i := range nodes {
-		nodes[i].tok = ft.tok[i]
-		nodes[i].leaf = ft.leaf[i]
-		if ft.num[i] > 0 {
-			ch := make([]*node, ft.num[i])
-			for j := range ch {
-				ch[j] = &nodes[ft.first[i]+int32(j)]
-			}
-			nodes[i].children = ch
-		}
-	}
-	return &nodes[0]
-}
-
 // walkLeaves calls fn with the root→leaf path of every structure in the
-// arena, in the same depth-first order as the pointer walk. The path slice
-// is reused between calls; fn must copy it to retain it.
+// arena, in depth-first order. The path slice is reused between calls; fn
+// must copy it to retain it.
 func (ft *flatTrie) walkLeaves(path *[]tokenID, fn func(path []tokenID)) {
 	ft.walkFrom(0, path, fn)
 }
@@ -85,43 +66,14 @@ func (ft *flatTrie) walkFrom(ni int32, path *[]tokenID, fn func(path []tokenID))
 	}
 }
 
-func walkPointer(n *node, path *[]tokenID, fn func(path []tokenID)) {
-	for _, c := range n.children {
-		*path = append(*path, c.tok)
-		if c.leaf {
-			fn(*path)
-		}
-		walkPointer(c, path, fn)
-		*path = (*path)[:len(*path)-1]
-	}
-}
-
-// forEachStructure enumerates every indexed structure in trie-walk order
-// (increasing length, then depth-first within each trie), whether or not
-// the index is frozen. The callback's slice is scratch; copy to retain.
-func (ix *Index) forEachStructure(fn func(path []tokenID)) {
-	path := make([]tokenID, 0, ix.maxLen)
-	for _, tr := range ix.tries {
-		if tr == nil {
-			continue
-		}
-		if tr.flat != nil {
-			tr.flat.walkLeaves(&path, fn)
-			continue
-		}
-		walkPointer(tr.root, &path, fn)
-	}
-}
-
 // --- arena DP kernel ---
 //
-// The arena kernel is the frozen-index counterpart of descend/visit/step.
-// It differs in two ways only: nodes are visited by index range instead of
+// The search kernel proper. It visits nodes by index range instead of
 // pointer chase, and every DP column comes from the searcher's per-depth
 // column pool instead of a fresh heap allocation — zero steady-state
 // allocations per query (pinned by TestSearchKernelSteadyStateAllocs).
 // Traversal order, pruning decisions, offers, and Stats counters are
-// bit-identical to the pointer kernel's.
+// bit-identical to the pointer-trie reference kernel in the tests.
 
 // descendFlat explores node ni's children. col is the DP column at ni
 // (always s.cols[depth]); each child's column is advanced into the pooled
@@ -141,7 +93,7 @@ func (s *searcher) descendFlat(ft *flatTrie, ni int32, col []float64, depth int)
 	// buffer (only its last cell matters for the winner choice) while
 	// exploring non-prime children in place; pass 2 recomputes the winners'
 	// columns into the depth buffer and explores them, in group order —
-	// the pointer kernel's exact visit order.
+	// the reference kernel's exact visit order.
 	bestChild := [3]int32{-1, -1, -1}
 	var bestLast [3]float64
 	for ci := first; ci < first+cnt; ci++ {

@@ -8,21 +8,23 @@ import (
 )
 
 // TestArenaMatchesPointer is the pointer-vs-arena differential test: the
-// frozen (arena-kernel) index must return byte-identical results AND
-// identical work counters to the unfrozen (pointer-kernel) index for every
-// query, k, and option combination — serial, parallel, DAP, INV, uniform
-// weights, BDB off.
+// arena kernel must return byte-identical results AND identical work
+// counters to the pointer-trie reference kernel (reference_test.go) for
+// every query, k, and option combination — serial, parallel, DAP, INV,
+// uniform weights, BDB off. Build's arenas must also hold exactly the
+// pointer tries' structures and nodes.
 func TestArenaMatchesPointer(t *testing.T) {
-	cfg := grammar.TestScale()
-	ptr := buildIndexUnfrozen(t, cfg, true)
-	arena := buildIndex(t, cfg, true)
-	if ptr.Frozen() {
-		t.Fatal("pointer index unexpectedly frozen")
+	ix, roots := buildWithPointers(t, grammar.TestScale(), true)
+	mem := ix.Memory()
+	for length, root := range roots {
+		if root == nil {
+			continue
+		}
+		if got, want := mem.PerLength[length], pointerStats(root); got != want {
+			t.Fatalf("length %d: arena stats %+v, pointer trie %+v", length, got, want)
+		}
 	}
-	if !arena.Frozen() {
-		t.Fatal("arena index not frozen")
-	}
-	queries := maskedQueries(arena, 50, 19)
+	queries := maskedQueries(ix, 50, 19)
 	optVariants := []Options{
 		{},
 		{DisableBDB: true},
@@ -35,8 +37,8 @@ func TestArenaMatchesPointer(t *testing.T) {
 	for _, opts := range optVariants {
 		for _, k := range []int{1, 3, 10} {
 			for qi, q := range queries {
-				pRes, pSt := ptr.SearchTopK(q, k, opts)
-				aRes, aSt := arena.SearchTopK(q, k, opts)
+				pRes, pSt := ix.searchPointer(roots, q, k, opts)
+				aRes, aSt := ix.SearchTopK(q, k, opts)
 				if len(pRes) != len(aRes) {
 					t.Fatalf("opts %+v k=%d q#%d %v: pointer %d results, arena %d",
 						opts, k, qi, q, len(pRes), len(aRes))
@@ -58,85 +60,6 @@ func TestArenaMatchesPointer(t *testing.T) {
 					t.Fatalf("opts %+v k=%d q#%d %v: stats differ:\n pointer %+v\n arena   %+v",
 						opts, k, qi, q, pSt, aSt)
 				}
-			}
-		}
-	}
-}
-
-// Freezing must be idempotent, and a post-freeze Insert must thaw, accept
-// the structure, and re-freeze to an index that finds it.
-func TestFreezeThawInsert(t *testing.T) {
-	ix := NewIndex(10, false)
-	ix.Insert(strings.Fields("SELECT x FROM x"))
-	ix.Freeze()
-	ix.Freeze() // idempotent
-	if !ix.Frozen() {
-		t.Fatal("index not frozen after Freeze")
-	}
-	res, _ := ix.Search(strings.Fields("SELECT x FROM x"), Options{})
-	if res.Distance != 0 {
-		t.Fatalf("frozen search missed exact match: %v", res)
-	}
-	// Insert thaws the affected trie only.
-	ix.Insert(strings.Fields("SELECT * FROM x"))
-	if ix.Frozen() {
-		t.Fatal("Insert did not thaw the trie")
-	}
-	res, _ = ix.Search(strings.Fields("SELECT * FROM x"), Options{})
-	if res.Distance != 0 {
-		t.Fatalf("thawed search missed new structure: %v", res)
-	}
-	ix.Freeze()
-	if !ix.Frozen() {
-		t.Fatal("re-freeze failed")
-	}
-	rs, _ := ix.SearchTopK(strings.Fields("SELECT x FROM x"), 2, Options{})
-	if len(rs) != 2 || rs[0].Distance != 0 {
-		t.Fatalf("re-frozen index lost structures: %v", rs)
-	}
-	// Duplicate insert into a frozen trie must thaw but not double-count.
-	total := ix.Total()
-	ix.Insert(strings.Fields("SELECT x FROM x"))
-	if ix.Total() != total {
-		t.Fatalf("duplicate insert changed Total: %d -> %d", total, ix.Total())
-	}
-}
-
-// Memory() must report identical stats before and after freezing (the
-// frozen path answers in O(1) from arena lengths).
-func TestMemoryStatsFrozenMatchesUnfrozen(t *testing.T) {
-	cfg := grammar.TestScale()
-	ix := buildIndexUnfrozen(t, cfg, false)
-	before := ix.Memory()
-	ix.Freeze()
-	after := ix.Memory()
-	if before.Structures != after.Structures || before.Nodes != after.Nodes {
-		t.Fatalf("Memory drifted across Freeze: %+v vs %+v", before, after)
-	}
-	for l, ls := range before.PerLength {
-		if after.PerLength[l] != ls {
-			t.Fatalf("length %d stats drifted: %+v vs %+v", l, ls, after.PerLength[l])
-		}
-	}
-}
-
-// flatten/thaw must round-trip exactly: thawing an arena and re-flattening
-// it reproduces the identical arena.
-func TestFlattenThawRoundTrip(t *testing.T) {
-	ix := buildIndexUnfrozen(t, grammar.TestScale(), false)
-	for length, tr := range ix.tries {
-		if tr == nil {
-			continue
-		}
-		ft := flatten(tr.root)
-		ft2 := flatten(thaw(ft))
-		if len(ft.tok) != len(ft2.tok) {
-			t.Fatalf("length %d: node count drifted %d -> %d", length, len(ft.tok), len(ft2.tok))
-		}
-		for i := range ft.tok {
-			if ft.tok[i] != ft2.tok[i] || ft.leaf[i] != ft2.leaf[i] ||
-				ft.first[i] != ft2.first[i] || ft.num[i] != ft2.num[i] {
-				t.Fatalf("length %d: node %d drifted", length, i)
 			}
 		}
 	}
@@ -185,15 +108,15 @@ func TestINVKernelSteadyStateAllocs(t *testing.T) {
 	ix.putSearcher(s)
 }
 
-// BenchmarkSearchTestScalePointer is the pre-arena kernel on the identical
-// corpus and query as BenchmarkSearchTestScale — the in-binary before/after
-// for the arena flattening.
+// BenchmarkSearchTestScalePointer is the pointer-trie reference kernel on
+// the identical corpus and query as BenchmarkSearchTestScale — the
+// in-binary before/after for the arena flattening.
 func BenchmarkSearchTestScalePointer(b *testing.B) {
-	ix := buildIndexUnfrozen(b, grammar.TestScale(), false)
+	ix, roots := buildWithPointers(b, grammar.TestScale(), false)
 	q := strings.Fields("SELECT x FROM x x x = x AND x = x")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Search(q, Options{})
+		ix.searchPointer(roots, q, 1, Options{})
 	}
 }

@@ -7,14 +7,11 @@ import (
 	"testing"
 )
 
-// smallIndexBytes serializes a tiny index in both persist formats for seeds
-// and mutation bases.
+// smallIndexBytes serializes a tiny index in the current format and in the
+// retired version 1, for seeds, mutation bases, and rejection cases.
 func smallIndexBytes(t testing.TB) (v2, v1 []byte) {
 	t.Helper()
-	ix := NewIndex(8, false)
-	ix.Insert(strings.Fields("SELECT x FROM x"))
-	ix.Insert(strings.Fields("SELECT x FROM x WHERE x = x"))
-	ix.Insert(strings.Fields("SELECT MAX ( x ) FROM x"))
+	ix := indexOf(8, "SELECT x FROM x", "SELECT x FROM x WHERE x = x", "SELECT MAX ( x ) FROM x")
 	var b2, b1 bytes.Buffer
 	if err := ix.Save(&b2); err != nil {
 		t.Fatal(err)
@@ -73,10 +70,6 @@ func TestReadIndexRejectsHostileInput(t *testing.T) {
 		// Token id past the dictionary.
 		"token id range": head(uv(2), uv(8), dictA, uv(1), uv(1), uv(2),
 			uv(1), uv(2), uv(1), uv(0), uv(7)),
-		// v1 structure longer than maxLen: would index past the trie table
-		// on Insert if unchecked.
-		"v1 structure too long": head(uv(1), uv(4), dictA, uv(1), uv(9)),
-		"v1 zero-length":        head(uv(1), uv(4), dictA, uv(1), uv(0)),
 	}
 	for i := 1; i < len(v2); i += 11 {
 		cases["v2 truncated@"+string(rune('a'+i%26))] = v2[:i]
@@ -91,12 +84,28 @@ func TestReadIndexRejectsHostileInput(t *testing.T) {
 			}
 		}
 	}
+	// Version 1 is retired: a well-formed v1 file, a bare v1 header, and the
+	// v1 bodies its loader used to bound are all refused on the version alone.
+	for name, data := range map[string][]byte{
+		"v1 file":               v1,
+		"v1 header":             head(uv(1)),
+		"v1 structure too long": head(uv(1), uv(4), dictA, uv(1), uv(9)),
+		"v1 zero-length":        head(uv(1), uv(4), dictA, uv(1), uv(0)),
+	} {
+		for _, keepINV := range []bool{false, true} {
+			_, err := ReadIndex(bytes.NewReader(data), keepINV)
+			if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+				t.Errorf("%s (keepINV=%v): err = %v, want unsupported version 1", name, keepINV, err)
+			}
+		}
+	}
 }
 
 // FuzzReadIndex asserts ReadIndex never panics and never over-allocates on
-// arbitrary input, for both format versions and both keepINV settings, and
-// that anything accepted is a frozen index whose arenas tile correctly
-// (re-saving it must succeed and round-trip).
+// arbitrary input — the seeds include a retired version-1 file, which must
+// be rejected — for both keepINV settings, and that anything accepted is an
+// index whose arenas tile correctly (re-saving it must succeed and
+// round-trip).
 func FuzzReadIndex(f *testing.F) {
 	v2, v1 := smallIndexBytes(f)
 	f.Add(v2)
@@ -115,9 +124,6 @@ func FuzzReadIndex(f *testing.F) {
 			ix, err := ReadIndex(bytes.NewReader(data), keepINV)
 			if err != nil {
 				continue
-			}
-			if !ix.Frozen() {
-				t.Fatal("accepted index not frozen")
 			}
 			var buf bytes.Buffer
 			if err := ix.Save(&buf); err != nil {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -216,9 +218,7 @@ func TestResultHeapOrdering(t *testing.T) {
 // Parallel search with more workers than partitions must clamp and still
 // return correct results.
 func TestParallelMoreWorkersThanPartitions(t *testing.T) {
-	ix := NewIndex(10, false)
-	ix.Insert(strings.Fields("SELECT x FROM x"))
-	ix.Insert(strings.Fields("SELECT * FROM x"))
+	ix := indexOf(10, "SELECT x FROM x", "SELECT * FROM x")
 	rs, _ := ix.SearchTopK(strings.Fields("SELECT x FROM x"), 2, Options{Workers: 16})
 	if len(rs) != 2 || rs[0].Distance != 0 {
 		t.Fatalf("results = %v", rs)
@@ -226,4 +226,68 @@ func TestParallelMoreWorkersThanPartitions(t *testing.T) {
 	if got := strings.Join(rs[0].Tokens, " "); got != "SELECT x FROM x" {
 		t.Errorf("best = %q", got)
 	}
+}
+
+// TestConcurrentINVSearch runs INV searches from several goroutines on one
+// freshly built index and checks every answer against a serial run on a
+// second build of the same corpus. Build sorts the inverted lists once and
+// nothing mutates them afterwards, so concurrent scans share them with no
+// lock; run under -race. The corpus is inserted shuffled, so the lists
+// really are out of length order until Build sorts them.
+func TestConcurrentINVSearch(t *testing.T) {
+	var corpus [][]string
+	if err := grammar.Generate(grammar.TestScale(), func(toks []string) bool {
+		corpus = append(corpus, append([]string(nil), toks...))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(corpus), func(i, j int) {
+		corpus[i], corpus[j] = corpus[j], corpus[i]
+	})
+	build := func() *Index {
+		b := NewBuilder(grammar.TestScale().MaxTokens, true)
+		for _, toks := range corpus {
+			b.Insert(toks)
+		}
+		return b.Build()
+	}
+	serial := build()
+	queries := append(maskedQueries(serial, 40, 23),
+		strings.Fields("SELECT x FROM x WHERE x BETWEEN x AND x"),
+		strings.Fields("SELECT COUNT ( x ) FROM x ORDER BY x"))
+	type answer struct {
+		rs []Result
+		st Stats
+	}
+	want := make([]answer, len(queries))
+	usedINV := 0
+	for i, q := range queries {
+		want[i].rs, want[i].st = serial.SearchTopK(q, 3, Options{INV: true})
+		if want[i].st.UsedINV {
+			usedINV++
+		}
+	}
+	if usedINV == 0 {
+		t.Fatal("no query took the INV path")
+	}
+
+	ix := build()
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range queries {
+				qi := (i + 7*g) % len(queries)
+				rs, st := ix.SearchTopK(queries[qi], 3, Options{INV: true})
+				if !reflect.DeepEqual(rs, want[qi].rs) || st != want[qi].st {
+					t.Errorf("goroutine %d q#%d %v: concurrent %v %+v, serial %v %+v",
+						g, qi, queries[qi], rs, st, want[qi].rs, want[qi].st)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

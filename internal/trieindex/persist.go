@@ -11,18 +11,18 @@ import (
 // deployment builds the index once and serves it. Save/ReadIndex persist
 // the index in a compact binary format.
 //
-// Version 2 serializes the frozen arenas directly — per trie the num[]
+// Version 2 serializes the arenas directly — per trie the num[]
 // (child-count) array, the tok[] array, and a leaf bitmap. Because the
 // arena layout is breadth-first, first[] is exactly the running prefix sum
 // of num[] and is derived on load, so cold-start is a few bulk array reads
-// per trie with no pointer-trie reconstruction and no re-insertion. Version
-// 1 (each structure as a token-id path, re-inserted on load) is still read
-// for compatibility. Either way ReadIndex returns a frozen index.
+// per trie with no pointer-trie reconstruction and no re-insertion. It is
+// the only version read: version 1 (each structure as a token-id path),
+// written only by the earliest releases, is rejected like any other
+// unknown version.
 
 const (
-	persistMagic     = "SPQLIX"
-	persistVersionV1 = 1
-	persistVersion   = 2
+	persistMagic   = "SPQLIX"
+	persistVersion = 2
 
 	// Hostile-input ceilings. A persisted header is untrusted until proven
 	// otherwise: every count is bounded before it sizes an allocation, and
@@ -35,11 +35,9 @@ const (
 	persistPrealloc  = 1 << 12 // cap on header-trusting preallocation
 )
 
-// Save serializes the index in the arena format, freezing it first if
-// needed (Freeze is idempotent and result-preserving). The INV corpus flag
-// is not persisted — the loader chooses whether to retain the flat corpus.
+// Save serializes the index in the arena format. The INV flag is not
+// persisted — the loader chooses whether to rebuild the inverted lists.
 func (ix *Index) Save(w io.Writer) (err error) {
-	ix.Freeze()
 	bw := bufio.NewWriter(w)
 	defer func() {
 		if ferr := bw.Flush(); err == nil {
@@ -87,7 +85,7 @@ func (ix *Index) Save(w io.Writer) (err error) {
 	return nil
 }
 
-// writeArena emits one frozen trie: its length, structure count, node
+// writeArena emits one trie: its length, structure count, node
 // count, num[] and tok[] arrays, and the leaf bitmap. first[] is implied by
 // the BFS layout and not stored.
 func writeArena(w *bufio.Writer, length int, tr *trie) error {
@@ -122,9 +120,8 @@ func writeArena(w *bufio.Writer, length int, tr *trie) error {
 	return err
 }
 
-// ReadIndex loads an index persisted by Save (version 2 arena format or the
-// legacy version 1 structure list). keepINV retains the flat corpus for the
-// inverted-index search path. The returned index is frozen.
+// ReadIndex loads an index persisted by Save (the version 2 arena format).
+// keepINV rebuilds the inverted lists for the INV search path.
 func ReadIndex(r io.Reader, keepINV bool) (*Index, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(persistMagic))
@@ -138,7 +135,7 @@ func ReadIndex(r io.Reader, keepINV bool) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != persistVersionV1 && version != persistVersion {
+	if version != persistVersion {
 		return nil, fmt.Errorf("trieindex: unsupported version %d", version)
 	}
 	maxLen, err := binary.ReadUvarint(br)
@@ -169,16 +166,9 @@ func ReadIndex(r io.Reader, keepINV bool) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := NewIndex(int(maxLen), keepINV)
-	if version == persistVersionV1 {
-		if err := readStructuresV1(br, ix, dict, total); err != nil {
-			return nil, err
-		}
-		ix.Freeze()
-		return ix, nil
-	}
-	// Arena format: intern the dictionary up front so persisted token ids
-	// stay valid, then bulk-read each trie.
+	// Intern the dictionary up front so persisted token ids stay valid,
+	// then bulk-read each trie.
+	ix := newIndex(int(maxLen))
 	for _, s := range dict {
 		ix.bindToken(ix.in.intern(s), s)
 	}
@@ -195,19 +185,18 @@ func ReadIndex(r io.Reader, keepINV bool) (*Index, error) {
 		return nil, fmt.Errorf("trieindex: structure count mismatch: header %d, tries %d", total, ix.total)
 	}
 	if keepINV {
-		// Rebuild the flat corpus and inverted lists by walking the arenas
-		// in trie order — the same enumeration a v1 load's re-insertion
-		// produces, so INV tie-breaking is identical either way.
+		// Rebuild the inverted lists by walking the arenas in trie order
+		// (increasing length, then depth-first).
 		path := make([]tokenID, 0, ix.maxLen)
 		for _, tr := range ix.tries {
 			if tr == nil {
 				continue
 			}
 			tr.flat.walkLeaves(&path, func(p []tokenID) {
-				ix.recordCorpus(append([]tokenID(nil), p...))
+				ix.recordInv(append([]tokenID(nil), p...))
 			})
 		}
-		ix.ensureInvSorted()
+		ix.sortInv()
 	}
 	return ix, nil
 }
@@ -294,35 +283,8 @@ func readArena(br *bufio.Reader, ix *Index, nTokens uint64) error {
 	if leaves != count {
 		return fmt.Errorf("leaf bitmap has %d leaves, header says %d", leaves, count)
 	}
-	ix.tries[length] = &trie{flat: ft, count: int(count), nodes: int(n) - 1}
+	ix.tries[length] = &trie{flat: ft, count: int(count)}
 	ix.total += int(count)
-	return nil
-}
-
-// readStructuresV1 replays a legacy structure list through Insert.
-func readStructuresV1(br *bufio.Reader, ix *Index, dict []string, total uint64) error {
-	toks := make([]string, 0, ix.maxLen)
-	for s := uint64(0); s < total; s++ {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("trieindex: structure %d: %w", s, err)
-		}
-		if n == 0 || n > uint64(ix.maxLen) {
-			return fmt.Errorf("trieindex: structure %d length %d out of range", s, n)
-		}
-		toks = toks[:0]
-		for i := uint64(0); i < n; i++ {
-			id, err := binary.ReadUvarint(br)
-			if err != nil {
-				return err
-			}
-			if id >= uint64(len(dict)) {
-				return fmt.Errorf("trieindex: token id %d out of range", id)
-			}
-			toks = append(toks, dict[id])
-		}
-		ix.Insert(toks)
-	}
 	return nil
 }
 

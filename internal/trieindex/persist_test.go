@@ -10,8 +10,9 @@ import (
 	"speakql/internal/grammar"
 )
 
-// saveV1 writes the legacy version-1 format (structure list, re-inserted on
-// load) so the compatibility path stays under test now that Save emits v2.
+// saveV1 writes the retired version-1 format (each structure as a token-id
+// path), so the tests keep a well-formed v1 file on hand: ReadIndex must
+// reject it as an unsupported version.
 func (ix *Index) saveV1(w io.Writer) (err error) {
 	bw := bufio.NewWriter(w)
 	defer func() {
@@ -22,7 +23,7 @@ func (ix *Index) saveV1(w io.Writer) (err error) {
 	if _, err = bw.WriteString(persistMagic); err != nil {
 		return err
 	}
-	if err = writeUvarint(bw, persistVersionV1); err != nil {
+	if err = writeUvarint(bw, 1); err != nil {
 		return err
 	}
 	if err = writeUvarint(bw, uint64(ix.maxLen)); err != nil {
@@ -112,8 +113,7 @@ func TestPersistKeepINV(t *testing.T) {
 }
 
 // The arena round trip must reproduce the arenas bit for bit — same node
-// counts, tokens, child ranges, and leaf flags per trie — and the reloaded
-// index must already be frozen (no pointer reconstruction on load).
+// counts, tokens, child ranges, and leaf flags per trie.
 func TestPersistArenaRoundTripExact(t *testing.T) {
 	ix := buildIndex(t, grammar.TestScale(), false)
 	var buf bytes.Buffer
@@ -123,9 +123,6 @@ func TestPersistArenaRoundTripExact(t *testing.T) {
 	back, err := ReadIndex(&buf, false)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !back.Frozen() {
-		t.Fatal("reloaded index is not frozen")
 	}
 	for length, tr := range ix.tries {
 		var btr *trie
@@ -148,7 +145,7 @@ func TestPersistArenaRoundTripExact(t *testing.T) {
 				t.Fatalf("length %d: node %d differs", length, i)
 			}
 		}
-		if tr.count != btr.count || tr.nodes != btr.nodes {
+		if tr.count != btr.count {
 			t.Fatalf("length %d: counts differ", length)
 		}
 	}
@@ -166,59 +163,6 @@ func TestPersistArenaRoundTripExact(t *testing.T) {
 	}
 }
 
-// A legacy v1 file must still load, produce a frozen index, and search
-// identically to the same corpus saved in the arena format.
-func TestPersistV1Compat(t *testing.T) {
-	ix := buildIndex(t, grammar.TestScale(), true)
-	var v1 bytes.Buffer
-	if err := ix.saveV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadIndex(&v1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Frozen() {
-		t.Fatal("v1 load did not freeze")
-	}
-	if back.Total() != ix.Total() {
-		t.Fatalf("v1 load lost structures: %d vs %d", back.Total(), ix.Total())
-	}
-	for _, q := range [][]string{
-		strings.Fields("SELECT x FROM x x x = x"),
-		strings.Fields("SELECT x FROM x WHERE x BETWEEN x AND x"),
-	} {
-		for _, opts := range []Options{{}, {INV: true}} {
-			a, ast := ix.Search(q, opts)
-			b, bst := back.Search(q, opts)
-			if a.Distance != b.Distance ||
-				strings.Join(a.Tokens, " ") != strings.Join(b.Tokens, " ") || ast != bst {
-				t.Fatalf("v1/v2 search disagrees for %v opts %+v", q, opts)
-			}
-		}
-	}
-}
-
-// Save on an unfrozen index freezes it (and the bytes match a pre-frozen
-// save), so callers never have to remember the Freeze step.
-func TestPersistSaveFreezes(t *testing.T) {
-	a := buildIndexUnfrozen(t, grammar.TestScale(), false)
-	b := buildIndex(t, grammar.TestScale(), false)
-	var bufA, bufB bytes.Buffer
-	if err := a.Save(&bufA); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Frozen() {
-		t.Fatal("Save did not freeze the index")
-	}
-	if err := b.Save(&bufB); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
-		t.Fatal("unfrozen-then-saved bytes differ from frozen-then-saved")
-	}
-}
-
 func TestReadIndexErrors(t *testing.T) {
 	if _, err := ReadIndex(strings.NewReader(""), false); err == nil {
 		t.Error("empty input accepted")
@@ -227,10 +171,8 @@ func TestReadIndexErrors(t *testing.T) {
 		t.Error("bad magic accepted")
 	}
 	// Truncated payload.
-	ix := NewIndex(10, false)
-	ix.Insert(strings.Fields("SELECT x FROM x"))
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := indexOf(10, "SELECT x FROM x").Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadIndex(bytes.NewReader(buf.Bytes()[:buf.Len()-3]), false); err == nil {

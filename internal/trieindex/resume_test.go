@@ -125,10 +125,7 @@ func TestPrefixSearcherCancelKeepsCheckpoints(t *testing.T) {
 // fewer structures than k the pool can still seed (it holds every
 // structure), and results must match scratch.
 func TestPrefixSearcherTinyIndex(t *testing.T) {
-	ix := NewIndex(10, false)
-	ix.Insert(strings.Fields("SELECT x FROM x"))
-	ix.Insert(strings.Fields("SELECT * FROM x"))
-	ix.Freeze()
+	ix := indexOf(10, "SELECT x FROM x", "SELECT * FROM x")
 	ps := ix.NewPrefixSearcher(5, Options{})
 	var prefix []string
 	for _, tok := range strings.Fields("SELECT x FROM x") {

@@ -379,11 +379,10 @@ func (ix *Index) stringsOf(ids []tokenID) []string {
 	return toks
 }
 
-// searchLen searches the trie holding structures of length n, unless BDB
-// proves it cannot beat the current threshold (Proposition 1: the minimum
-// achievable distance between strings of lengths m and n is |m−n|·W_L).
-// Frozen tries run the arena kernel (arena.go); unfrozen ones the pointer
-// kernel below. Both produce bit-identical results and stats.
+// searchLen searches the trie holding structures of length n with the
+// arena kernel (arena.go), unless BDB proves it cannot beat the current
+// threshold (Proposition 1: the minimum achievable distance between strings
+// of lengths m and n is |m−n|·W_L).
 func (s *searcher) searchLen(n int) {
 	tr := s.ix.tries[n]
 	if tr == nil {
@@ -404,80 +403,13 @@ func (s *searcher) searchLen(n int) {
 		col[i] = col[i-1] + s.qw[i-1]
 	}
 	s.path = s.path[:0]
-	if tr.flat != nil {
-		s.descendFlat(tr.flat, 0, col, 0)
-		return
-	}
-	s.descend(tr.root, col)
+	s.descendFlat(tr.flat, 0, col, 0)
 }
 
-// --- pointer-trie DP kernel ---
-//
-// The pre-arena kernel, retained for unfrozen indexes and as the reference
-// implementation the differential tests compare the arena kernel against.
-// It allocates one column per node visit; the arena kernel reuses pooled
-// columns instead.
-
-// descend explores node's children, advancing the DP by one column per
-// child token, with min-column pruning and (optionally) DAP.
-func (s *searcher) descend(n *node, col []float64) {
-	if !s.opts.DAP || len(n.children) < 2 {
-		for _, c := range n.children {
-			childCol := s.step(col, c.tok)
-			s.visit(c, childCol)
-		}
-		return
-	}
-	// DAP: non-prime children are explored normally; within each prime-
-	// superset group only the child whose DP column ends lowest is
-	// explored further.
-	var bestChild [3]*node
-	var bestCol [3][]float64
-	for _, c := range n.children {
-		g := s.ix.prime[c.tok]
-		if g < 0 {
-			s.visit(c, s.step(col, c.tok))
-			continue
-		}
-		cc := s.step(col, c.tok)
-		if bestChild[g] == nil || last(cc) < last(bestCol[g]) {
-			bestChild[g] = c
-			bestCol[g] = cc
-		}
-	}
-	for g := range bestChild {
-		if bestChild[g] != nil {
-			s.visit(bestChild[g], bestCol[g])
-		}
-	}
-}
-
-func (s *searcher) visit(c *node, col []float64) {
-	s.st.NodesVisited++
-	s.path = append(s.path, c.tok)
-	if c.leaf {
-		if d := col[len(col)-1]; s.viable(d) {
-			s.offer(d, s.path)
-		}
-	}
-	// Min-column pruning: every descendant's distance is ≥ min(col).
-	if s.viable(minOf(col)) {
-		s.descend(c, col)
-	}
-	s.path = s.path[:len(s.path)-1]
-}
-
-// step advances the DP one column for trie token tok (Algorithm 1): row 0
-// inserts tok; row i matches q[i-1] diagonally or takes the cheaper of
-// deleting q[i-1] (cost qw) or inserting tok (cost W(tok)).
-func (s *searcher) step(prev []float64, tok tokenID) []float64 {
-	cur := make([]float64, len(prev))
-	s.stepInto(prev, cur, tok)
-	return cur
-}
-
-// stepInto is step writing into a caller-provided column of the same
-// length — the allocation-free form the arena kernel uses.
+// stepInto advances the DP one column for trie token tok into cur, a column
+// of prev's length (Algorithm 1): row 0 inserts tok; row i matches q[i-1]
+// diagonally or takes the cheaper of deleting q[i-1] (cost qw) or inserting
+// tok (cost W(tok)).
 func (s *searcher) stepInto(prev, cur []float64, tok tokenID) {
 	w := s.w[tok]
 	cur[0] = prev[0] + w
@@ -520,8 +452,6 @@ func minOf(col []float64) float64 {
 	return m
 }
 
-func last(col []float64) float64 { return col[len(col)-1] }
-
 // maxINVList bounds the inverted list size INV will scan flat; larger lists
 // fall back to trie search.
 const maxINVList = 25000
@@ -531,7 +461,6 @@ const maxINVList = 25000
 // keyword. Returns false if no indexed keyword is present (caller falls
 // back to trie search).
 func (s *searcher) searchINV() bool {
-	s.ix.ensureInvSorted()
 	var bestList [][]tokenID
 	found := false
 	for _, id := range s.q {
@@ -561,7 +490,7 @@ func (s *searcher) searchINV() bool {
 	// Scan in order of increasing length difference from the query: the
 	// Proposition 1 lower bound then lets the whole remaining scan stop as
 	// soon as both frontiers are out of range — the flat-list analogue of
-	// BDB. Lists are length-sorted by ensureInvSorted. The split search is
+	// BDB. Lists are length-sorted by sortInv. The split search is
 	// hand-rolled (not sort.Search) to keep the kernel closure-free and so
 	// allocation-free.
 	m := len(s.q)

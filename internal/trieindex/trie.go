@@ -19,7 +19,6 @@ package trieindex
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"speakql/internal/sqltoken"
 )
@@ -62,20 +61,13 @@ func (in *interner) lookup(tok string) tokenID {
 
 func (in *interner) str(id tokenID) string { return in.strs[id] }
 
-// node is a trie node. Children are kept sorted by token id for binary
-// search during insertion; traversal order is deterministic.
+// node is a pointer-trie node, the Builder's build-time form. Children are
+// kept sorted by token id for binary search during insertion; traversal
+// order is deterministic.
 type node struct {
 	tok      tokenID
 	leaf     bool
 	children []*node
-}
-
-func (n *node) child(tok tokenID) *node {
-	i := sort.Search(len(n.children), func(i int) bool { return n.children[i].tok >= tok })
-	if i < len(n.children) && n.children[i].tok == tok {
-		return n.children[i]
-	}
-	return nil
 }
 
 func (n *node) insertChild(tok tokenID) *node {
@@ -90,14 +82,10 @@ func (n *node) insertChild(tok tokenID) *node {
 	return c
 }
 
-// trie holds all structures of one token length. Insert builds the pointer
-// trie (root); Freeze compacts it into the arena (flat) and drops the
-// pointer nodes. Exactly one of root/flat is non-nil.
+// trie holds all structures of one token length in arena form (arena.go).
 type trie struct {
-	root  *node
 	flat  *flatTrie
 	count int // number of structures
-	nodes int // total node count (set at freeze; computed by walk before)
 }
 
 // Options configures index construction and search behaviour.
@@ -123,25 +111,18 @@ type Options struct {
 	Workers int
 }
 
-// Index is the structure index: one trie per structure length plus the
-// optional inverted index. Build it once (offline, Section 3.2) and share it
-// across goroutines; Search does not mutate the index.
+// Index is the structure index: one arena trie per structure length plus
+// the optional inverted index. Construct it with a Builder (or ReadIndex);
+// it is immutable afterwards, and Search is safe for concurrent use.
 type Index struct {
-	in         *interner
-	tries      []*trie // indexed by structure length
-	maxLen     int
-	total      int
-	weights    []float64               // weight per interned token id
-	prime      []int8                  // DAP prime-superset group per id (−1 none)
-	invKey     []bool                  // id is a non-universal keyword (INV-indexed)
-	inv        map[tokenID][][]tokenID // keyword → structures containing it
-	corpus     [][]tokenID             // retained only when INV is on
-	keepCorpus bool
-
-	// invDirty marks inverted lists appended since the last length-sort;
-	// ensureInvSorted (invMu) sorts them lazily before the first INV scan.
-	invDirty atomic.Bool
-	invMu    sync.Mutex
+	in      *interner
+	tries   []*trie // indexed by structure length
+	maxLen  int
+	total   int
+	weights []float64               // weight per interned token id
+	prime   []int8                  // DAP prime-superset group per id (−1 none)
+	invKey  []bool                  // id is a non-universal keyword (INV-indexed)
+	inv     map[tokenID][][]tokenID // keyword → structures containing it
 
 	// pool recycles searchers — and with them the DP column pool, the
 	// interned-query scratch, and the heap-entry token buffers — across
@@ -149,16 +130,27 @@ type Index struct {
 	pool sync.Pool
 }
 
-// NewIndex creates an empty index. Set keepINV if INV search will be used
-// (it needs the flat corpus retained).
-func NewIndex(maxLen int, keepINV bool) *Index {
+func newIndex(maxLen int) *Index {
 	return &Index{
-		in:         newInterner(),
-		tries:      make([]*trie, maxLen+1),
-		maxLen:     maxLen,
-		inv:        make(map[tokenID][][]tokenID),
-		keepCorpus: keepINV,
+		in:     newInterner(),
+		tries:  make([]*trie, maxLen+1),
+		maxLen: maxLen,
+		inv:    make(map[tokenID][][]tokenID),
 	}
+}
+
+// Builder accumulates structures into pointer tries, the build-time form;
+// Build compacts them into the searchable Index (offline, Section 3.2).
+type Builder struct {
+	ix      *Index
+	roots   []*node // pointer trie per structure length
+	keepINV bool
+}
+
+// NewBuilder starts an index of structures up to maxLen tokens. Set keepINV
+// if INV search will be used (it needs the inverted lists).
+func NewBuilder(maxLen int, keepINV bool) *Builder {
+	return &Builder{ix: newIndex(maxLen), roots: make([]*node, maxLen+1), keepINV: keepINV}
 }
 
 // invExcluded are the universal keywords excluded from the inverted index:
@@ -166,8 +158,9 @@ func NewIndex(maxLen int, keepINV bool) *Index {
 var invExcluded = map[string]bool{"SELECT": true, "FROM": true, "WHERE": true}
 
 // Insert adds one structure (a token sequence over the grammar alphabet).
-// Duplicate insertions are idempotent.
-func (ix *Index) Insert(tokens []string) {
+// Duplicate insertions are idempotent; empty or over-long ones are ignored.
+func (b *Builder) Insert(tokens []string) {
+	ix := b.ix
 	if len(tokens) == 0 || len(tokens) > ix.maxLen {
 		return
 	}
@@ -177,18 +170,12 @@ func (ix *Index) Insert(tokens []string) {
 		ids[i] = id
 		ix.bindToken(id, t)
 	}
-	tr := ix.tries[len(tokens)]
-	if tr == nil {
-		tr = &trie{root: &node{}}
-		ix.tries[len(tokens)] = tr
+	n := b.roots[len(tokens)]
+	if n == nil {
+		n = &node{}
+		b.roots[len(tokens)] = n
+		ix.tries[len(tokens)] = &trie{}
 	}
-	if tr.flat != nil {
-		// The trie was frozen; thaw it back into pointer form so insertion
-		// can proceed. The next Freeze re-compacts it.
-		tr.root = thaw(tr.flat)
-		tr.flat = nil
-	}
-	n := tr.root
 	for _, id := range ids {
 		n = n.insertChild(id)
 	}
@@ -196,11 +183,29 @@ func (ix *Index) Insert(tokens []string) {
 		return // duplicate
 	}
 	n.leaf = true
-	tr.count++
+	ix.tries[len(tokens)].count++
 	ix.total++
-	if ix.keepCorpus {
-		ix.recordCorpus(ids)
+	if b.keepINV {
+		ix.recordInv(ids)
 	}
+}
+
+// Build compacts every pointer trie into its arena form, length-sorts the
+// inverted lists, and returns the finished index. Each pointer trie is
+// dropped as soon as it is flattened, so the collector can reclaim it while
+// later lengths are still being compacted. Build consumes the builder: it
+// must not be used afterwards.
+func (b *Builder) Build() *Index {
+	ix := b.ix
+	for length, root := range b.roots {
+		if root != nil {
+			ix.tries[length].flat = flatten(root)
+			b.roots[length] = nil
+		}
+	}
+	ix.sortInv()
+	b.ix, b.roots = nil, nil
+	return ix
 }
 
 // bindToken records the per-id metadata the search kernel reads instead of
@@ -217,72 +222,31 @@ func (ix *Index) bindToken(id tokenID, tok string) {
 	ix.invKey[id] = sqltoken.IsKeyword(tok) && !invExcluded[tok]
 }
 
-// recordCorpus retains one structure for the INV fast path: the flat corpus
-// slice plus an inverted-list entry per distinct non-universal keyword.
-// Lists are appended in O(1) here and length-sorted once — in Freeze, or
-// lazily before the first INV scan — so non-monotonic insertion orders no
-// longer degrade the build to quadratic.
-func (ix *Index) recordCorpus(ids []tokenID) {
-	ix.corpus = append(ix.corpus, ids)
+// recordInv adds one structure to the inverted list of each distinct
+// non-universal keyword it contains. Lists are appended in O(1) here and
+// length-sorted once by sortInv, so non-monotonic insertion orders do not
+// degrade the build to quadratic.
+func (ix *Index) recordInv(ids []tokenID) {
 	seen := map[tokenID]bool{}
 	for _, id := range ids {
 		if ix.invKey[id] && !seen[id] {
 			seen[id] = true
 			ix.inv[id] = append(ix.inv[id], ids)
-			ix.invDirty.Store(true)
 		}
 	}
 }
 
-// ensureInvSorted length-sorts the inverted lists if any were appended
-// since the last sort. The INV scan expands outward from the query's
-// length and stops on the Proposition 1 bound, which requires each list to
-// be in non-decreasing length order; the sort is stable, so structures of
-// equal length keep their insertion order (which is what ties resolve by).
-// Safe under concurrent searches: the first one in sorts under invMu while
-// the rest wait on the same lock.
-func (ix *Index) ensureInvSorted() {
-	if !ix.invDirty.Load() {
-		return
-	}
-	ix.invMu.Lock()
-	defer ix.invMu.Unlock()
-	if !ix.invDirty.Load() {
-		return
-	}
+// sortInv length-sorts the inverted lists, once, before the index is
+// returned (Build, ReadIndex); nothing mutates them afterwards, so
+// concurrent INV scans need no lock. The INV scan expands outward from the
+// query's length and stops on the Proposition 1 bound, which requires each
+// list to be in non-decreasing length order; the sort is stable, so
+// structures of equal length keep their insertion order (which is what ties
+// resolve by).
+func (ix *Index) sortInv() {
 	for _, list := range ix.inv {
 		sort.SliceStable(list, func(a, b int) bool { return len(list[a]) < len(list[b]) })
 	}
-	ix.invDirty.Store(false)
-}
-
-// Freeze compacts every trie into its contiguous arena form (see arena.go)
-// and finalizes the inverted lists. Call it once after the last Insert —
-// structure construction and ReadIndex do — to switch searches onto the
-// allocation-free cache-friendly kernel; searching an unfrozen index still
-// works on the pointer tries. Freeze is idempotent, changes no search
-// result, and must not run concurrently with searches. A later Insert
-// thaws the affected trie; re-freezing re-compacts it.
-func (ix *Index) Freeze() {
-	for _, tr := range ix.tries {
-		if tr == nil || tr.flat != nil {
-			continue
-		}
-		tr.flat = flatten(tr.root)
-		tr.nodes = len(tr.flat.tok) - 1
-		tr.root = nil
-	}
-	ix.ensureInvSorted()
-}
-
-// Frozen reports whether every trie is in arena form.
-func (ix *Index) Frozen() bool {
-	for _, tr := range ix.tries {
-		if tr != nil && tr.flat == nil {
-			return false
-		}
-	}
-	return true
 }
 
 // Total returns the number of distinct structures indexed.
@@ -317,20 +281,15 @@ type LengthStats struct {
 	Nodes      int
 }
 
-// Memory returns the index's size stats. Frozen tries answer in O(1) from
-// their arena lengths; unfrozen tries are walked.
+// Memory returns the index's size stats, in O(1) per trie from the arena
+// lengths.
 func (ix *Index) Memory() MemoryStats {
 	st := MemoryStats{Structures: ix.total, PerLength: map[int]LengthStats{}}
 	for length, t := range ix.tries {
 		if t == nil {
 			continue
 		}
-		var n int
-		if t.flat != nil {
-			n = len(t.flat.tok) - 1
-		} else {
-			n = countNodes(t.root)
-		}
+		n := len(t.flat.tok) - 1
 		st.Nodes += n
 		st.PerLength[length] = LengthStats{Structures: t.count, Nodes: n}
 	}

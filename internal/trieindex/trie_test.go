@@ -10,47 +10,36 @@ import (
 	"speakql/internal/metrics"
 )
 
-// buildIndex builds and freezes a test index — the production configuration
-// (structure.New and ReadIndex both freeze), searched by the arena kernel.
+// buildIndex builds a test index over cfg's corpus, as structure.BuildIndex
+// does for production.
 func buildIndex(t testing.TB, cfg grammar.GenConfig, keepINV bool) *Index {
 	t.Helper()
-	ix := buildIndexUnfrozen(t, cfg, keepINV)
-	ix.Freeze()
+	ix, _ := buildWithPointers(t, cfg, keepINV)
 	return ix
 }
 
-// buildIndexUnfrozen leaves the index in pointer-trie form, keeping the
-// pre-arena kernel under test and serving as the reference side of the
-// pointer-vs-arena differential tests.
-func buildIndexUnfrozen(t testing.TB, cfg grammar.GenConfig, keepINV bool) *Index {
-	t.Helper()
-	ix := NewIndex(cfg.MaxTokens, keepINV)
-	err := grammar.Generate(cfg, func(toks []string) bool {
-		ix.Insert(toks)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+// indexOf builds a small index from space-separated structures.
+func indexOf(maxLen int, structures ...string) *Index {
+	b := NewBuilder(maxLen, false)
+	for _, s := range structures {
+		b.Insert(strings.Fields(s))
 	}
-	return ix
+	return b.Build()
 }
 
 func TestInsertAndTotal(t *testing.T) {
-	ix := NewIndex(10, false)
-	ix.Insert(strings.Fields("SELECT x FROM x"))
-	ix.Insert(strings.Fields("SELECT x FROM x"))
-	ix.Insert(strings.Fields("SELECT * FROM x"))
-	ix.Insert(strings.Fields("SELECT x FROM x WHERE x = x"))
+	ix := indexOf(10,
+		"SELECT x FROM x",
+		"SELECT x FROM x", // duplicate: ignored
+		"SELECT * FROM x",
+		"SELECT x FROM x WHERE x = x",
+		"SELECT x FROM x WHERE x = x AND x = x", // over-long: ignored
+		"")                                      // empty: ignored
 	if ix.Total() != 3 {
-		t.Fatalf("Total = %d, want 3 (duplicates ignored)", ix.Total())
+		t.Fatalf("Total = %d, want 3 (duplicates, over-long, and empty ignored)", ix.Total())
 	}
 	if ix.NumTries() != 2 {
 		t.Fatalf("NumTries = %d, want 2 (lengths 4 and 8)", ix.NumTries())
-	}
-	// Over-long insertions are silently ignored.
-	ix.Insert(strings.Fields("SELECT x FROM x WHERE x = x AND x = x"))
-	if ix.Total() != 3 {
-		t.Fatalf("over-long structure was indexed")
 	}
 }
 
@@ -160,9 +149,7 @@ func TestSearchTopK(t *testing.T) {
 }
 
 func TestSearchTopKLargerThanCorpus(t *testing.T) {
-	ix := NewIndex(10, false)
-	ix.Insert(strings.Fields("SELECT x FROM x"))
-	ix.Insert(strings.Fields("SELECT * FROM x"))
+	ix := indexOf(10, "SELECT x FROM x", "SELECT * FROM x")
 	rs, _ := ix.SearchTopK(strings.Fields("SELECT x FROM x"), 10, Options{})
 	if len(rs) != 2 {
 		t.Fatalf("got %d results, want 2", len(rs))
@@ -170,12 +157,10 @@ func TestSearchTopKLargerThanCorpus(t *testing.T) {
 }
 
 func TestSearchEmptyIndexAndQuery(t *testing.T) {
-	ix := NewIndex(10, false)
-	if rs, _ := ix.SearchTopK(strings.Fields("SELECT x FROM x"), 3, Options{}); rs != nil {
+	if rs, _ := indexOf(10).SearchTopK(strings.Fields("SELECT x FROM x"), 3, Options{}); rs != nil {
 		t.Fatalf("empty index returned %v", rs)
 	}
-	ix.Insert(strings.Fields("SELECT x FROM x"))
-	res, _ := ix.Search(nil, Options{})
+	res, _ := indexOf(10, "SELECT x FROM x").Search(nil, Options{})
 	if math.Abs(res.Distance-4.4) > 1e-9 {
 		// inserting SELECT(1.2) x(1.0) FROM(1.2) x(1.0) from nothing
 		t.Fatalf("empty query dist = %v, want 4.4", res.Distance)
@@ -203,12 +188,7 @@ func TestBDBSkipsTries(t *testing.T) {
 // A B A against tries of lengths 1–5; after finding distance 1 at length 2,
 // every other trie is skipped.
 func TestFigure10Example(t *testing.T) {
-	ix := NewIndex(50, false)
-	ix.Insert([]string{"A"})
-	ix.Insert([]string{"A", "B"})
-	ix.Insert([]string{"A", "B", "C"})
-	ix.Insert([]string{"A", "B", "C", "D"})
-	ix.Insert([]string{"A", "B", "C", "D", "E"})
+	ix := indexOf(50, "A", "A B", "A B C", "A B C D", "A B C D E")
 	res, st := ix.Search([]string{"A", "B", "A"}, Options{})
 	if got := strings.Join(res.Tokens, " "); got != "A B" {
 		t.Fatalf("Figure 10: got %q, want A B", got)
@@ -362,8 +342,7 @@ func TestUniformWeightsAblation(t *testing.T) {
 		t.Fatal("expected nonzero distances")
 	}
 	// Uniform distance of an insert+delete pair is exactly 2.
-	ix2 := NewIndex(10, false)
-	ix2.Insert(strings.Fields("SELECT x FROM x"))
+	ix2 := indexOf(10, "SELECT x FROM x")
 	r, _ := ix2.Search(strings.Fields("SELECT x x FROM x"), Options{UniformWeights: true})
 	if r.Distance != 1 {
 		t.Errorf("uniform delete cost = %v, want 1", r.Distance)
