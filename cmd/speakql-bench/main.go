@@ -213,25 +213,31 @@ func main() {
 // microBench runs the steady-state search micro-benchmarks against the
 // environment's built index via testing.Benchmark, so the -json artifact
 // carries the same ns/op, B/op, allocs/op triple `go test -bench` reports.
+// The search keys cover two regimes: a short near-exact query, and
+// (search_far*) a long literal-heavy garble whose k-th best distance is
+// large, the shape of the costliest real searches, where the per-node
+// length bound does most of its pruning.
 func microBench(env *experiments.Env, workers int) []microResult {
 	ix := env.Structure.Index()
-	q := strings.Fields("SELECT x FROM x x x = x AND x = x")
-	cases := []struct {
+	near := strings.Fields("SELECT x FROM x x x = x AND x = x")
+	far := strings.Fields("SELECT * FROM x WHERE x x IN ( x x x , x x x , x x x , x x x x , x x x x )")
+	type searchCase struct {
 		name string
+		q    []string
 		opts trieindex.Options
-	}{
-		{"search_serial", trieindex.Options{}},
-		{"search_no_bdb", trieindex.Options{DisableBDB: true}},
+	}
+	cases := []searchCase{
+		{"search_serial", near, trieindex.Options{}},
+		{"search_no_bdb", near, trieindex.Options{DisableBDB: true}},
+		{"search_far", far, trieindex.Options{}},
+		{"search_far_no_bdb", far, trieindex.Options{DisableBDB: true}},
 	}
 	if workers > 1 {
-		cases = append(cases, struct {
-			name string
-			opts trieindex.Options
-		}{"search_parallel", trieindex.Options{Workers: workers}})
+		cases = append(cases, searchCase{"search_parallel", near, trieindex.Options{Workers: workers}})
 	}
 	var out []microResult
 	for _, c := range cases {
-		opts := c.opts
+		q, opts := c.q, c.opts
 		out = append(out, runMicro(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -97,8 +97,8 @@ func TestReadCatalogRejectsHostileInput(t *testing.T) {
 	vb := valid.Bytes()
 
 	cases := map[string][]byte{
-		"empty":     {},
-		"bad magic": []byte("NOTACATALOG"),
+		"empty":       {},
+		"bad magic":   []byte("NOTACATALOG"),
 		"bad version": append([]byte(catalogMagic), 0x63),
 		"magic only":  []byte(catalogMagic),
 		// A header claiming 2^40 entries with no data behind it must error

@@ -143,7 +143,6 @@ func (c *Component) DetermineTopKErr(ctx context.Context, transcript string, k i
 	outer, inner := splitNested(toks)
 	masked := sqltoken.MaskGeneric(outer)
 	cands, stats := c.searchTopK(ctx, masked, k)
-	recordSearchStats(stats)
 	innerStruct := c.searchInner(ctx, inner)
 	return assembleResults(toks, cands, stats, innerStruct), nil
 }
@@ -185,7 +184,6 @@ func (c *Component) DetermineTopKBatchErr(ctx context.Context, transcripts []str
 	}
 	cands, stats := c.searchTopKBatch(ctx, queries, k)
 	for li, ti := range live {
-		recordSearchStats(stats[li])
 		innerStruct := c.searchInner(ctx, preps[ti].inner)
 		outs[ti] = assembleResults(preps[ti].toks, cands[li], stats[li], innerStruct)
 	}
@@ -199,8 +197,7 @@ func (c *Component) searchInner(ctx context.Context, inner []string) []string {
 	if inner == nil {
 		return nil
 	}
-	innerCands, innerStats := c.searchTopK(ctx, sqltoken.MaskGeneric(inner), 1)
-	recordSearchStats(innerStats)
+	innerCands, _ := c.searchTopK(ctx, sqltoken.MaskGeneric(inner), 1)
 	if len(innerCands) == 0 {
 		return nil
 	}
@@ -232,17 +229,20 @@ func assembleResults(toks []string, cands []trieindex.Result, stats trieindex.St
 // component's options and index are fixed), so equal keys always mean equal
 // results — repeated masked shapes, which dominate dictation sessions and
 // the Table 2 sweeps, skip the trie walk entirely. Cancelled searches are
-// not cached: their results are legitimately partial.
+// not cached: their results are legitimately partial. Only a search that
+// ran feeds the work counters; a hit returns the stats of the search that
+// filled the entry.
 func (c *Component) searchTopK(ctx context.Context, masked []string, k int) ([]trieindex.Result, trieindex.Stats) {
-	if c.cache == nil {
-		return c.ix.SearchTopKContext(ctx, masked, k, c.opts)
-	}
-	key := cacheKey(masked, k)
-	if rs, st, ok := c.cache.Get(key); ok {
-		return rs, st
+	var key string
+	if c.cache != nil {
+		key = cacheKey(masked, k)
+		if rs, st, ok := c.cache.Get(key); ok {
+			return rs, st
+		}
 	}
 	rs, st := c.ix.SearchTopKContext(ctx, masked, k, c.opts)
-	if ctx.Err() == nil {
+	recordSearchStats(st)
+	if c.cache != nil && ctx.Err() == nil {
 		c.cache.Put(key, rs, st)
 	}
 	return rs, st
@@ -250,20 +250,21 @@ func (c *Component) searchTopK(ctx context.Context, masked []string, k int) ([]t
 
 // searchTopKBatch is searchTopK for a batch: cache hits resolve up front,
 // and only the misses go through one shared SearchBatch. Duplicate misses
-// are memoized inside SearchBatch; cancelled searches are not cached, same
-// as the single-query path.
+// are searched once inside SearchBatch and feed the work counters once;
+// cancelled searches are not cached, same as the single-query path.
 func (c *Component) searchTopKBatch(ctx context.Context, queries [][]string, k int) ([][]trieindex.Result, []trieindex.Stats) {
-	if c.cache == nil {
-		return c.ix.SearchBatch(ctx, queries, k, c.opts)
-	}
 	outs := make([][]trieindex.Result, len(queries))
 	stats := make([]trieindex.Stats, len(queries))
+	keys := make([]string, len(queries))
 	missIdx := make([]int, 0, len(queries))
 	missQ := make([][]string, 0, len(queries))
 	for qi, q := range queries {
-		if rs, st, ok := c.cache.Get(cacheKey(q, k)); ok {
-			outs[qi], stats[qi] = rs, st
-			continue
+		keys[qi] = cacheKey(q, k)
+		if c.cache != nil {
+			if rs, st, ok := c.cache.Get(keys[qi]); ok {
+				outs[qi], stats[qi] = rs, st
+				continue
+			}
 		}
 		missIdx = append(missIdx, qi)
 		missQ = append(missQ, q)
@@ -272,10 +273,15 @@ func (c *Component) searchTopKBatch(ctx context.Context, queries [][]string, k i
 		return outs, stats
 	}
 	mouts, mstats := c.ix.SearchBatch(ctx, missQ, k, c.opts)
+	searched := make(map[string]bool, len(missIdx))
 	for mi, qi := range missIdx {
 		outs[qi], stats[qi] = mouts[mi], mstats[mi]
-		if ctx.Err() == nil {
-			c.cache.Put(cacheKey(queries[qi], k), mouts[mi], mstats[mi])
+		if !searched[keys[qi]] {
+			searched[keys[qi]] = true
+			recordSearchStats(mstats[mi])
+		}
+		if c.cache != nil && ctx.Err() == nil {
+			c.cache.Put(keys[qi], mouts[mi], mstats[mi])
 		}
 	}
 	return outs, stats

@@ -80,11 +80,12 @@ func (ft *flatTrie) walkFrom(ni int32, path *[]tokenID, fn func(path []tokenID))
 // buffer for depth+1, which siblings overwrite in turn.
 func (s *searcher) descendFlat(ft *flatTrie, ni int32, col []float64, depth int) {
 	first, cnt := ft.first[ni], ft.num[ni]
+	rem := s.n - depth - 1 // structure tokens below each child
 	if !s.opts.DAP || cnt < 2 {
 		for ci := first; ci < first+cnt; ci++ {
 			child := s.column(depth + 1)
-			s.stepInto(col, child, ft.tok[ci])
-			s.visitFlat(ft, ci, child, depth+1)
+			lo, bound := s.stepInto(col, child, ft.tok[ci], rem)
+			s.visitFlat(ft, ci, child, depth+1, lo, bound)
 		}
 		return
 	}
@@ -100,26 +101,38 @@ func (s *searcher) descendFlat(ft *flatTrie, ni int32, col []float64, depth int)
 		tok := ft.tok[ci]
 		if g := s.ix.prime[tok]; g >= 0 {
 			scratch := s.dapColumn()
-			s.stepInto(col, scratch, tok)
+			s.stepInto(col, scratch, tok, rem)
 			if l := scratch[len(scratch)-1]; bestChild[g] < 0 || l < bestLast[g] {
 				bestChild[g], bestLast[g] = ci, l
 			}
 			continue
 		}
 		child := s.column(depth + 1)
-		s.stepInto(col, child, tok)
-		s.visitFlat(ft, ci, child, depth+1)
+		lo, bound := s.stepInto(col, child, tok, rem)
+		s.visitFlat(ft, ci, child, depth+1, lo, bound)
 	}
 	for g := range bestChild {
 		if ci := bestChild[g]; ci >= 0 {
 			child := s.column(depth + 1)
-			s.stepInto(col, child, ft.tok[ci])
-			s.visitFlat(ft, ci, child, depth+1)
+			lo, bound := s.stepInto(col, child, ft.tok[ci], rem)
+			s.visitFlat(ft, ci, child, depth+1, lo, bound)
 		}
 	}
 }
 
-func (s *searcher) visitFlat(ft *flatTrie, ci int32, col []float64, depth int) {
+// nodeBoundSlack pads the node bound against floating-point rounding: the
+// one-shot sum cur[i] + k·W_L can exceed, by an ULP, the sequential sums a
+// descendant's DP cells accumulate. The padded bound only prunes less.
+const nodeBoundSlack = 1e-9
+
+// visitFlat counts node ci, offers it if it is a leaf, and descends unless
+// no descendant can be viable. lo and bound are stepInto's lower bounds for
+// col: every descendant's distance is at least lo = min(col) (DP cells
+// never decrease along a path), and at least bound up to rounding. The max
+// keeps every prune min(col) alone makes — on its own the padded bound
+// would let through a subtree whose minimum cell sits on the length
+// diagonal at exactly the threshold.
+func (s *searcher) visitFlat(ft *flatTrie, ci int32, col []float64, depth int, lo, bound float64) {
 	s.st.NodesVisited++
 	s.path = append(s.path, ft.tok[ci])
 	if ft.leaf[ci] {
@@ -127,8 +140,7 @@ func (s *searcher) visitFlat(ft *flatTrie, ci int32, col []float64, depth int) {
 			s.offer(d, s.path)
 		}
 	}
-	// Min-column pruning: every descendant's distance is ≥ min(col).
-	if s.viable(minOf(col)) {
+	if s.viable(max(lo, bound-nodeBoundSlack)) {
 		s.descendFlat(ft, ci, col, depth)
 	}
 	s.path = s.path[:len(s.path)-1]

@@ -8,11 +8,14 @@ import (
 )
 
 // TestArenaMatchesPointer is the pointer-vs-arena differential test: the
-// arena kernel must return byte-identical results AND identical work
-// counters to the pointer-trie reference kernel (reference_test.go) for
-// every query, k, and option combination — serial, parallel, DAP, INV,
-// uniform weights, BDB off. Build's arenas must also hold exactly the
-// pointer tries' structures and nodes.
+// arena kernel must return byte-identical results to the pointer-trie
+// reference kernel (reference_test.go) pruning on min(col) alone, for every
+// query, k, and option combination — serial, parallel, DAP, INV, uniform
+// weights, BDB off. Its serial work counters must equal those of the
+// reference given the same per-node bound, and under DisableBDB those of
+// the unbounded reference; the bound may only ever visit fewer nodes.
+// Build's arenas must also hold exactly the pointer tries' structures and
+// nodes.
 func TestArenaMatchesPointer(t *testing.T) {
 	ix, roots := buildWithPointers(t, grammar.TestScale(), true)
 	mem := ix.Memory()
@@ -24,7 +27,7 @@ func TestArenaMatchesPointer(t *testing.T) {
 			t.Fatalf("length %d: arena stats %+v, pointer trie %+v", length, got, want)
 		}
 	}
-	queries := maskedQueries(ix, 50, 19)
+	queries := maskedQueries(ix, 48, 19)
 	optVariants := []Options{
 		{},
 		{DisableBDB: true},
@@ -37,7 +40,7 @@ func TestArenaMatchesPointer(t *testing.T) {
 	for _, opts := range optVariants {
 		for _, k := range []int{1, 3, 10} {
 			for qi, q := range queries {
-				pRes, pSt := ix.searchPointer(roots, q, k, opts)
+				pRes, pSt := ix.searchPointer(roots, q, k, opts, false)
 				aRes, aSt := ix.SearchTopK(q, k, opts)
 				if len(pRes) != len(aRes) {
 					t.Fatalf("opts %+v k=%d q#%d %v: pointer %d results, arena %d",
@@ -56,8 +59,24 @@ func TestArenaMatchesPointer(t *testing.T) {
 				// additionally deterministic for serial search; with
 				// Workers>1 the shared bound tightens on a schedule-dependent
 				// timeline, so visit counts legitimately vary run to run.
-				if opts.Workers <= 1 && pSt != aSt {
+				if opts.Workers > 1 {
+					continue
+				}
+				_, bSt := ix.searchPointer(roots, q, k, opts, true)
+				// The node bound only ever skips nodes: every other counter
+				// of the reference stays put.
+				sameOtherwise := pSt
+				sameOtherwise.NodesVisited = bSt.NodesVisited
+				if bSt != sameOtherwise || bSt.NodesVisited > pSt.NodesVisited {
+					t.Fatalf("opts %+v k=%d q#%d %v: node bound changed stats:\n unbounded %+v\n bounded   %+v",
+						opts, k, qi, q, pSt, bSt)
+				}
+				if aSt != bSt {
 					t.Fatalf("opts %+v k=%d q#%d %v: stats differ:\n pointer %+v\n arena   %+v",
+						opts, k, qi, q, bSt, aSt)
+				}
+				if opts.DisableBDB && aSt != pSt {
+					t.Fatalf("opts %+v k=%d q#%d %v: DisableBDB stats differ from the min(col) kernel:\n pointer %+v\n arena   %+v",
 						opts, k, qi, q, pSt, aSt)
 				}
 			}
@@ -117,6 +136,6 @@ func BenchmarkSearchTestScalePointer(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.searchPointer(roots, q, 1, Options{})
+		ix.searchPointer(roots, q, 1, Options{}, true)
 	}
 }

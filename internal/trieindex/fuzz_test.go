@@ -70,6 +70,13 @@ func TestReadIndexRejectsHostileInput(t *testing.T) {
 		// Token id past the dictionary.
 		"token id range": head(uv(2), uv(8), dictA, uv(1), uv(1), uv(2),
 			uv(1), uv(2), uv(1), uv(0), uv(7)),
+		// A path deeper than its trie's length: node 2 of the length-1 trie
+		// sits at depth 2.
+		"path past length": head(uv(2), uv(8), dictA, uv(1), uv(1), uv(1),
+			uv(1), uv(3), uv(1), uv(1), uv(0), uv(0), uv(0), []byte{1 << 2}),
+		// A leaf short of its trie's length: node 1 of the length-2 trie.
+		"leaf short of length": head(uv(2), uv(8), dictA, uv(1), uv(1), uv(2),
+			uv(1), uv(2), uv(1), uv(0), uv(0), []byte{1 << 1}),
 	}
 	for i := 1; i < len(v2); i += 11 {
 		cases["v2 truncated@"+string(rune('a'+i%26))] = v2[:i]

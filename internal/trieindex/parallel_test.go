@@ -15,8 +15,9 @@ import (
 )
 
 // maskedQueries generates a mix of exact structures, perturbed structures,
-// and noisy token streams, exercising ties, long/short queries, and unknown
-// tokens.
+// noisy token streams, and long literal-heavy garbles, exercising ties,
+// long/short queries, unknown tokens, and the far regime where the k-th
+// best distance is large and most of the index is in range.
 func maskedQueries(ix *Index, n int, seed int64) [][]string {
 	rng := rand.New(rand.NewSource(seed))
 	var corpus [][]string
@@ -31,7 +32,7 @@ func maskedQueries(ix *Index, n int, seed int64) [][]string {
 	qs := make([][]string, 0, n)
 	for i := 0; i < n; i++ {
 		base := append([]string(nil), corpus[rng.Intn(len(corpus))]...)
-		switch i % 3 {
+		switch i % 4 {
 		case 0: // exact structure: many zero-distance ties possible
 		case 1: // perturbed: delete one token, insert one
 			if len(base) > 1 {
@@ -40,11 +41,27 @@ func maskedQueries(ix *Index, n int, seed int64) [][]string {
 			}
 			j := rng.Intn(len(base) + 1)
 			base = append(base[:j], append([]string{vocab[rng.Intn(len(vocab))]}, base[j:]...)...)
-		default: // noisy stream
+		case 2: // noisy stream
 			ln := 3 + rng.Intn(12)
 			base = base[:0]
 			for j := 0; j < ln; j++ {
 				base = append(base, vocab[rng.Intn(len(vocab))])
+			}
+		default: // long literal-heavy garble: a value list dictated as runs of words
+			// 20–40 tokens with a few misheard, the shape of the heaviest
+			// real searches, e.g. SELECT * FROM x WHERE x x IN ( x x x ,
+			// x x x , x x x , x x x x , x x x x ).
+			ln := 20 + rng.Intn(21)
+			base = append(base[:0], "SELECT", "*", "FROM", "x", "WHERE", "x", "x", "IN", "(")
+			for len(base) < ln-1 {
+				for r := 2 + rng.Intn(3); r > 0; r-- {
+					base = append(base, "x")
+				}
+				base = append(base, ",")
+			}
+			base = append(base[:ln-1], ")")
+			for g := rng.Intn(4); g > 0; g-- {
+				base[rng.Intn(len(base))] = vocab[rng.Intn(len(vocab))]
 			}
 		}
 		qs = append(qs, base)

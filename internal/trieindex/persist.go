@@ -283,6 +283,26 @@ func readArena(br *bufio.Reader, ix *Index, nTokens uint64) error {
 	if leaves != count {
 		return fmt.Errorf("leaf bitmap has %d leaves, header says %d", leaves, count)
 	}
+	// The search kernel's node bound counts the tokens below a node as the
+	// trie's length minus its depth, so an accepted trie must hold
+	// structures of exactly that length: children come after their parent
+	// (the BFS layout), no node lies deeper than length, and every leaf
+	// lies at depth length.
+	depth := make([]int32, n)
+	for i := int32(0); i < int32(n); i++ {
+		if ft.leaf[i] && depth[i] != int32(length) {
+			return fmt.Errorf("leaf %d at depth %d in the length-%d trie", i, depth[i], length)
+		}
+		if num[i] == 0 {
+			continue
+		}
+		if first[i] <= i || depth[i] == int32(length) {
+			return fmt.Errorf("node %d has children out of place in the length-%d trie", i, length)
+		}
+		for c := first[i]; c < first[i]+num[i]; c++ {
+			depth[c] = depth[i] + 1
+		}
+	}
 	ix.tries[length] = &trie{flat: ft, count: int(count)}
 	ix.total += int(count)
 	return nil

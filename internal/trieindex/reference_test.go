@@ -11,7 +11,11 @@ import (
 // The pointer-trie DP kernel: the pre-arena search kernel, kept here as the
 // reference the arena kernel is differentially tested against
 // (TestArenaMatchesPointer). It walks the Builder's pointer tries, which
-// Build otherwise drops, and allocates one column per node visit.
+// Build otherwise drops, and allocates one column per node visit. It prunes
+// a node's subtree on min(col) alone, the rule results are checked against;
+// with nodeBound set it also applies Proposition 1 at every node, computed
+// here straight from the definition, which reproduces the arena kernel's
+// visits exactly.
 
 // buildWithPointers builds an index over cfg's corpus and also returns the
 // builder's pointer tries (indexed by structure length).
@@ -34,7 +38,8 @@ func buildWithPointers(t testing.TB, cfg grammar.GenConfig, keepINV bool) (*Inde
 // bidirectional partition sweep. Partitions are always searched serially:
 // the parallel sweep returns results bit-identical to the serial one
 // (TestParallelMatchesSerial), so its results must equal these too.
-func (ix *Index) searchPointer(roots []*node, maskOut []string, k int, opts Options) ([]Result, Stats) {
+// nodeBound adds the per-node length bound to the min(col) prune.
+func (ix *Index) searchPointer(roots []*node, maskOut []string, k int, opts Options, nodeBound bool) ([]Result, Stats) {
 	var st Stats
 	if k <= 0 || ix.total == 0 {
 		return nil, st
@@ -46,14 +51,14 @@ func (ix *Index) searchPointer(roots []*node, maskOut []string, k int, opts Opti
 		return s.results(), st
 	}
 	for _, n := range s.partitionOrder(len(s.q)) {
-		s.searchLenPointer(roots[n], n)
+		s.searchLenPointer(roots[n], n, nodeBound)
 	}
 	return s.results(), st
 }
 
 // searchLenPointer is searchLen over one pointer trie: the same BDB skip and
 // root column, then the pointer kernel.
-func (s *searcher) searchLenPointer(root *node, n int) {
+func (s *searcher) searchLenPointer(root *node, n int, nodeBound bool) {
 	if root == nil {
 		return
 	}
@@ -70,16 +75,17 @@ func (s *searcher) searchLenPointer(root *node, n int) {
 		col[i] = col[i-1] + s.qw[i-1]
 	}
 	s.path = s.path[:0]
-	s.descend(root, col)
+	s.descend(root, col, n, nodeBound)
 }
 
 // descend explores node's children, advancing the DP by one column per
-// child token, with min-column pruning and (optionally) DAP.
-func (s *searcher) descend(n *node, col []float64) {
-	if !s.opts.DAP || len(n.children) < 2 {
-		for _, c := range n.children {
+// child token, with min-column pruning and (optionally) DAP. n is the
+// trie's structure length.
+func (s *searcher) descend(nd *node, col []float64, n int, nodeBound bool) {
+	if !s.opts.DAP || len(nd.children) < 2 {
+		for _, c := range nd.children {
 			childCol := s.step(col, c.tok)
-			s.visit(c, childCol)
+			s.visit(c, childCol, n, nodeBound)
 		}
 		return
 	}
@@ -88,10 +94,10 @@ func (s *searcher) descend(n *node, col []float64) {
 	// explored further.
 	var bestChild [3]*node
 	var bestCol [3][]float64
-	for _, c := range n.children {
+	for _, c := range nd.children {
 		g := s.ix.prime[c.tok]
 		if g < 0 {
-			s.visit(c, s.step(col, c.tok))
+			s.visit(c, s.step(col, c.tok), n, nodeBound)
 			continue
 		}
 		cc := s.step(col, c.tok)
@@ -102,12 +108,12 @@ func (s *searcher) descend(n *node, col []float64) {
 	}
 	for g := range bestChild {
 		if bestChild[g] != nil {
-			s.visit(bestChild[g], bestCol[g])
+			s.visit(bestChild[g], bestCol[g], n, nodeBound)
 		}
 	}
 }
 
-func (s *searcher) visit(c *node, col []float64) {
+func (s *searcher) visit(c *node, col []float64, n int, nodeBound bool) {
 	s.st.NodesVisited++
 	s.path = append(s.path, c.tok)
 	if c.leaf {
@@ -116,17 +122,45 @@ func (s *searcher) visit(c *node, col []float64) {
 		}
 	}
 	// Min-column pruning: every descendant's distance is ≥ min(col).
-	if s.viable(minOf(col)) {
-		s.descend(c, col)
+	lower := minOf(col)
+	if nodeBound && !s.opts.DisableBDB {
+		lower = max(lower, nodeBoundOf(col, n-len(s.path))-nodeBoundSlack)
+	}
+	if s.viable(lower) {
+		s.descend(c, col, n, nodeBound)
 	}
 	s.path = s.path[:len(s.path)-1]
 }
 
-// step advances the DP one column for trie token tok into a fresh column.
+// step advances the DP one column for trie token tok into a fresh column
+// (the rem argument only feeds stepInto's bounds, which step discards).
 func (s *searcher) step(prev []float64, tok tokenID) []float64 {
 	cur := make([]float64, len(prev))
-	s.stepInto(prev, cur, tok)
+	s.stepInto(prev, cur, tok, 0)
 	return cur
+}
+
+func minOf(col []float64) float64 {
+	m := col[0]
+	for _, v := range col[1:] {
+		if v < m {
+			m = v
+		}
+	}
+	return m
+}
+
+// nodeBoundOf is Proposition 1 at a node with rem structure tokens below
+// it: min over the column's cells of cell + |(m−i) − rem|·W_L.
+func nodeBoundOf(col []float64, rem int) float64 {
+	m := len(col) - 1
+	b := math.Inf(1)
+	for i, v := range col {
+		if x := v + math.Abs(float64((m-i)-rem))*sqltoken.WeightLiteral; x < b {
+			b = x
+		}
+	}
+	return b
 }
 
 func last(col []float64) float64 { return col[len(col)-1] }

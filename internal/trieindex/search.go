@@ -203,6 +203,7 @@ func (s *searcher) setQuery(maskOut []string) {
 	}
 	s.q, s.qw = s.qbuf, s.qwbuf
 	s.bindWeights()
+	s.bindGap()
 }
 
 // adoptQuery points the searcher at query slices owned elsewhere: parallel
@@ -210,6 +211,7 @@ func (s *searcher) setQuery(maskOut []string) {
 func (s *searcher) adoptQuery(q []tokenID, qw []float64) {
 	s.q, s.qw = q, qw
 	s.bindWeights()
+	s.bindGap()
 }
 
 // bindWeights selects the insertion-weight vector: the index's SQL-specific
@@ -224,6 +226,24 @@ func (s *searcher) bindWeights() {
 		s.uw = append(s.uw, 1)
 	}
 	s.w = s.uw[:len(s.ix.weights)]
+}
+
+// bindGap fills the node-bound table (Proposition 1 per node, see
+// stepInto): gap[j] = |j − m|·W_L for a query of m tokens, so the cell in
+// row i of a column with r structure tokens still below it sits
+// |(m−i) − r| unmatched tokens off the length diagonal, costing at least
+// gap[r+i]. Every token weight is at least W_L, uniform ones included.
+// DisableBDB zeroes the table, which collapses the node bound to min(col).
+func (s *searcher) bindGap() {
+	m := len(s.q)
+	s.gap = s.gap[:0]
+	for j := 0; j <= m+s.ix.maxLen; j++ {
+		d := 0.0
+		if !s.opts.DisableBDB {
+			d = math.Abs(float64(j-m)) * sqltoken.WeightLiteral
+		}
+		s.gap = append(s.gap, d)
+	}
 }
 
 // searcher carries the per-query search state. Searchers are pooled per
@@ -252,10 +272,14 @@ type searcher struct {
 	// shared is the cross-partition best-distance bound (nil when serial).
 	shared *sharedBound
 
+	// n is the structure length of the trie being searched.
+	n int
+
 	// Owned scratch, reused across queries via the searcher pool.
 	qbuf   []tokenID   // interned query backing
 	qwbuf  []float64   // query deletion-weight backing
 	uw     []float64   // all-ones insertion weights (UniformWeights ablation)
+	gap    []float64   // node-bound table for the current query (bindGap)
 	cols   [][]float64 // DP column pool, one buffer per trie depth
 	dapCol []float64   // DAP pass-1 scratch column
 	fPrev  []float64   // flatDistance row buffers (INV path)
@@ -382,7 +406,8 @@ func (ix *Index) stringsOf(ids []tokenID) []string {
 // searchLen searches the trie holding structures of length n with the
 // arena kernel (arena.go), unless BDB proves it cannot beat the current
 // threshold (Proposition 1: the minimum achievable distance between strings
-// of lengths m and n is |m−n|·W_L).
+// of lengths m and n is |m−n|·W_L). Inside the trie the kernel applies the
+// same proposition at every node (stepInto).
 func (s *searcher) searchLen(n int) {
 	tr := s.ix.tries[n]
 	if tr == nil {
@@ -403,29 +428,51 @@ func (s *searcher) searchLen(n int) {
 		col[i] = col[i-1] + s.qw[i-1]
 	}
 	s.path = s.path[:0]
+	s.n = n
 	s.descendFlat(tr.flat, 0, col, 0)
 }
 
 // stepInto advances the DP one column for trie token tok into cur, a column
 // of prev's length (Algorithm 1): row 0 inserts tok; row i matches q[i-1]
 // diagonally or takes the cheaper of deleting q[i-1] (cost qw) or inserting
-// tok (cost W(tok)).
-func (s *searcher) stepInto(prev, cur []float64, tok tokenID) {
+// tok (cost W(tok)). rem is the number of structure tokens below the new
+// column's node.
+//
+// In the same pass it returns the two lower bounds visitFlat prunes on:
+// lo = min(cur), and bound = min_i(cur[i] + |(m−i) − rem|·W_L), Proposition
+// 1 applied at the node. Every leaf below sits exactly rem tokens deeper
+// (a trie holds structures of one length), and an alignment path through
+// cell i still has m−i query and rem structure tokens to consume; at least
+// |(m−i) − rem| of them go unmatched, at W_L or more each.
+func (s *searcher) stepInto(prev, cur []float64, tok tokenID, rem int) (lo, bound float64) {
 	w := s.w[tok]
-	cur[0] = prev[0] + w
-	for i := 1; i < len(prev); i++ {
-		if s.q[i-1] == tok {
-			cur[i] = prev[i-1]
-			continue
-		}
-		ins := prev[i] + w           // insert the trie token (advance column only)
-		delQ := cur[i-1] + s.qw[i-1] // delete the query token (advance row only)
-		if ins < delQ {
-			cur[i] = ins
+	q, qw := s.q[:len(prev)-1], s.qw[:len(prev)-1]
+	cur = cur[:len(prev)]
+	gap := s.gap[rem : rem+len(prev)]
+	v := prev[0] + w
+	cur[0] = v
+	lo, bound = v, v+gap[0]
+	for i := 1; i < len(cur); i++ {
+		if q[i-1] == tok {
+			v = prev[i-1]
 		} else {
-			cur[i] = delQ
+			ins := prev[i] + w  // insert the trie token (advance column only)
+			delQ := v + qw[i-1] // delete the query token (advance row only)
+			if ins < delQ {
+				v = ins
+			} else {
+				v = delQ
+			}
+		}
+		cur[i] = v
+		if v < lo {
+			lo = v
+		}
+		if b := v + gap[i]; b < bound {
+			bound = b
 		}
 	}
+	return lo, bound
 }
 
 // primeGroup classifies a token into the prime superset groups of DAP:
@@ -440,16 +487,6 @@ func primeGroup(tok string) int {
 		return 2
 	}
 	return -1
-}
-
-func minOf(col []float64) float64 {
-	m := col[0]
-	for _, v := range col[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }
 
 // maxINVList bounds the inverted list size INV will scan flat; larger lists

@@ -5,9 +5,9 @@
 // W_S=1.1, W_L=1.0) computed by a column-passing dynamic program over trie
 // paths. Three optimizations are provided:
 //
-//   - BDB — bidirectional bounds (Proposition 1) prune whole tries whose
-//     best possible distance already exceeds the current best; accuracy
-//     preserving.
+//   - BDB — bidirectional bounds (Proposition 1) prune whole tries, and
+//     subtrees at every trie node, whose best possible distance already
+//     exceeds the current best; accuracy preserving.
 //   - DAP — diversity-aware pruning: among sibling children drawn from the
 //     "prime superset" ({AVG,COUNT,SUM,MAX,MIN} ∪ {AND,OR} ∪ {=,<,>}), only
 //     the locally-best branch is explored; trades accuracy for latency.
@@ -90,9 +90,10 @@ type trie struct {
 
 // Options configures index construction and search behaviour.
 type Options struct {
-	// DisableBDB turns off the bidirectional-bounds trie pruning
-	// (Proposition 1). Used only by the Figure 15 ablation; BDB never
-	// changes results.
+	// DisableBDB turns off the bidirectional-bounds pruning (Proposition
+	// 1) of whole tries and of subtrees at every node; the kernel then
+	// prunes a subtree on min(col) alone. Used only by the Figure 15
+	// ablation; BDB never changes results.
 	DisableBDB bool
 	// DAP enables diversity-aware pruning (Appendix D.3); approximate.
 	DAP bool

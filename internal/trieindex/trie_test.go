@@ -184,6 +184,51 @@ func TestBDBSkipsTries(t *testing.T) {
 	}
 }
 
+// TestNodeBound pins Proposition 1 at trie nodes on two hand-built indexes
+// searched for x x x x with k=1 (visit counts exclude the root).
+// DisableBDB prunes on min(col) alone, the rule TestArenaMatchesPointer
+// holds to the pointer reference.
+func TestNodeBound(t *testing.T) {
+	q := strings.Fields("x x x x")
+	cases := []struct {
+		name        string
+		structures  []string
+		best        string
+		dist        float64
+		nodes       int // with the node bound
+		nodesMinCol int // DisableBDB: min(col) alone
+	}{
+		// x x x foo sets the threshold to 2 (delete x, insert foo). The
+		// SELECT child's column is [1.2 2.2 3.2 4.2 5.2] with three tokens
+		// still to come: min(col) is 1.2, but cell 0 is one token off the
+		// length diagonal (1.2+1) and cell 1 on it (2.2), so the bound 2.2
+		// prunes the subtree min(col) walks.
+		{"bound prunes", []string{"x x x foo", "SELECT x x x"}, "x x x foo", 2, 5, 8},
+		// x x x x SELECT FROM sets the threshold to 2.4. The column at
+		// SELECT FROM is [2.4 3.4 4.4 5.4 6.4] with four tokens to come, so
+		// its minimum sits on the length diagonal: the bound equals min(col)
+		// equals the threshold, and the slack must not let the subtree
+		// through.
+		{"diagonal tie", []string{"x x x x SELECT FROM", "SELECT FROM x x x x"}, "x x x x SELECT FROM", 2.4, 8, 8},
+	}
+	for _, tc := range cases {
+		ix := indexOf(10, tc.structures...)
+		for _, opts := range []Options{{}, {DisableBDB: true}} {
+			rs, st := ix.SearchTopK(q, 1, opts)
+			if len(rs) != 1 || strings.Join(rs[0].Tokens, " ") != tc.best || rs[0].Distance != tc.dist {
+				t.Fatalf("%s %+v: results %v, want %q at %v", tc.name, opts, rs, tc.best, tc.dist)
+			}
+			want := tc.nodes
+			if opts.DisableBDB {
+				want = tc.nodesMinCol
+			}
+			if st.NodesVisited != want {
+				t.Errorf("%s %+v: visited %d nodes, want %d", tc.name, opts, st.NodesVisited, want)
+			}
+		}
+	}
+}
+
 // Reproduces the bidirectional-bounds walk-through of Figure 10: query
 // A B A against tries of lengths 1–5; after finding distance 1 at length 2,
 // every other trie is skipped.
