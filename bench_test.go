@@ -5,7 +5,6 @@
 package speakql_test
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
@@ -143,20 +142,6 @@ func BenchmarkStructureSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkStructureSearchParallel is BenchmarkStructureSearch with the trie
-// partitions searched on a GOMAXPROCS-wide worker pool (same index, shared).
-// Results are bit-identical to the serial search; compare ns/op between the
-// two to see the partition-parallel speedup on a multi-core machine.
-func BenchmarkStructureSearchParallel(b *testing.B) {
-	e := env(b)
-	par := structure.NewFromIndex(e.Structure.Index(),
-		trieindex.Options{Workers: runtime.GOMAXPROCS(0)}, e.GrammarCfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		par.Determine("select salary from employees where gender equals M and salary greater than 70000")
-	}
-}
-
 // BenchmarkStructureSearchCached is BenchmarkStructureSearch behind the LRU
 // memo cache at 100% hit rate — the steady-state cost of a repeated masked
 // shape (a map lookup plus the literal stage's share of Determine).
@@ -180,26 +165,15 @@ var benchAlternatives = []string{
 	"select last name from employees where salary greater than 70000",
 }
 
-// BenchmarkCorrectAlternatives corrects a 5-alternative ASR n-best list
-// strictly sequentially, the pre-refactor behavior.
-func BenchmarkCorrectAlternatives(b *testing.B) {
+// BenchmarkCorrectNBest corrects a 5-alternative ASR n-best list one
+// alternative at a time, the way the evaluation scores n-best output.
+func BenchmarkCorrectNBest(b *testing.B) {
 	e := env(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, tr := range benchAlternatives {
 			e.Engine.Correct(tr)
 		}
-	}
-}
-
-// BenchmarkCorrectAlternativesParallel runs the same n-best list through
-// CorrectAlternatives, which fans the alternatives out over a
-// GOMAXPROCS-bounded pool while preserving output order.
-func BenchmarkCorrectAlternativesParallel(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Engine.CorrectAlternatives(benchAlternatives)
 	}
 }
 

@@ -5,25 +5,20 @@
 //
 // Usage:
 //
-//	speakql-bench [-scale test|default|paper] [-run id[,id…]] [-parallel n]
+//	speakql-bench [-scale test|default|paper] [-run id[,id…]]
 //	              [-cachesize n] [-json FILE]
 //	              [-faults SPEC] [-list]
 //
-// -parallel n searches the trie index's length partitions on n workers
-// (n < 0 means GOMAXPROCS); results are bit-identical to the serial search,
-// only latency changes. -cachesize n memoizes structure searches in an LRU
-// keyed by the masked transcript (0 disables). -json FILE additionally
-// runs a micro-benchmark suite over the built index and writes
+// -cachesize n memoizes structure searches in an LRU keyed by the masked
+// transcript (0 disables). -json FILE additionally runs a micro-benchmark
+// suite over the built index and writes
 // machine-readable results — ns/op, B/op, allocs/op per benchmark,
 // per-artifact wall-clock, and the cache hit rate — for the perf trajectory
 // (CI uploads it as an artifact). The suite includes vote_indexed_yelp,
 // literal determination over a Yelp-scale catalog; myers_vs_banded /
 // banded_reference, the bounded character edit-distance kernels
 // (bit-parallel Myers vs the frozen banded-DP reference) over a fixed
-// operand corpus; alternatives_batch /
-// alternatives_sequential, n-best correction through one batched
-// CorrectAlternatives call vs the n independent Correct calls it replaces;
-// stream_fragment, one full clause-streaming dictation
+// operand corpus; stream_fragment, one full clause-streaming dictation
 // (fragment session + three clauses + finalize) through the incremental
 // pipeline; the tenant registry triple tenant_warm_hit /
 // tenant_cold_load / tenant_evict_reload, the resident-lookup, persist-file
@@ -48,7 +43,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -76,7 +70,6 @@ func faultSpec(flagVal string) string {
 // benchJSON is the -json payload.
 type benchJSON struct {
 	Scale     string           `json:"scale"`
-	Workers   int              `json:"workers"`
 	CacheSize int              `json:"cachesize"`
 	EnvSecs   float64          `json:"env_build_seconds"`
 	Micro     []microResult    `json:"micro"`
@@ -107,7 +100,6 @@ type cacheJSON struct {
 func main() {
 	scale := flag.String("scale", "default", "corpus scale: test, default, or paper")
 	run := flag.String("run", "all", "comma-separated artifact ids, or 'all'")
-	parallel := flag.Int("parallel", 0, "trie-search workers: 0|1 serial, n>1 parallel, <0 GOMAXPROCS")
 	cacheSize := flag.Int("cachesize", 0,
 		"LRU memo cache entries for structure searches, keyed by masked transcript (0 disables)")
 	jsonOut := flag.String("json", "", "write machine-readable benchmark results to this file")
@@ -144,17 +136,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	workers := *parallel
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	fmt.Printf("SpeakQL experiment harness — scale=%s search-workers=%d cachesize=%d\n",
-		sc, workers, *cacheSize)
+	fmt.Printf("SpeakQL experiment harness — scale=%s cachesize=%d\n", sc, *cacheSize)
 	t0 := time.Now()
-	env, err := experiments.NewEnvWithOptions(sc, experiments.EnvOptions{
-		Search:    trieindex.Options{Workers: workers},
-		CacheSize: *cacheSize,
-	})
+	env, err := experiments.NewEnvWithOptions(sc, experiments.EnvOptions{CacheSize: *cacheSize})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(1)
@@ -166,7 +150,7 @@ func main() {
 		mem.Structures, mem.Nodes,
 		len(env.Corpus.EmployeesTrain), len(env.Corpus.EmployeesTest), len(env.Corpus.YelpTest))
 
-	report := benchJSON{Scale: string(sc), Workers: workers, CacheSize: *cacheSize, EnvSecs: envSecs}
+	report := benchJSON{Scale: string(sc), CacheSize: *cacheSize, EnvSecs: envSecs}
 
 	ids := experiments.IDs()
 	if *run != "all" {
@@ -195,7 +179,7 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		report.Micro = microBench(env, workers)
+		report.Micro = microBench(env)
 		buf, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "marshal bench json: %v\n", err)
@@ -217,7 +201,7 @@ func main() {
 // (search_far*) a long literal-heavy garble whose k-th best distance is
 // large, the shape of the costliest real searches, where the per-node
 // length bound does most of its pruning.
-func microBench(env *experiments.Env, workers int) []microResult {
+func microBench(env *experiments.Env) []microResult {
 	ix := env.Structure.Index()
 	near := strings.Fields("SELECT x FROM x x x = x AND x = x")
 	far := strings.Fields("SELECT * FROM x WHERE x x IN ( x x x , x x x , x x x , x x x x , x x x x )")
@@ -226,17 +210,13 @@ func microBench(env *experiments.Env, workers int) []microResult {
 		q    []string
 		opts trieindex.Options
 	}
-	cases := []searchCase{
+	var out []microResult
+	for _, c := range []searchCase{
 		{"search_serial", near, trieindex.Options{}},
 		{"search_no_bdb", near, trieindex.Options{DisableBDB: true}},
 		{"search_far", far, trieindex.Options{}},
 		{"search_far_no_bdb", far, trieindex.Options{DisableBDB: true}},
-	}
-	if workers > 1 {
-		cases = append(cases, searchCase{"search_parallel", near, trieindex.Options{Workers: workers}})
-	}
-	var out []microResult
-	for _, c := range cases {
+	} {
 		q, opts := c.q, c.opts
 		out = append(out, runMicro(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -246,7 +226,6 @@ func microBench(env *experiments.Env, workers int) []microResult {
 		}))
 	}
 	out = append(out, streamMicroBench(env))
-	out = append(out, alternativesMicroBench(env)...)
 	out = append(out, voteMicroBench()...)
 	out = append(out, myersMicroBench()...)
 	out = append(out, tenantMicroBench(env)...)
@@ -309,40 +288,6 @@ func correctAllocsMicroBench(env *experiments.Env) microResult {
 			}
 		}
 	})
-}
-
-// alternativesMicroBench times n-best correction over an ASR-shaped
-// alternatives list — near-duplicate hypotheses with a verbatim repeat —
-// on both pipelines: alternatives_batch, one CorrectAlternatives call
-// (deduped transcripts, one shared batch search, pooled finish workers),
-// against alternatives_sequential, the n independent Correct calls it
-// replaces. Outputs are position-identical between the two; the pair
-// carries the batch path's amortization in the perf-trajectory artifact.
-func alternativesMicroBench(env *experiments.Env) []microResult {
-	nbest := []string{
-		"select first name from employees where salary greater than 50000",
-		"select first named from employee where celery greater than 50000",
-		"select first name from employees where salary greater than 50000", // verbatim duplicate
-		"select birth date from employees where gender equals M",
-		"select first name from employees where salary greater than 50000", // and again
-		"select count of everything from titles",
-	}
-	var out []microResult
-	out = append(out, runMicro("alternatives_batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			env.Engine.CorrectAlternatives(nbest)
-		}
-	}))
-	out = append(out, runMicro("alternatives_sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, tr := range nbest {
-				env.Engine.Correct(tr)
-			}
-		}
-	}))
-	return out
 }
 
 // myersMicroBench times the bounded character edit-distance kernels over a

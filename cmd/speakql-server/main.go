@@ -2,7 +2,7 @@
 // interactive display (the analog of the paper's CloudLab backend); the
 // API itself lives in internal/httpapi:
 //
-//	POST /api/correct         {"transcript": "...", "topk": 3}
+//	POST /api/correct         {"transcript": "...", "topk": 3}  (topk at most 20)
 //	POST /api/session         {}                                → {"id": "..."}
 //	POST /api/dictate         {"id": "...", "transcript": "...", "clause": true}
 //	POST /api/stream/dictate  {"id": "...", "fragment": "..."}  (empty id auto-creates)
@@ -19,7 +19,7 @@
 //	DELETE /api/tenants/{id}
 //
 // Usage: speakql-server [-addr :8080] [-db employees|yelp]
-// [-scale test|default|paper] [-workers n] [-timeout 10s] [-cachesize 1024]
+// [-scale test|default|paper] [-timeout 10s] [-cachesize 1024]
 // [-max-inflight n] [-max-queue n]
 // [-session-ttl d] [-drain-timeout d] [-faults SPEC] [-pprof]
 // [-max-tenants n] [-tenant-dir DIR] [-memo-size n] [-gomemlimit SIZE]
@@ -73,10 +73,10 @@
 // correction endpoints; the SSE feed does not (subscribers are cheap
 // long-lived readers).
 //
-// -workers n searches trie partitions on n goroutines per request (<0 means
-// GOMAXPROCS; results are identical to serial search). -timeout bounds the
-// correction work per /api/correct, /api/dictate, and /api/stream request
-// (0 disables).
+// -timeout bounds the correction work per /api/correct, /api/dictate, and
+// /api/stream request (0 disables). /api/correct answers a topk above 20
+// with 400 before any correction work: a topk is one search-heap slot and
+// one literal determination per returned structure.
 // -cachesize bounds the LRU memo cache of structure searches keyed by the
 // masked transcript (0 disables; hit/miss/eviction counters appear in
 // GET /api/stats).
@@ -102,7 +102,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -128,7 +127,6 @@ func main() {
 	scale := flag.String("scale", "test", "structure corpus scale: test, default, or paper")
 	idxCache := flag.String("index-cache", "",
 		"path to a persisted structure index: loaded if present, built and written otherwise")
-	workers := flag.Int("workers", 0, "trie-search workers per request: 0|1 serial, n>1 parallel, <0 GOMAXPROCS")
 	timeout := flag.Duration("timeout", httpapi.DefaultRequestTimeout,
 		"per-request correction deadline for /api/correct and /api/dictate (0 disables)")
 	cacheSize := flag.Int("cachesize", 1024,
@@ -199,11 +197,6 @@ func main() {
 		log.Printf("fault injection active: %s", inj)
 	}
 
-	if *workers < 0 {
-		*workers = runtime.GOMAXPROCS(0)
-	}
-	searchOpts := trieindex.Options{Workers: *workers}
-
 	var db *sqlengine.Database
 	switch *dbFlag {
 	case "employees":
@@ -232,14 +225,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		comp := structure.NewFromIndex(ix, searchOpts, gcfg)
+		comp := structure.NewFromIndex(ix, trieindex.Options{}, gcfg)
 		eng = core.NewEngineWithComponent(comp, speakql.CatalogOf(db), 5)
 		eng.EnableSearchCache(*cacheSize)
 	} else {
 		log.Printf("building structure index (%s scale)…", *scale)
 		var err error
 		eng, err = speakql.NewEngine(speakql.Config{
-			Grammar: gcfg, Search: searchOpts, Catalog: speakql.CatalogOf(db),
+			Grammar: gcfg, Catalog: speakql.CatalogOf(db),
 			StructureCacheSize: *cacheSize,
 		})
 		if err != nil {
@@ -299,8 +292,8 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("listening on %s (db=%s, search-workers=%d, request-timeout=%s, cachesize=%d, max-inflight=%d, max-queue=%d, session-ttl=%s, max-tenants=%d, tenant-dir=%q)",
-			*addr, db.Name, *workers, *timeout, *cacheSize, *maxInflight, *maxQueue, *sessionTTL, *maxTenants, *tenantDir)
+		log.Printf("listening on %s (db=%s, request-timeout=%s, cachesize=%d, max-inflight=%d, max-queue=%d, session-ttl=%s, max-tenants=%d, tenant-dir=%q)",
+			*addr, db.Name, *timeout, *cacheSize, *maxInflight, *maxQueue, *sessionTTL, *maxTenants, *tenantDir)
 		errCh <- hs.ListenAndServe()
 	}()
 

@@ -7,11 +7,7 @@ package core
 
 import (
 	"context"
-	"runtime"
-	"runtime/pprof"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"speakql/internal/grammar"
@@ -348,94 +344,6 @@ func structureOnly(out Output, structs []structure.Result) Output {
 		})
 	}
 	return out
-}
-
-// CorrectAlternatives runs the pipeline over several ASR transcription
-// alternatives (the engine's n-best list) and returns one Output per
-// alternative, in order. Used for the "best of top 5" evaluation.
-func (e *Engine) CorrectAlternatives(transcripts []string) []Output {
-	return e.CorrectAlternativesContext(context.Background(), transcripts)
-}
-
-// CorrectAlternativesContext corrects the n-best list as one batch.
-// Identical transcripts are corrected once and their Output shared at every
-// original position (ASR n-best lists often repeat a hypothesis verbatim);
-// the structure stage runs through one batched trie search
-// (structure.DetermineTopKBatchErr over trieindex.SearchBatch) that shares
-// the searcher pool, memoizes identical masked transcripts, and lets every
-// completed alternative's distance bound prune the others; the literal stage
-// then fans the unique alternatives out over a GOMAXPROCS-bounded pool (the
-// engine is read-only after construction). Outputs keep the input order —
-// alternative i's result is always at index i — so ranking by ASR
-// confidence is preserved; per-position candidates are bit-identical to
-// independent Correct calls (TestCorrectAlternativesBatchMatchesSequential).
-// Cancellation is honored inside both stages; late alternatives return
-// partial (degraded) Outputs.
-func (e *Engine) CorrectAlternativesContext(ctx context.Context, transcripts []string) []Output {
-	outs := make([]Output, len(transcripts))
-	if len(transcripts) == 0 {
-		return outs
-	}
-	span := obs.StartSpan("core.correct_alternatives")
-	defer span.End()
-	t0 := time.Now()
-
-	// Dedupe identical transcripts; share maps each original position to
-	// its unique slot.
-	uniq := make([]string, 0, len(transcripts))
-	share := make([]int, len(transcripts))
-	seen := make(map[string]int, len(transcripts))
-	for i, tr := range transcripts {
-		if ui, ok := seen[tr]; ok {
-			share[i] = ui
-			continue
-		}
-		seen[tr] = len(uniq)
-		share[i] = len(uniq)
-		uniq = append(uniq, tr)
-	}
-
-	structs, serrs := e.structure.DetermineTopKBatchErr(ctx, uniq, 1)
-
-	uouts := make([]Output, len(uniq))
-	finishOne := func(ui int) {
-		uouts[ui] = e.finishPipeline(ctx, t0, structs[ui], serrs[ui], nil)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(uniq) {
-		workers = len(uniq)
-	}
-	if workers <= 1 {
-		for ui := range uniq {
-			finishOne(ui)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// The pprof label attributes worker samples to the batch
-				// literal stage, mirroring the search workers' label.
-				pprof.Do(ctx, pprof.Labels("speakql.stage", "alternatives_batch_worker"), func(context.Context) {
-					for {
-						ui := int(cursor.Add(1)) - 1
-						if ui >= len(uniq) {
-							return
-						}
-						finishOne(ui)
-					}
-				})
-			}()
-		}
-		wg.Wait()
-	}
-
-	for i := range transcripts {
-		outs[i] = uouts[share[i]]
-	}
-	return outs
 }
 
 // TokensOf is a convenience that tokenizes a written SQL query the way the

@@ -140,20 +140,6 @@ func engineTranscriptTokens(e *Engine, transcript string) []string {
 	return out.Transcript
 }
 
-func TestCorrectAlternatives(t *testing.T) {
-	e := engine(t)
-	outs := e.CorrectAlternatives([]string{
-		"select salary from employees",
-		"select salary from salaries",
-	})
-	if len(outs) != 2 {
-		t.Fatalf("got %d outputs", len(outs))
-	}
-	if strings.Join(outs[0].Best().Tokens, " ") == "" {
-		t.Fatal("empty candidate")
-	}
-}
-
 func TestEmptyAndDegenerateInput(t *testing.T) {
 	e := engine(t)
 	out := e.Correct("")
@@ -252,38 +238,5 @@ func TestCorrectContextUncancelledMatchesPlain(t *testing.T) {
 		if plain.Candidates[i].SQL != ctxed.Candidates[i].SQL {
 			t.Errorf("candidate %d: %q vs %q", i, plain.Candidates[i].SQL, ctxed.Candidates[i].SQL)
 		}
-	}
-}
-
-func TestCorrectAlternativesOrderPreserved(t *testing.T) {
-	e := engine(t)
-	alts := []string{
-		"select sales from employers wear name equals Jon",
-		"select first name from employees",
-		"select salary from employees where gender equals M",
-		"select count of everything from titles",
-		"select last name from employees where salary greater than 70000",
-	}
-	// Reference: the strictly sequential pipeline.
-	want := make([]Output, len(alts))
-	for i, tr := range alts {
-		want[i] = e.Correct(tr)
-	}
-	for run := 0; run < 3; run++ {
-		got := e.CorrectAlternatives(alts)
-		if len(got) != len(want) {
-			t.Fatalf("run %d: %d outputs", run, len(got))
-		}
-		for i := range want {
-			if got[i].Best().SQL != want[i].Best().SQL {
-				t.Errorf("run %d: output %d = %q, want %q", run, i, got[i].Best().SQL, want[i].Best().SQL)
-			}
-		}
-	}
-}
-
-func TestCorrectAlternativesEmpty(t *testing.T) {
-	if outs := engine(t).CorrectAlternatives(nil); len(outs) != 0 {
-		t.Errorf("nil alternatives returned %d outputs", len(outs))
 	}
 }

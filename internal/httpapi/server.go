@@ -54,6 +54,11 @@ const DefaultRequestTimeout = 10 * time.Second
 // payload is a long dictated transcript, orders of magnitude smaller.
 const maxBodyBytes = 1 << 20
 
+// maxTopK bounds the topk of POST /api/correct. Each requested structure
+// is one slot in the search heap and one literal determination, and each
+// distinct topk is its own correction-memo key; clients ask for 1–5.
+const maxTopK = 20
+
 // sessionEntry pairs one session with its own lock: holding it serializes
 // requests within that session without blocking any other session.
 type sessionEntry struct {
@@ -547,6 +552,10 @@ func (s *Server) handleCorrect(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.TopK < 1 {
 		req.TopK = 1
+	}
+	if req.TopK > maxTopK {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("topk %d exceeds the maximum of %d", req.TopK, maxTopK))
+		return
 	}
 	t, err := s.tenantFor(r)
 	if err != nil {

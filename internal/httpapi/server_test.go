@@ -75,6 +75,38 @@ func TestCorrectEndpoint(t *testing.T) {
 	}
 }
 
+// TestCorrectTopKBound: a topk up to maxTopK is served; anything above is
+// a 400 in the JSON error shape, answered before the engine runs, so the
+// core.correct stage count does not move.
+func TestCorrectTopKBound(t *testing.T) {
+	s := srv(t)
+	corrections := func() float64 {
+		return stageField(t, statsSnapshot(t, s.URL), "core.correct", "count")
+	}
+	const transcript = "select first name from employees where gender equals F"
+	before := corrections()
+	code, out := post(t, s.URL+"/api/correct", map[string]any{"transcript": transcript, "topk": maxTopK})
+	if code != http.StatusOK {
+		t.Fatalf("topk %d: status = %d: %v", maxTopK, code, out)
+	}
+	if d := corrections() - before; d != 1 {
+		t.Fatalf("topk %d: core.correct count grew by %v, want 1", maxTopK, d)
+	}
+	for _, k := range []int{maxTopK + 1, 1_000_000} {
+		before := corrections()
+		code, out := post(t, s.URL+"/api/correct", map[string]any{"transcript": transcript, "topk": k})
+		if code != http.StatusBadRequest {
+			t.Fatalf("topk %d: status = %d, want 400: %v", k, code, out)
+		}
+		if msg, _ := out["error"].(string); !strings.Contains(msg, "topk") {
+			t.Errorf("topk %d: error = %v, want a message naming topk", k, out)
+		}
+		if d := corrections() - before; d != 0 {
+			t.Errorf("topk %d: core.correct count grew by %v, want 0", k, d)
+		}
+	}
+}
+
 func TestCorrectBadJSON(t *testing.T) {
 	s := srv(t)
 	resp, err := http.Post(s.URL+"/api/correct", "application/json",

@@ -40,31 +40,28 @@ var streamTranscripts = [][]string{
 
 // TestIncrementalMatchesOneShot: at every fragment boundary, the
 // incremental determiner must return byte-identical results to a one-shot
-// DetermineTopK over the accumulated transcript — including under parallel
-// search.
+// DetermineTopK over the accumulated transcript.
 func TestIncrementalMatchesOneShot(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		c := NewFromIndex(comp(t).Index(), trieindex.Options{Workers: workers}, comp(t).cfg)
-		for ti, frags := range streamTranscripts {
-			inc := c.NewIncremental(3)
-			var full []string
-			for fi, frag := range frags {
-				if f := strings.TrimSpace(frag); f != "" {
-					full = append(full, f)
-				}
-				got, err := inc.AppendFragment(context.Background(), frag)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := c.DetermineTopK(strings.Join(full, " "), 3)
-				if renderResults(got) != renderResults(want) {
-					t.Fatalf("workers=%d transcript %d fragment %d:\n incremental: %v\n one-shot:    %v",
-						workers, ti, fi, got, want)
-				}
+	c := NewFromIndex(comp(t).Index(), trieindex.Options{}, comp(t).cfg)
+	for ti, frags := range streamTranscripts {
+		inc := c.NewIncremental(3)
+		var full []string
+		for fi, frag := range frags {
+			if f := strings.TrimSpace(frag); f != "" {
+				full = append(full, f)
 			}
-			if inc.Transcript() != strings.Join(full, " ") {
-				t.Fatalf("transcript %q, want %q", inc.Transcript(), strings.Join(full, " "))
+			got, err := inc.AppendFragment(context.Background(), frag)
+			if err != nil {
+				t.Fatal(err)
 			}
+			want := c.DetermineTopK(strings.Join(full, " "), 3)
+			if renderResults(got) != renderResults(want) {
+				t.Fatalf("transcript %d fragment %d:\n incremental: %v\n one-shot:    %v",
+					ti, fi, got, want)
+			}
+		}
+		if inc.Transcript() != strings.Join(full, " ") {
+			t.Fatalf("transcript %q, want %q", inc.Transcript(), strings.Join(full, " "))
 		}
 	}
 }

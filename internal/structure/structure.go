@@ -147,49 +147,6 @@ func (c *Component) DetermineTopKErr(ctx context.Context, transcript string, k i
 	return assembleResults(toks, cands, stats, innerStruct), nil
 }
 
-// DetermineTopKBatchErr is DetermineTopKErr over a whole n-best list of
-// transcripts: the front half (fault hook, tokenization, spoken-form
-// substitution, nested-query split, masking) runs per transcript, and the
-// outer-structure searches then go through one batched trie search
-// (trieindex.SearchBatch) that shares the searcher pool, memoizes identical
-// masked transcripts, and lets completed alternatives seed the others'
-// pruning bounds. Per-position results and errors are bit-identical to a
-// loop of DetermineTopKErr calls (TestDetermineBatchMatchesSequential);
-// the fault hook fires once per transcript, in input order, before any
-// search runs.
-func (c *Component) DetermineTopKBatchErr(ctx context.Context, transcripts []string, k int) ([][]Result, []error) {
-	span := obs.StartSpan("structure.determine_batch")
-	defer span.End()
-	outs := make([][]Result, len(transcripts))
-	errs := make([]error, len(transcripts))
-	type prep struct {
-		toks   []string
-		masked []string
-		inner  []string
-	}
-	preps := make([]prep, len(transcripts))
-	live := make([]int, 0, len(transcripts))
-	queries := make([][]string, 0, len(transcripts))
-	for ti, tr := range transcripts {
-		if err := faultinject.Fire(faultinject.StageStructure); err != nil {
-			obs.Add("structure.injected_errors", 1)
-			errs[ti] = err
-			continue
-		}
-		toks := sqltoken.SubstituteSpokenForms(sqltoken.TokenizeTranscript(tr))
-		outer, inner := splitNested(toks)
-		preps[ti] = prep{toks: toks, masked: sqltoken.MaskGeneric(outer), inner: inner}
-		live = append(live, ti)
-		queries = append(queries, preps[ti].masked)
-	}
-	cands, stats := c.searchTopKBatch(ctx, queries, k)
-	for li, ti := range live {
-		innerStruct := c.searchInner(ctx, preps[ti].inner)
-		outs[ti] = assembleResults(preps[ti].toks, cands[li], stats[li], innerStruct)
-	}
-	return outs, errs
-}
-
 // searchInner determines the structure of a split-off nested query (nil when
 // the transcript has none); the inner search always takes the cached
 // non-incremental path.
@@ -246,45 +203,6 @@ func (c *Component) searchTopK(ctx context.Context, masked []string, k int) ([]t
 		c.cache.Put(key, rs, st)
 	}
 	return rs, st
-}
-
-// searchTopKBatch is searchTopK for a batch: cache hits resolve up front,
-// and only the misses go through one shared SearchBatch. Duplicate misses
-// are searched once inside SearchBatch and feed the work counters once;
-// cancelled searches are not cached, same as the single-query path.
-func (c *Component) searchTopKBatch(ctx context.Context, queries [][]string, k int) ([][]trieindex.Result, []trieindex.Stats) {
-	outs := make([][]trieindex.Result, len(queries))
-	stats := make([]trieindex.Stats, len(queries))
-	keys := make([]string, len(queries))
-	missIdx := make([]int, 0, len(queries))
-	missQ := make([][]string, 0, len(queries))
-	for qi, q := range queries {
-		keys[qi] = cacheKey(q, k)
-		if c.cache != nil {
-			if rs, st, ok := c.cache.Get(keys[qi]); ok {
-				outs[qi], stats[qi] = rs, st
-				continue
-			}
-		}
-		missIdx = append(missIdx, qi)
-		missQ = append(missQ, q)
-	}
-	if len(missIdx) == 0 {
-		return outs, stats
-	}
-	mouts, mstats := c.ix.SearchBatch(ctx, missQ, k, c.opts)
-	searched := make(map[string]bool, len(missIdx))
-	for mi, qi := range missIdx {
-		outs[qi], stats[qi] = mouts[mi], mstats[mi]
-		if !searched[keys[qi]] {
-			searched[keys[qi]] = true
-			recordSearchStats(mstats[mi])
-		}
-		if c.cache != nil && ctx.Err() == nil {
-			c.cache.Put(keys[qi], mouts[mi], mstats[mi])
-		}
-	}
-	return outs, stats
 }
 
 // cacheKey encodes a masked transcript and k. Masked tokens never contain

@@ -1,12 +1,9 @@
 package structure
 
 import (
-	"context"
-	"errors"
 	"strings"
 	"testing"
 
-	"speakql/internal/faultinject"
 	"speakql/internal/grammar"
 	"speakql/internal/trieindex"
 )
@@ -237,94 +234,5 @@ func TestSpliceNestedPicksLastSlot(t *testing.T) {
 	got := strings.Join(spliceNested(outer, inner), " ")
 	if got != "SELECT COUNT ( x ) FROM x WHERE x IN ( SELECT x FROM x )" {
 		t.Errorf("spliced = %q", got)
-	}
-}
-
-// batchTranscripts is an n-best-shaped input: near-duplicate hypotheses,
-// one verbatim repeat, a nested-query transcript, and degenerate entries.
-var batchTranscripts = []string{
-	"select sales from employers wear name equals Jon",
-	"select sales from employees where name equals Jon",
-	"select sales from employers wear name equals Jon", // verbatim duplicate
-	"select star from employees",
-	"select count open parenthesis star close parenthesis from titles",
-	"select name from employees where id in select id from titles",
-	"",
-	"blah blah blah",
-}
-
-// TestDetermineBatchMatchesSequential pins the batched structure stage to
-// the sequential one: per position, DetermineTopKBatchErr must return
-// exactly what a loop of DetermineTopKErr calls returns — structures,
-// distances, transcripts — including with parallel workers underneath the
-// shared batch search.
-func TestDetermineBatchMatchesSequential(t *testing.T) {
-	par, err := New(Config{Grammar: grammar.TestScale(), Search: trieindex.Options{Workers: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		c    *Component
-	}{
-		{"serial", comp(t)},
-		{"workers4", par},
-	}
-	ctx := context.Background()
-	for _, tc := range cases {
-		for _, k := range []int{1, 3} {
-			outs, errs := tc.c.DetermineTopKBatchErr(ctx, batchTranscripts, k)
-			if len(outs) != len(batchTranscripts) || len(errs) != len(batchTranscripts) {
-				t.Fatalf("%s k=%d: %d outs / %d errs", tc.name, k, len(outs), len(errs))
-			}
-			for ti, tr := range batchTranscripts {
-				if errs[ti] != nil {
-					t.Fatalf("%s k=%d t#%d: unexpected error %v", tc.name, k, ti, errs[ti])
-				}
-				want, werr := tc.c.DetermineTopKErr(ctx, tr, k)
-				if werr != nil {
-					t.Fatalf("%s k=%d t#%d: sequential error %v", tc.name, k, ti, werr)
-				}
-				if len(outs[ti]) != len(want) {
-					t.Fatalf("%s k=%d t#%d %q: batch %d results, sequential %d",
-						tc.name, k, ti, tr, len(outs[ti]), len(want))
-				}
-				for i := range want {
-					g, w := outs[ti][i], want[i]
-					if strings.Join(g.Structure, " ") != strings.Join(w.Structure, " ") ||
-						g.Distance != w.Distance ||
-						strings.Join(g.Transcript, " ") != strings.Join(w.Transcript, " ") {
-						t.Fatalf("%s k=%d t#%d %q result %d differs:\n batch      %v (%v)\n sequential %v (%v)",
-							tc.name, k, ti, tr, i, g.Structure, g.Distance, w.Structure, w.Distance)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestDetermineBatchFaultInjection rehearses a dead search backend under
-// the batch path: with the structure stage erroring deterministically on
-// every call, each batch position must carry the injected error and no
-// results — exactly what the sequential loop reports.
-func TestDetermineBatchFaultInjection(t *testing.T) {
-	inj, err := faultinject.Parse("structure:error@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinject.Set(inj)
-	defer faultinject.Set(nil)
-	outs, errs := comp(t).DetermineTopKBatchErr(context.Background(), batchTranscripts[:3], 1)
-	for ti := range outs {
-		if errs[ti] == nil {
-			t.Fatalf("position %d: no injected error", ti)
-		}
-		var ie *faultinject.InjectedError
-		if !errors.As(errs[ti], &ie) || ie.Stage != faultinject.StageStructure {
-			t.Fatalf("position %d: error %v is not the injected structure error", ti, errs[ti])
-		}
-		if outs[ti] != nil {
-			t.Fatalf("position %d: results despite stage error", ti)
-		}
 	}
 }

@@ -35,10 +35,8 @@ func buildWithPointers(t testing.TB, cfg grammar.GenConfig, keepINV bool) (*Inde
 
 // searchPointer is SearchTopK on the pointer kernel over roots: the INV fast
 // path (which scans the inverted lists, not the tries), then the
-// bidirectional partition sweep. Partitions are always searched serially:
-// the parallel sweep returns results bit-identical to the serial one
-// (TestParallelMatchesSerial), so its results must equal these too.
-// nodeBound adds the per-node length bound to the min(col) prune.
+// bidirectional partition sweep. nodeBound adds the per-node length bound to
+// the min(col) prune.
 func (ix *Index) searchPointer(roots []*node, maskOut []string, k int, opts Options, nodeBound bool) ([]Result, Stats) {
 	var st Stats
 	if k <= 0 || ix.total == 0 {

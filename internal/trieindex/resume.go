@@ -33,11 +33,10 @@ import (
 //   - The k-th largest checkpointed distance B therefore upper-bounds the
 //     global k-th-best distance for the extended query (the previous winners
 //     are real candidates at exactly those distances). Seeding the search's
-//     shared pruning bound with B is then sound: the bound mechanism prunes
-//     with d <= bound precisely so equal-distance candidates survive, every
-//     true top-k candidate has d ≤ B, and surviving candidates keep their
-//     enumeration order, so the final (distance, rank, sequence) sort picks
-//     the identical result list.
+//     pruning with B is then sound: the seed prunes only d > B, so
+//     equal-distance candidates survive, every true top-k candidate has
+//     d ≤ B, and surviving candidates keep their enumeration order, so the
+//     final (distance, sequence) order picks the identical result list.
 //
 // Seeding applies only to the exact search modes. Under the approximate DAP
 // and INV options, branch choices depend on intermediate scores that a

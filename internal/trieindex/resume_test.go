@@ -50,14 +50,13 @@ func splitFragments(rng *rand.Rand, q []string) [][]string {
 // TestPrefixSearcherMatchesScratch is the resumability differential test:
 // feeding a query to a PrefixSearcher fragment by fragment must return, at
 // every prefix, byte-identical results to a from-scratch SearchTopK on that
-// prefix — across k values, worker counts, and the uniform-weights ablation.
+// prefix — across k values, the uniform-weights ablation, and BDB off.
 func TestPrefixSearcherMatchesScratch(t *testing.T) {
 	ix := buildIndex(t, grammar.TestScale(), false)
 	queries := maskedQueries(ix, 40, 19)
 	rng := rand.New(rand.NewSource(23))
 	for _, opts := range []Options{
 		{},
-		{Workers: 4},
 		{UniformWeights: true},
 		{DisableBDB: true},
 	} {
@@ -76,6 +75,79 @@ func TestPrefixSearcherMatchesScratch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPrefixSearcherSeed checks that the warm-start seed prunes and stays
+// inside its own search.
+//
+// prunes: over the queries and splits of TestPrefixSearcherMatchesScratch
+// (exact options, k ∈ {1, 3}), every seeded prefix search visits no more
+// trie nodes than a from-scratch SearchTopK of the same prefix — a seed is
+// an upper bound on the k-th best, so it can only tighten the pruning — and
+// the seeded searches together visit fewer.
+//
+// pooled: a searcher goes back to the index's pool after each search, so a
+// seed left on it would prune the next search. After a prefix search seeded
+// with 0 (the distance of an exact structure), an unseeded SearchTopK of a
+// farther query on the same index must still return the k results a fresh
+// index returns.
+func TestPrefixSearcherSeed(t *testing.T) {
+	ix := buildIndex(t, grammar.TestScale(), false)
+	t.Run("prunes", func(t *testing.T) {
+		queries := maskedQueries(ix, 40, 19)
+		rng := rand.New(rand.NewSource(23))
+		var searches, fewer, seeded, scratch int
+		for _, k := range []int{1, 3} {
+			ps := ix.NewPrefixSearcher(k, Options{})
+			for qi, q := range queries {
+				ps.Reset()
+				var prefix []string
+				for _, frag := range splitFragments(rng, q) {
+					prefix = append(prefix, frag...)
+					ps.Extend(frag)
+					_, got := ps.Search()
+					_, want := ix.SearchTopK(prefix, k, Options{})
+					if got.NodesVisited > want.NodesVisited {
+						t.Fatalf("k=%d q#%d %v: seeded search visited %d nodes, from scratch %d",
+							k, qi, prefix, got.NodesVisited, want.NodesVisited)
+					}
+					searches++
+					if got.NodesVisited < want.NodesVisited {
+						fewer++
+					}
+					seeded += got.NodesVisited
+					scratch += want.NodesVisited
+				}
+			}
+		}
+		if seeded >= scratch {
+			t.Fatalf("%d searches: seeded visited %d nodes, from scratch %d — the seed pruned nothing",
+				searches, seeded, scratch)
+		}
+		t.Logf("%d searches: seeded %d nodes, from scratch %d; %d seeded searches visited fewer",
+			searches, seeded, scratch, fewer)
+	})
+	t.Run("pooled", func(t *testing.T) {
+		exact := strings.Fields("SELECT x FROM x")
+		far := strings.Fields("SELECT * FROM x WHERE x x IN ( x x x , x x x , x x x x )")
+		want, _ := buildIndex(t, grammar.TestScale(), false).SearchTopK(far, 3, Options{})
+		if len(want) != 3 || want[2].Distance == 0 {
+			t.Fatalf("far query: want 3 results above distance 0, got %v", want)
+		}
+		// sync.Pool may drop a recycled searcher; repeat so the pooled one
+		// is reused.
+		for i := 0; i < 8; i++ {
+			ps := ix.NewPrefixSearcher(1, Options{})
+			ps.Extend(exact)
+			ps.Search()
+			if b := ps.seedBound(); b != 0 {
+				t.Fatalf("seed after an exact structure = %v, want 0", b)
+			}
+			ps.Search() // seeded with 0
+			got, _ := ix.SearchTopK(far, 3, Options{})
+			sameResults(t, "unseeded search after a seeded one", got, want)
+		}
+	})
 }
 
 // TestPrefixSearcherApproxModesFallBack checks the DAP/INV fallback: the
@@ -139,9 +211,6 @@ func TestPrefixSearcherTinyIndex(t *testing.T) {
 
 func optsLabel(o Options) string {
 	var parts []string
-	if o.Workers > 1 {
-		parts = append(parts, "workers")
-	}
 	if o.UniformWeights {
 		parts = append(parts, "uniform")
 	}

@@ -25,16 +25,6 @@ type Stats struct {
 	UsedINV       bool
 }
 
-// add merges another partition's stats in (parallel search sums the
-// per-worker counters).
-func (st *Stats) add(o Stats) {
-	st.NodesVisited += o.NodesVisited
-	st.TriesSearched += o.TriesSearched
-	st.TriesSkipped += o.TriesSkipped
-	st.InvScanned += o.InvScanned
-	st.UsedINV = st.UsedINV || o.UsedINV
-}
-
 // Search returns the closest structure to maskOut (ties broken by
 // enumeration order). It is Box 2's algorithm with k=1.
 func (ix *Index) Search(maskOut []string, opts Options) (Result, Stats) {
@@ -54,8 +44,7 @@ func (ix *Index) SearchContext(ctx context.Context, maskOut []string, opts Optio
 // SearchTopK returns the k closest structures in increasing distance order,
 // ties broken by enumeration order. With opts zero-valued this is the exact
 // algorithm (BDB on); DAP and INV trade accuracy for latency per Appendix
-// D.3; Workers > 1 searches the length partitions concurrently with results
-// bit-identical to the serial pass.
+// D.3.
 func (ix *Index) SearchTopK(maskOut []string, k int, opts Options) ([]Result, Stats) {
 	return ix.SearchTopKContext(context.Background(), maskOut, k, opts)
 }
@@ -70,7 +59,7 @@ func (ix *Index) SearchTopKContext(ctx context.Context, maskOut []string, k int,
 		return nil, st
 	}
 	s := ix.getSearcher(maskOut, k, opts, &st)
-	return ix.runSearcher(ctx, s, math.Inf(1))
+	return ix.runSearcher(ctx, s)
 }
 
 // searchTopKSeeded is SearchTopKContext over an already-interned query, with
@@ -87,14 +76,14 @@ func (ix *Index) searchTopKSeeded(ctx context.Context, q []tokenID, qw []float64
 	}
 	s := ix.newPooledSearcher(k, opts, &st)
 	s.adoptQuery(q, qw)
-	return ix.runSearcher(ctx, s, seed)
+	s.seed = seed
+	return ix.runSearcher(ctx, s)
 }
 
 // runSearcher drives a prepared searcher through the INV fast path and the
-// bidirectional partition sweep (serial or parallel), recycles it, and
-// returns results plus stats. bound pre-seeds the shared best-distance bound
-// used for pruning; math.Inf(1) reproduces the unseeded search exactly.
-func (ix *Index) runSearcher(ctx context.Context, s *searcher, bound float64) ([]Result, Stats) {
+// bidirectional partition sweep, recycles it, and returns results plus
+// stats.
+func (ix *Index) runSearcher(ctx context.Context, s *searcher) ([]Result, Stats) {
 	if s.opts.INV {
 		if s.searchINV() {
 			s.st.UsedINV = true
@@ -106,22 +95,8 @@ func (ix *Index) runSearcher(ctx context.Context, s *searcher, bound float64) ([
 	}
 	// Bidirectional order of Box 2: lengths m, m−1, …, 1 then m+1, …, max.
 	// Trying the closest lengths first makes the BDB threshold tighten
-	// quickly — serially and in parallel alike.
-	order := s.partitionOrder(len(s.q))
-	if s.opts.Workers > 1 && len(order) > 1 {
-		out, pst := ix.searchParallel(ctx, s.q, s.qw, s.k, s.opts, order, bound)
-		ix.putSearcher(s)
-		return out, pst
-	}
-	if !math.IsInf(bound, 1) {
-		// Serial searches normally run without a shared bound; a seeded one
-		// borrows the cross-partition mechanism (and its tie-preserving
-		// d <= bound prune) to carry the seed.
-		sb := newSharedBound()
-		sb.relax(bound)
-		s.shared = sb
-	}
-	for _, n := range order {
+	// quickly.
+	for _, n := range s.partitionOrder(len(s.q)) {
 		if ctx.Err() != nil {
 			break
 		}
@@ -142,8 +117,8 @@ func (ix *Index) getSearcher(maskOut []string, k int, opts Options, st *Stats) *
 	return s
 }
 
-// newPooledSearcher resets a pooled (or fresh) searcher's per-query state;
-// the query itself is bound by setQuery or adoptQuery.
+// newPooledSearcher resets a pooled (or fresh) searcher's per-query state,
+// the seed included; the query itself is bound by setQuery or adoptQuery.
 func (ix *Index) newPooledSearcher(k int, opts Options, st *Stats) *searcher {
 	s, _ := ix.pool.Get().(*searcher)
 	if s == nil {
@@ -153,9 +128,8 @@ func (ix *Index) newPooledSearcher(k int, opts Options, st *Stats) *searcher {
 	s.k = k
 	s.opts = opts
 	s.st = st
-	s.rank = 0
 	s.seq = 0
-	s.shared = nil
+	s.seed = math.Inf(1)
 	return s
 }
 
@@ -166,7 +140,6 @@ func (ix *Index) putSearcher(s *searcher) {
 	s.recycle()
 	s.ix = nil
 	s.st = nil
-	s.shared = nil
 	s.q, s.qw, s.w = nil, nil, nil
 	ix.pool.Put(s)
 }
@@ -206,8 +179,8 @@ func (s *searcher) setQuery(maskOut []string) {
 	s.bindGap()
 }
 
-// adoptQuery points the searcher at query slices owned elsewhere: parallel
-// workers share the coordinating searcher's interned query read-only.
+// adoptQuery points the searcher at query slices owned elsewhere: a
+// PrefixSearcher lends its accumulated interned query read-only.
 func (s *searcher) adoptQuery(q []tokenID, qw []float64) {
 	s.q, s.qw = q, qw
 	s.bindWeights()
@@ -261,16 +234,13 @@ type searcher struct {
 	heap resultHeap // current best k, worst first
 	path []tokenID  // tokens on the current root→node path
 
-	// rank is the current partition's position in the bidirectional search
-	// order and seq counts offers; together they reconstruct the global
-	// enumeration order so parallel merging breaks distance ties exactly
-	// like a serial pass. Serial search leaves rank at 0 and lets seq run
-	// across partitions — the same total order.
-	rank int32
-	seq  uint64
+	// seq counts offers across the whole sweep: the enumeration order that
+	// breaks distance ties.
+	seq uint64
 
-	// shared is the cross-partition best-distance bound (nil when serial).
-	shared *sharedBound
+	// seed is an upper bound on the final k-th-best distance known before
+	// the search starts (a PrefixSearcher's warm start), or +Inf.
+	seed float64
 
 	// n is the structure length of the trie being searched.
 	n int
@@ -346,17 +316,13 @@ func (s *searcher) threshold() float64 {
 }
 
 // viable reports whether a candidate (or subtree lower bound) at distance d
-// can still reach the final top-k. Locally the test is d < threshold():
-// within one enumeration order an equal-distance candidate always loses the
-// tie to an already-kept one. Against the shared cross-partition bound the
-// test is d <= bound: an equal-distance candidate in another partition may
-// still win its tie at merge time (by enumeration rank), so it must survive
-// the prune.
+// can still reach the final top-k. Against the kept heap the test is
+// d < threshold(): an equal-distance candidate enumerated later always loses
+// the tie to the kept one. Against the seed the test is d <= seed: the seed
+// only bounds the final k-th best from above, so a candidate at exactly the
+// seed may still belong to the top k and must survive the prune.
 func (s *searcher) viable(d float64) bool {
-	if d >= s.threshold() {
-		return false
-	}
-	return s.shared == nil || d <= s.shared.load()
+	return d < s.threshold() && d <= s.seed
 }
 
 // offer records a candidate leaf. Token buffers are recycled: an evicted
@@ -375,13 +341,7 @@ func (s *searcher) offer(dist float64, toks []tokenID) {
 	}
 	buf = append(buf, toks...)
 	s.seq++
-	s.heap.push(heapEntry{dist: dist, rank: s.rank, seq: s.seq, toks: buf})
-	if s.shared != nil && len(s.heap) == s.k {
-		// The worker's k-th best is an upper bound on the global k-th best
-		// (more candidates only lower it), so publishing it can only
-		// tighten — never over-tighten — everyone's pruning.
-		s.shared.relax(s.heap[0].dist)
-	}
+	s.heap.push(heapEntry{dist: dist, seq: s.seq, toks: buf})
 }
 
 func (s *searcher) results() []Result {
@@ -626,12 +586,10 @@ func (s *searcher) flatDistance(b []tokenID, limit float64) float64 {
 }
 
 // heapEntry and resultHeap implement a small worst-first binary heap for
-// top-k maintenance. Entries are totally ordered by (distance, partition
-// rank, offer sequence) — distance ties resolve to the earliest-enumerated
-// candidate, which is what makes serial and parallel search agree exactly.
+// top-k maintenance. Entries are totally ordered by (distance, offer
+// sequence): distance ties resolve to the earliest-enumerated candidate.
 type heapEntry struct {
 	dist float64
-	rank int32
 	seq  uint64
 	toks []tokenID
 }
@@ -641,9 +599,6 @@ type heapEntry struct {
 func (e heapEntry) worse(o heapEntry) bool {
 	if e.dist != o.dist {
 		return e.dist > o.dist
-	}
-	if e.rank != o.rank {
-		return e.rank > o.rank
 	}
 	return e.seq > o.seq
 }

@@ -104,12 +104,6 @@ type Options struct {
 	// Section 3.4 design choice that Keywords are the most trustworthy
 	// anchors. Not part of the paper's own ablation set.
 	UniformWeights bool
-	// Workers > 1 searches the length partitions concurrently on a bounded
-	// pool of that many goroutines, sharing one atomic best-distance bound
-	// so BDB pruning composes across partitions. Results are bit-identical
-	// to the serial search (0 or 1). The INV fast path, when it applies,
-	// stays serial.
-	Workers int
 }
 
 // Index is the structure index: one arena trie per structure length plus
