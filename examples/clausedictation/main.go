@@ -1,11 +1,12 @@
 // Clause-streaming dictation: the incremental interface loop of Section 5,
 // driven through the real streaming pipeline instead of hand-sliced
 // transcripts. Each spoken clause goes through Session.StreamFragment —
-// which re-runs only the suffix of the trie search and replays memoized
-// literal votes — while an event subscriber prints the corrected query
-// exactly as the SSE feed would push it to the display. The dictation ends
-// with a full-fidelity finalize and a SQL-keyboard touch edit, with the
-// units-of-effort metric accounted throughout.
+// which corrects the accumulated transcript through the cached, warm-started
+// trie search and replays memoized literal votes — while an event
+// subscriber prints the corrected query exactly as the SSE feed would push
+// it to the display. The dictation ends with a full-fidelity finalize and
+// a SQL-keyboard touch edit, with the units-of-effort metric accounted
+// throughout.
 //
 //	go run ./examples/clausedictation
 package main
@@ -52,7 +53,7 @@ func main() {
 
 	// The user dictates clause by clause; the ASR mangled the WHERE clause
 	// ("title equals engineer" arrived as "title equals in here"). Every
-	// fragment re-corrects the whole accumulated transcript incrementally.
+	// fragment re-corrects the whole accumulated transcript.
 	ctx := context.Background()
 	clauses := []string{
 		"select first name",

@@ -16,7 +16,6 @@ import (
 	"speakql/internal/sqlengine"
 	"speakql/internal/sqltoken"
 	"speakql/internal/structure"
-	"speakql/internal/trieindex"
 )
 
 // Config configures an Engine.
@@ -24,9 +23,6 @@ type Config struct {
 	// Grammar bounds the structure corpus (Section 3.2). Zero value means
 	// grammar.DefaultScale().
 	Grammar grammar.GenConfig
-	// Search selects trie-search optimizations (BDB is always on unless
-	// disabled; DAP and INV are the Appendix D.3 approximations).
-	Search trieindex.Options
 	// Catalog is the phonetic representation of the queried database.
 	Catalog *literal.Catalog
 	// TopKLiterals is the per-placeholder candidate count for the
@@ -79,7 +75,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.LiteralBudgetFraction == 0 {
 		cfg.LiteralBudgetFraction = DefaultLiteralBudget
 	}
-	sc, err := structure.New(structure.Config{Grammar: cfg.Grammar, Search: cfg.Search})
+	sc, err := structure.New(structure.Config{Grammar: cfg.Grammar})
 	if err != nil {
 		return nil, err
 	}

@@ -3,21 +3,21 @@ package core
 // Fragment (clause-streaming) correction: the interactive interface the
 // paper describes lets users dictate one clause at a time and watch the
 // corrected query grow. FragmentSession is the engine-level half of that
-// pipeline — it accumulates fragments, re-runs only the suffix of the
-// structure search per fragment (structure.Incremental over a resumable
-// trieindex.PrefixSearcher) and replays unchanged literal windows from a
-// per-session memo, while honoring the same degradation ladder and deadline
-// budget as one-shot correction. internal/stream adds the session state
-// machine and event fan-out on top.
+// pipeline — it accumulates fragments, runs the one-shot structure
+// determination over the accumulated transcript per fragment (through the
+// search LRU, which finalize and repeated clause prefixes hit) and replays
+// unchanged literal windows from a per-session memo, while honoring the
+// same degradation ladder and deadline budget as one-shot correction.
+// internal/stream adds the session state machine and event fan-out on top.
 
 import (
 	"context"
+	"strings"
 	"time"
 
 	"speakql/internal/literal"
 	"speakql/internal/obs"
 	"speakql/internal/sqltoken"
-	"speakql/internal/structure"
 )
 
 // FragmentOutput is the engine's response to one dictated fragment: a full
@@ -42,14 +42,14 @@ type FragmentOutput struct {
 }
 
 // FragmentSession corrects a transcript dictated fragment by fragment.
-// After the last fragment (or Finalize), the output is bit-identical to a
-// one-shot Correct of the full accumulated transcript — candidates,
-// bindings, and degradation ladder included (TestCorrectFragmentMatchesOneShot).
-// A FragmentSession is not safe for concurrent use; the Engine it came from
-// is shared as usual.
+// Every fragment runs the one-shot structure determination over the
+// accumulated transcript, so after the last fragment (or Finalize) the
+// output is bit-identical to a one-shot Correct of the full accumulated
+// transcript — candidates, bindings, and degradation ladder included
+// (TestCorrectFragmentMatchesOneShot). A FragmentSession is not safe for
+// concurrent use; the Engine it came from is shared as usual.
 type FragmentSession struct {
 	e         *Engine
-	inc       *structure.Incremental
 	memo      *literal.VoteMemo
 	fragments []string
 	seq       int
@@ -58,39 +58,42 @@ type FragmentSession struct {
 // NewFragmentSession starts an empty streaming correction session. Like
 // Correct, it keeps a single structure hypothesis per fragment.
 func (e *Engine) NewFragmentSession() *FragmentSession {
-	return &FragmentSession{
-		e:    e,
-		inc:  e.structure.NewIncremental(1),
-		memo: literal.NewVoteMemo(),
-	}
+	return &FragmentSession{e: e, memo: literal.NewVoteMemo()}
 }
 
 // Fragments returns the raw fragments dictated so far.
 func (fs *FragmentSession) Fragments() []string { return fs.fragments }
 
-// Transcript returns the accumulated raw transcript.
-func (fs *FragmentSession) Transcript() string { return fs.inc.Transcript() }
+// Transcript returns the accumulated raw transcript: the non-blank
+// fragments, trimmed and joined by single spaces.
+func (fs *FragmentSession) Transcript() string {
+	parts := make([]string, 0, len(fs.fragments))
+	for _, f := range fs.fragments {
+		if f = strings.TrimSpace(f); f != "" {
+			parts = append(parts, f)
+		}
+	}
+	return strings.Join(parts, " ")
+}
 
 // CorrectFragment appends one dictated fragment and corrects the whole
-// accumulated transcript, reusing the previous fragments' search and voting
-// work. ctx carries the per-fragment deadline; the degradation ladder
-// applies to each fragment exactly as it does to a one-shot correction.
+// accumulated transcript, reusing cached searches and the previous
+// fragments' voting work. ctx carries the per-fragment deadline; the
+// degradation ladder applies to each fragment exactly as it does to a
+// one-shot correction.
 func (fs *FragmentSession) CorrectFragment(ctx context.Context, fragment string) FragmentOutput {
 	span := obs.StartSpan("core.correct_fragment")
 	defer span.End()
 	fs.fragments = append(fs.fragments, fragment)
 	fs.seq++
-	t0 := time.Now()
-	structs, serr := fs.inc.AppendFragment(ctx, fragment)
-	return fs.wrap(fs.e.finishPipeline(ctx, t0, structs, serr, fs.memo))
+	return fs.correct(ctx)
 }
 
 // RestoreFragments rehydrates an empty session from a snapshot's recorded
 // fragment sequence: every fragment is appended, then the accumulated
-// transcript is corrected once. Because incremental determination is pinned
-// bit-identical to one-shot determination of the accumulated transcript
-// (TestCorrectFragmentMatchesOneShot), the restored session's candidates,
-// bindings, and searcher state match what len(fragments) sequential
+// transcript is corrected once. Because each fragment's correction is the
+// one-shot correction of the accumulated transcript, the restored session's
+// candidates and bindings match what len(fragments) sequential
 // CorrectFragment calls would have produced — which is what lets a replica
 // resume another replica's dictation mid-stream. Calling it on a session
 // that has already seen fragments corrupts the sequence numbering; restore
@@ -99,9 +102,7 @@ func (fs *FragmentSession) RestoreFragments(ctx context.Context, fragments []str
 	span := obs.StartSpan("core.restore_fragments")
 	defer span.End()
 	fs.AppendRawFragments(fragments)
-	t0 := time.Now()
-	structs, serr := fs.inc.Redetermine(ctx)
-	return fs.wrap(fs.e.finishPipeline(ctx, t0, structs, serr, fs.memo))
+	return fs.correct(ctx)
 }
 
 // AppendRawFragments records fragments without correcting anything — the
@@ -109,10 +110,7 @@ func (fs *FragmentSession) RestoreFragments(ctx context.Context, fragments []str
 // dictation whose definitive output already shipped (no further correction
 // will ever run, but Transcript and Fragments must still read back).
 func (fs *FragmentSession) AppendRawFragments(fragments []string) {
-	for _, f := range fragments {
-		fs.fragments = append(fs.fragments, f)
-		fs.inc.AppendRaw(f)
-	}
+	fs.fragments = append(fs.fragments, fragments...)
 	fs.seq = len(fs.fragments)
 }
 
@@ -124,17 +122,20 @@ func (fs *FragmentSession) AppendRawFragments(fragments []string) {
 func (fs *FragmentSession) Finalize(ctx context.Context) FragmentOutput {
 	span := obs.StartSpan("core.finalize_fragments")
 	defer span.End()
-	t0 := time.Now()
-	structs, serr := fs.inc.Redetermine(ctx)
-	return fs.wrap(fs.e.finishPipeline(ctx, t0, structs, serr, fs.memo))
+	return fs.correct(ctx)
 }
 
-// wrap adds the streaming position metadata to a pipeline output.
-func (fs *FragmentSession) wrap(out Output) FragmentOutput {
+// correct runs the pipeline over the accumulated transcript, with the
+// session's vote memo, and adds the streaming position metadata.
+func (fs *FragmentSession) correct(ctx context.Context) FragmentOutput {
+	t0 := time.Now()
+	transcript := fs.Transcript()
+	structs, serr := fs.e.structure.DetermineTopKErr(ctx, transcript, 1)
+	out := fs.e.finishPipeline(ctx, t0, structs, serr, fs.memo)
 	fo := FragmentOutput{
 		Output:        out,
 		Seq:           fs.seq,
-		RawTranscript: fs.inc.Transcript(),
+		RawTranscript: transcript,
 	}
 	fo.Pending = pendingPlaceholders(out)
 	fo.StablePrefixLen = stablePrefixLen(out.Best(), fo.Pending)

@@ -1,17 +1,18 @@
 package core
 
-// fragment_test.go is the ISSUE's required differential proof for the
-// clause-streaming pipeline: correcting a transcript fragment by fragment
-// (CorrectFragment, then Finalize) must produce bit-identical output to a
-// one-shot Correct of the same full transcript — plain, and with
-// latency-only fault injection active. Comparisons cover
-// candidates (SQL, tokens, structure, bindings, distances), transcript, and
-// degradation level, never latencies or search-work stats: the warm-started
-// incremental search legitimately does less work to reach the same answer.
+// fragment_test.go is the differential proof for the clause-streaming
+// pipeline: correcting a transcript fragment by fragment (CorrectFragment,
+// then Finalize) must produce bit-identical output to a one-shot Correct of
+// the same full transcript — plain, and with latency-only fault injection
+// active. Comparisons cover candidates (SQL, tokens, structure, bindings,
+// distances), transcript, and degradation level, never latencies or
+// search-work stats: a fragment answered from the search LRU reports the
+// stats of the search that filled the entry.
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -31,9 +32,9 @@ func renderOutput(out Output) string {
 	return b.String()
 }
 
-// fragmentCases are dictations split at clause boundaries, including the
-// adversarial splits from the structure-layer tests: a spoken form merging
-// across the boundary and a nested SELECT arriving mid-dictation.
+// fragmentCases are dictations split at clause boundaries, including
+// adversarial splits: a spoken form merging across the boundary and a
+// nested SELECT arriving mid-dictation.
 var fragmentCases = [][]string{
 	{"select sales from employers", "wear name equals Jon"},
 	{"select first name", "from employees", "where salary equals 70000"},
@@ -41,6 +42,30 @@ var fragmentCases = [][]string{
 	{"select name from employees where salary equals",
 		"select max open parenthesis salary close parenthesis from salaries"},
 	{"select first name from employees", "", "where gender equals F"},
+}
+
+// randomSplits cuts transcripts into fragments of 1–4 words at seeded
+// random points: any split of a transcript's words must agree with the
+// one-shot path at every prefix.
+func randomSplits() [][]string {
+	transcripts := []string{
+		"select first name from employees where salary is less than 70000",
+		"select average open parenthesis salary close parenthesis from salaries",
+		"select title from titles where first name equals jon and salary greater than 50000",
+	}
+	rng := rand.New(rand.NewSource(41))
+	var cases [][]string
+	for trial := 0; trial < 20; trial++ {
+		words := strings.Fields(transcripts[trial%len(transcripts)])
+		var frags []string
+		for start := 0; start < len(words); {
+			n := min(1+rng.Intn(4), len(words)-start)
+			frags = append(frags, strings.Join(words[start:start+n], " "))
+			start += n
+		}
+		cases = append(cases, frags)
+	}
+	return cases
 }
 
 func diffFragments(t *testing.T, e *Engine, frags []string) {
@@ -95,11 +120,17 @@ func diffFragments(t *testing.T, e *Engine, frags []string) {
 }
 
 // TestCorrectFragmentMatchesOneShot is the differential acceptance test:
-// every fragment boundary, serial search.
+// every fragment boundary of the clause-boundary cases and of the random
+// splits.
 func TestCorrectFragmentMatchesOneShot(t *testing.T) {
 	e := engine(t)
 	for ci, frags := range fragmentCases {
 		t.Run(fmt.Sprintf("case%d", ci), func(t *testing.T) {
+			diffFragments(t, e, frags)
+		})
+	}
+	for si, frags := range randomSplits() {
+		t.Run(fmt.Sprintf("split%d", si), func(t *testing.T) {
 			diffFragments(t, e, frags)
 		})
 	}

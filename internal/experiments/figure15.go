@@ -34,8 +34,9 @@ type AblationVariant struct {
 	RuntimeSec metrics.CDF
 	ExactFrac  float64 // fraction with TED 0
 	MeanMS     float64
-	// MeanNodes is the mean trie nodes visited per query — the
-	// deterministic work measure behind the runtime differences.
+	// MeanNodes is the mean trie search work per query — sweep nodes
+	// visited plus warm-start dive steps, the deterministic work measure
+	// behind the runtime differences.
 	MeanNodes float64
 }
 
@@ -91,7 +92,7 @@ func RunFigure15(env *Env) Figure15Result {
 			d := time.Since(t0)
 			total += d
 			secs = append(secs, d.Seconds())
-			nodes += det.Stats.NodesVisited
+			nodes += det.Stats.NodesVisited + det.Stats.DiveSteps
 			ted := metrics.TokenEditDistance(it.structure, sqltoken.MaskGeneric(det.Structure))
 			teds = append(teds, float64(ted))
 			if ted == 0 {

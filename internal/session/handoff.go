@@ -6,8 +6,8 @@ package session
 // from a snapshot on the replica that takes the session over after its
 // original owner dies. Restoring a mid-stream dictation replays the
 // recorded fragments through a fresh engine fragment session; the
-// incremental pipeline's pinned bit-identity to one-shot correction is what
-// makes the resumed stream indistinguishable from one that never moved.
+// fragment pipeline's bit-identity to one-shot correction is what makes the
+// resumed stream indistinguishable from one that never moved.
 
 import (
 	"context"

@@ -9,10 +9,10 @@ package session
 // whichever replica the router's hash ring now owns it.
 //
 // The snapshot deliberately carries raw inputs, not engine state: the
-// correction pipeline is deterministic and its incremental mode is pinned
-// bit-identical to one-shot correction, so replaying the recorded fragments
-// through a fresh FragmentSession on the new replica reproduces the
-// original searcher frontier, candidates, and bindings exactly. That keeps
+// correction pipeline is deterministic and each fragment runs the one-shot
+// correction of the accumulated transcript, so replaying the recorded
+// fragments through a fresh FragmentSession on the new replica reproduces
+// the original candidates and bindings exactly. That keeps
 // the codec tiny, versionable, and independent of every internal arena
 // layout.
 //

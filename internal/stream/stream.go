@@ -217,7 +217,7 @@ func (d *Dictation) SnapshotState() (phase State, fragments []string, seq int) {
 // RestoreDictation rehydrates a dictation from a snapshot taken on another
 // replica: the fragments are replayed through a fresh engine fragment
 // session and — for a mid-stream snapshot — corrected once, which (by the
-// incremental ≡ one-shot bit-identity the fragment pipeline pins) leaves
+// fragment ≡ one-shot bit-identity the fragment pipeline pins) leaves
 // exactly the state the original sequence of Dictate calls built. No events
 // are published during restore: the handed-off replica's subscribers start
 // from the next live fragment. A finalized snapshot restores with the

@@ -45,19 +45,20 @@ type SearchCache interface {
 // options or different indexes. Call before serving traffic.
 func (c *Component) SetSearchCache(sc SearchCache) { c.cache = sc }
 
-// Config bundles the generation scale and search options.
+// Config bundles the generation scale.
 type Config struct {
 	Grammar grammar.GenConfig
-	Search  trieindex.Options
 }
 
-// New generates the structure corpus for cfg.Grammar and indexes it.
+// New generates the structure corpus for cfg.Grammar and indexes it. The
+// component searches in the exact mode; the ablations that change the
+// search options wrap an index with NewFromIndex.
 func New(cfg Config) (*Component, error) {
-	ix, err := BuildIndex(cfg.Grammar, cfg.Search.INV)
+	ix, err := BuildIndex(cfg.Grammar, false)
 	if err != nil {
 		return nil, err
 	}
-	return &Component{ix: ix, opts: cfg.Search, cfg: cfg.Grammar}, nil
+	return &Component{ix: ix, cfg: cfg.Grammar}, nil
 }
 
 // BuildIndex generates the structure corpus for gcfg and builds its trie
@@ -143,28 +144,14 @@ func (c *Component) DetermineTopKErr(ctx context.Context, transcript string, k i
 	outer, inner := splitNested(toks)
 	masked := sqltoken.MaskGeneric(outer)
 	cands, stats := c.searchTopK(ctx, masked, k)
-	innerStruct := c.searchInner(ctx, inner)
-	return assembleResults(toks, cands, stats, innerStruct), nil
-}
-
-// searchInner determines the structure of a split-off nested query (nil when
-// the transcript has none); the inner search always takes the cached
-// non-incremental path.
-func (c *Component) searchInner(ctx context.Context, inner []string) []string {
-	if inner == nil {
-		return nil
+	// The split-off nested query (Appendix F.8) goes through the same
+	// cached search; its best structure is spliced into every candidate.
+	var innerStruct []string
+	if inner != nil {
+		if innerCands, _ := c.searchTopK(ctx, sqltoken.MaskGeneric(inner), 1); len(innerCands) > 0 {
+			innerStruct = innerCands[0].Tokens
+		}
 	}
-	innerCands, _ := c.searchTopK(ctx, sqltoken.MaskGeneric(inner), 1)
-	if len(innerCands) == 0 {
-		return nil
-	}
-	return innerCands[0].Tokens
-}
-
-// assembleResults splices the nested structure (when present) into each
-// outer candidate and numbers the placeholders — the shared tail of the
-// one-shot and incremental determination paths.
-func assembleResults(toks []string, cands []trieindex.Result, stats trieindex.Stats, innerStruct []string) []Result {
 	results := make([]Result, 0, len(cands))
 	for _, cand := range cands {
 		st := cand.Tokens
@@ -178,7 +165,7 @@ func assembleResults(toks []string, cands []trieindex.Result, stats trieindex.St
 			Stats:      stats,
 		})
 	}
-	return results
+	return results, nil
 }
 
 // searchTopK runs the trie search through the memo cache, when one is
@@ -223,6 +210,7 @@ func cacheKey(masked []string, k int) string {
 // where GET /api/stats aggregates them across requests.
 func recordSearchStats(st trieindex.Stats) {
 	obs.Add("search.nodes_visited", int64(st.NodesVisited))
+	obs.Add("search.dive_steps", int64(st.DiveSteps))
 	obs.Add("search.tries_searched", int64(st.TriesSearched))
 	obs.Add("search.tries_skipped_bdb", int64(st.TriesSkipped))
 	obs.Add("search.inv_scanned", int64(st.InvScanned))

@@ -1,6 +1,7 @@
 package trieindex
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,11 +10,12 @@ import (
 
 // TestArenaMatchesPointer is the pointer-vs-arena differential test: the
 // arena kernel must return byte-identical results to the pointer-trie
-// reference kernel (reference_test.go) pruning on min(col) alone, for every
-// query, k, and option combination — exact, DAP, INV, uniform weights, BDB
-// off. Its work counters must equal those of the reference given the same
-// per-node bound, and under DisableBDB those of the unbounded reference;
-// the bound may only ever visit fewer nodes.
+// reference kernel (reference_test.go) pruning on min(col) alone and with no
+// warm-start seed, for every query, k, and option combination — exact, DAP,
+// INV, uniform weights, BDB off. Its work counters must equal those of the
+// reference given the same per-node bound and the same dive (DAP runs none),
+// and under DisableBDB those of the seeded reference without the bound; the
+// bound may only ever visit fewer nodes.
 // Build's arenas must also hold exactly the pointer tries' structures and
 // nodes.
 func TestArenaMatchesPointer(t *testing.T) {
@@ -38,7 +40,7 @@ func TestArenaMatchesPointer(t *testing.T) {
 	for _, opts := range optVariants {
 		for _, k := range []int{1, 3, 10} {
 			for qi, q := range queries {
-				pRes, pSt := ix.searchPointer(roots, q, k, opts, false)
+				pRes, _ := ix.searchPointer(roots, q, k, opts, false, false)
 				aRes, aSt := ix.SearchTopK(q, k, opts)
 				if len(pRes) != len(aRes) {
 					t.Fatalf("opts %+v k=%d q#%d %v: pointer %d results, arena %d",
@@ -53,22 +55,23 @@ func TestArenaMatchesPointer(t *testing.T) {
 							aRes[i].Tokens, aRes[i].Distance)
 					}
 				}
-				_, bSt := ix.searchPointer(roots, q, k, opts, true)
+				_, sSt := ix.searchPointer(roots, q, k, opts, false, true)
+				_, bSt := ix.searchPointer(roots, q, k, opts, true, true)
 				// The node bound only ever skips nodes: every other counter
-				// of the reference stays put.
-				sameOtherwise := pSt
+				// of the seeded reference stays put.
+				sameOtherwise := sSt
 				sameOtherwise.NodesVisited = bSt.NodesVisited
-				if bSt != sameOtherwise || bSt.NodesVisited > pSt.NodesVisited {
+				if bSt != sameOtherwise || bSt.NodesVisited > sSt.NodesVisited {
 					t.Fatalf("opts %+v k=%d q#%d %v: node bound changed stats:\n unbounded %+v\n bounded   %+v",
-						opts, k, qi, q, pSt, bSt)
+						opts, k, qi, q, sSt, bSt)
 				}
 				if aSt != bSt {
 					t.Fatalf("opts %+v k=%d q#%d %v: stats differ:\n pointer %+v\n arena   %+v",
 						opts, k, qi, q, bSt, aSt)
 				}
-				if opts.DisableBDB && aSt != pSt {
+				if opts.DisableBDB && aSt != sSt {
 					t.Fatalf("opts %+v k=%d q#%d %v: DisableBDB stats differ from the min(col) kernel:\n pointer %+v\n arena   %+v",
-						opts, k, qi, q, pSt, aSt)
+						opts, k, qi, q, sSt, aSt)
 				}
 			}
 		}
@@ -78,26 +81,32 @@ func TestArenaMatchesPointer(t *testing.T) {
 // TestSearchKernelSteadyStateAllocs pins the arena DP kernel at zero
 // steady-state heap allocations. It drives a held searcher directly (the
 // way SearchTopK does after the sync.Pool get) so the measurement covers
-// the kernel — columns, heap maintenance, path tracking, pruning — without
-// the per-call result materialization.
+// the kernel — the warm-start dive, columns, heap maintenance, path
+// tracking, pruning — without the per-call result materialization.
 func TestSearchKernelSteadyStateAllocs(t *testing.T) {
 	ix := buildIndex(t, grammar.TestScale(), false)
 	q := strings.Fields("SELECT x FROM x x x = x AND x = x")
+	ctx := context.Background()
 	for _, opts := range []Options{{}, {DAP: true}, {UniformWeights: true}} {
-		var st Stats
-		s := ix.getSearcher(q, 3, opts, &st)
-		order := append([]int(nil), s.partitionOrder(len(s.q))...)
-		run := func() {
-			for _, n := range order {
-				s.searchLen(n)
+		for _, k := range []int{1, 3, 10} {
+			var st Stats
+			s := ix.getSearcher(q, k, opts, &st)
+			order := append([]int(nil), s.partitionOrder(len(s.q))...)
+			run := func() {
+				if !opts.DAP {
+					s.dive(ctx)
+				}
+				for _, n := range order {
+					s.searchLen(n)
+				}
+				s.recycle()
 			}
-			s.recycle()
+			run() // warm the column pools and buffer freelist
+			if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+				t.Errorf("opts %+v k=%d: steady-state kernel allocs/op = %v, want 0", opts, k, allocs)
+			}
+			ix.putSearcher(s)
 		}
-		run() // warm the column pool and buffer freelist
-		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
-			t.Errorf("opts %+v: steady-state kernel allocs/op = %v, want 0", opts, allocs)
-		}
-		ix.putSearcher(s)
 	}
 }
 
@@ -127,6 +136,6 @@ func BenchmarkSearchTestScalePointer(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.searchPointer(roots, q, 1, Options{}, true)
+		ix.searchPointer(roots, q, 1, Options{}, true, true)
 	}
 }

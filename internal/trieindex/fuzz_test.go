@@ -3,6 +3,7 @@ package trieindex
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -144,5 +145,54 @@ func FuzzReadIndex(f *testing.F) {
 				t.Fatalf("re-save changed totals: %d vs %d", back.Total(), ix.Total())
 			}
 		}
+	})
+}
+
+// fuzzStructures is a small index dense in exact-distance ties: the
+// TestNodeBound and Figure 10 structures, near-duplicates of them that
+// swap, drop or add one token of the same weight class, and a few SQL
+// shapes whose prime-group siblings (=, <, >; AND, OR; COUNT, MAX) give DAP
+// and INV something to choose between.
+var fuzzStructures = []string{
+	"x x x foo", "SELECT x x x", "x x x x SELECT FROM", "SELECT FROM x x x x",
+	"A", "A B", "A B C", "A B C D", "A B C D E",
+	"x x foo x", "x foo x x", "foo x x x", "SELECT x x foo", "x SELECT x x",
+	"x x x", "x x x x", "x x x x x", "SELECT FROM x x", "FROM SELECT x x x x",
+	"A A", "B B", "A C", "B C", "A B A", "B A B", "A B B", "A B C E",
+	"SELECT x FROM x", "SELECT x FROM x WHERE x = x", "SELECT x FROM x WHERE x < x",
+	"SELECT x FROM x WHERE x > x", "SELECT x FROM x WHERE x = x AND x = x",
+	"SELECT x FROM x WHERE x = x OR x = x", "SELECT COUNT ( x ) FROM x",
+	"SELECT MAX ( x ) FROM x", "x = x AND x = x", "x = x OR x = x", "x = x", "x < x",
+}
+
+// fuzzVocab is the query alphabet: tokens of every weight class, one
+// INV-indexed keyword (AND), and one token no structure holds.
+var fuzzVocab = [10]string{"x", "A", "B", "foo", "SELECT", "FROM", "WHERE", "=", "AND", "zzz"}
+
+// FuzzSearchMatchesReference is a differential for the search kernel: for a
+// fuzzed query over fuzzVocab (at most 24 tokens), k ∈ 1..12 and each of
+// the five option sets, the arena SearchTopK — warm-start dive, node bound
+// and all — must return exactly what the pointer reference returns pruning
+// on min(col) alone with no seed: the same structures at the same
+// distances in the same order.
+func FuzzSearchMatchesReference(f *testing.F) {
+	ix, roots := indexWithPointers(16, fuzzStructures...)
+	optSets := [5]Options{{}, {DisableBDB: true}, {DAP: true}, {INV: true}, {UniformWeights: true}}
+	for i, q := range [][]byte{{0, 0, 0, 0}, {1, 2, 1}, {4, 0, 5, 0, 6, 0, 7, 0, 8, 0, 7, 0}, {3, 9, 0}, {}} {
+		f.Add(q, uint8(i*5), uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, toks []byte, k, opt uint8) {
+		if len(toks) > 24 {
+			toks = toks[:24]
+		}
+		q := make([]string, len(toks))
+		for i, b := range toks {
+			q[i] = fuzzVocab[int(b)%len(fuzzVocab)]
+		}
+		kk := 1 + int(k)%12
+		opts := optSets[int(opt)%len(optSets)]
+		want, _ := ix.searchPointer(roots, q, kk, opts, false, false)
+		got, _ := ix.SearchTopK(q, kk, opts)
+		sameResults(t, fmt.Sprintf("%+v k=%d %v", opts, kk, q), got, want)
 	})
 }

@@ -1,7 +1,9 @@
 package trieindex
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"speakql/internal/grammar"
@@ -11,11 +13,12 @@ import (
 // The pointer-trie DP kernel: the pre-arena search kernel, kept here as the
 // reference the arena kernel is differentially tested against
 // (TestArenaMatchesPointer). It walks the Builder's pointer tries, which
-// Build otherwise drops, and allocates one column per node visit. It prunes
-// a node's subtree on min(col) alone, the rule results are checked against;
-// with nodeBound set it also applies Proposition 1 at every node, computed
-// here straight from the definition, which reproduces the arena kernel's
-// visits exactly.
+// Build otherwise drops, and allocates one column per node visit. Unseeded,
+// it prunes a node's subtree on min(col) alone, the rule results are checked
+// against; with nodeBound set it also applies Proposition 1 at every node,
+// computed here straight from the definition, and seeded it starts from the
+// arena kernel's warm-start seed, which together reproduce the arena
+// kernel's visits exactly.
 
 // buildWithPointers builds an index over cfg's corpus and also returns the
 // builder's pointer tries (indexed by structure length).
@@ -33,11 +36,25 @@ func buildWithPointers(t testing.TB, cfg grammar.GenConfig, keepINV bool) (*Inde
 	return b.Build(), roots
 }
 
+// indexWithPointers builds a small index from space-separated structures,
+// keeping the inverted lists, and also returns the builder's pointer tries.
+func indexWithPointers(maxLen int, structures ...string) (*Index, []*node) {
+	b := NewBuilder(maxLen, true)
+	for _, s := range structures {
+		b.Insert(strings.Fields(s))
+	}
+	roots := append([]*node(nil), b.roots...)
+	return b.Build(), roots
+}
+
 // searchPointer is SearchTopK on the pointer kernel over roots: the INV fast
 // path (which scans the inverted lists, not the tries), then the
 // bidirectional partition sweep. nodeBound adds the per-node length bound to
-// the min(col) prune.
-func (ix *Index) searchPointer(roots []*node, maskOut []string, k int, opts Options, nodeBound bool) ([]Result, Stats) {
+// the min(col) prune. seeded runs the arena kernel's warm-start dive before
+// the sweep, outside DAP as SearchTopK does, so the sweep prunes on the
+// same seed and the dive's steps land in Stats; unseeded, the sweep starts
+// from +Inf, which is the rule results are checked against.
+func (ix *Index) searchPointer(roots []*node, maskOut []string, k int, opts Options, nodeBound, seeded bool) ([]Result, Stats) {
 	var st Stats
 	if k <= 0 || ix.total == 0 {
 		return nil, st
@@ -47,6 +64,9 @@ func (ix *Index) searchPointer(roots []*node, maskOut []string, k int, opts Opti
 	if opts.INV && s.searchINV() {
 		st.UsedINV = true
 		return s.results(), st
+	}
+	if seeded && !opts.DAP {
+		s.dive(context.Background())
 	}
 	for _, n := range s.partitionOrder(len(s.q)) {
 		s.searchLenPointer(roots[n], n, nodeBound)

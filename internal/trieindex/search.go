@@ -18,7 +18,8 @@ type Result struct {
 // Stats reports work done by one search, used by the ablation experiments
 // (Figure 15) to show what each optimization saves.
 type Stats struct {
-	NodesVisited  int
+	NodesVisited  int // trie nodes the partition sweep visited
+	DiveSteps     int // DP columns the warm-start dive stepped (dive.go)
 	TriesSearched int
 	TriesSkipped  int // skipped by BDB
 	InvScanned    int // structures scanned via the inverted index
@@ -62,27 +63,9 @@ func (ix *Index) SearchTopKContext(ctx context.Context, maskOut []string, k int,
 	return ix.runSearcher(ctx, s)
 }
 
-// searchTopKSeeded is SearchTopKContext over an already-interned query, with
-// the pruning bound pre-seeded to seed (+Inf means unseeded). The resumable
-// prefix search (resume.go) uses it: seeding with any upper bound on the
-// global k-th-best distance prunes more aggressively while provably keeping
-// the results bit-identical — see PrefixSearcher for the argument. The query
-// slices are borrowed, not owned; the caller must keep them alive for the
-// duration of the call.
-func (ix *Index) searchTopKSeeded(ctx context.Context, q []tokenID, qw []float64, k int, opts Options, seed float64) ([]Result, Stats) {
-	var st Stats
-	if k <= 0 || ix.total == 0 || ctx.Err() != nil {
-		return nil, st
-	}
-	s := ix.newPooledSearcher(k, opts, &st)
-	s.adoptQuery(q, qw)
-	s.seed = seed
-	return ix.runSearcher(ctx, s)
-}
-
-// runSearcher drives a prepared searcher through the INV fast path and the
-// bidirectional partition sweep, recycles it, and returns results plus
-// stats.
+// runSearcher drives a prepared searcher through the INV fast path, the
+// warm-start dive (dive.go; every mode but DAP) and the bidirectional
+// partition sweep, recycles it, and returns results plus stats.
 func (ix *Index) runSearcher(ctx context.Context, s *searcher) ([]Result, Stats) {
 	if s.opts.INV {
 		if s.searchINV() {
@@ -92,6 +75,9 @@ func (ix *Index) runSearcher(ctx context.Context, s *searcher) ([]Result, Stats)
 			ix.putSearcher(s)
 			return out, st
 		}
+	}
+	if !s.opts.DAP {
+		s.dive(ctx)
 	}
 	// Bidirectional order of Box 2: lengths m, m−1, …, 1 then m+1, …, max.
 	// Trying the closest lengths first makes the BDB threshold tighten
@@ -109,17 +95,10 @@ func (ix *Index) runSearcher(ctx context.Context, s *searcher) ([]Result, Stats)
 }
 
 // getSearcher takes a searcher from the index's pool and prepares it for
-// one query: the masked transcript is interned into the searcher's own
-// scratch buffers and the weight vectors are bound.
+// one query: per-query state is reset (the seed to +Inf), the masked
+// transcript is interned into the searcher's own scratch buffers, and the
+// weight vectors are bound.
 func (ix *Index) getSearcher(maskOut []string, k int, opts Options, st *Stats) *searcher {
-	s := ix.newPooledSearcher(k, opts, st)
-	s.setQuery(maskOut)
-	return s
-}
-
-// newPooledSearcher resets a pooled (or fresh) searcher's per-query state,
-// the seed included; the query itself is bound by setQuery or adoptQuery.
-func (ix *Index) newPooledSearcher(k int, opts Options, st *Stats) *searcher {
 	s, _ := ix.pool.Get().(*searcher)
 	if s == nil {
 		s = &searcher{}
@@ -130,6 +109,7 @@ func (ix *Index) newPooledSearcher(k int, opts Options, st *Stats) *searcher {
 	s.st = st
 	s.seq = 0
 	s.seed = math.Inf(1)
+	s.setQuery(maskOut)
 	return s
 }
 
@@ -175,14 +155,6 @@ func (s *searcher) setQuery(maskOut []string) {
 		}
 	}
 	s.q, s.qw = s.qbuf, s.qwbuf
-	s.bindWeights()
-	s.bindGap()
-}
-
-// adoptQuery points the searcher at query slices owned elsewhere: a
-// PrefixSearcher lends its accumulated interned query read-only.
-func (s *searcher) adoptQuery(q []tokenID, qw []float64) {
-	s.q, s.qw = q, qw
 	s.bindWeights()
 	s.bindGap()
 }
@@ -239,7 +211,7 @@ type searcher struct {
 	seq uint64
 
 	// seed is an upper bound on the final k-th-best distance known before
-	// the search starts (a PrefixSearcher's warm start), or +Inf.
+	// the sweep starts: the warm-start dive's (dive.go), or +Inf.
 	seed float64
 
 	// n is the structure length of the trie being searched.
@@ -256,6 +228,14 @@ type searcher struct {
 	fCur   []float64
 	free   [][]tokenID // recycled heap-entry token buffers
 	order  []int       // partition-order scratch
+
+	// Warm-start scratch (dive.go): the free stack of the beam's DP
+	// columns, the beam's two levels, and the k smallest leaf distances
+	// recorded.
+	diveFree [][]float64
+	beamCur  []beamNode
+	beamNext []beamNode
+	diveBest []float64
 }
 
 // column returns the pooled DP column for one trie depth, sized for the
@@ -381,15 +361,21 @@ func (s *searcher) searchLen(n int) {
 		}
 	}
 	s.st.TriesSearched++
-	// Root column: dp[i][0] = cost of deleting the first i MaskOut tokens.
 	col := s.column(0)
+	s.rootColumn(col)
+	s.path = s.path[:0]
+	s.n = n
+	s.descendFlat(tr.flat, 0, col, 0)
+}
+
+// rootColumn fills the DP column at a trie root: dp[i][0] = cost of
+// deleting the first i MaskOut tokens. The sweep and the dive both start
+// here, so a leaf's distance has the same bits on either path.
+func (s *searcher) rootColumn(col []float64) {
 	col[0] = 0
 	for i := 1; i <= len(s.q); i++ {
 		col[i] = col[i-1] + s.qw[i-1]
 	}
-	s.path = s.path[:0]
-	s.n = n
-	s.descendFlat(tr.flat, 0, col, 0)
 }
 
 // stepInto advances the DP one column for trie token tok into cur, a column

@@ -131,12 +131,12 @@ func TestResultHeapOrdering(t *testing.T) {
 // TestConcurrentINVSearch runs searches from several goroutines on one
 // freshly built index and checks every answer, results and Stats, against
 // a serial run on a second build of the same corpus: one-shot INV, exact
-// and DAP searches, and a PrefixSearcher fed each query fragment by
-// fragment, so seeded and unseeded searches interleave on the index's
-// searcher pool. Build sorts the inverted lists once and nothing mutates
-// them afterwards, so concurrent scans share them with no lock; run under
-// -race. The corpus is inserted shuffled, so the lists really are out of
-// length order until Build sorts them.
+// and DAP searches, so the exact ones run the warm-start dive on every
+// goroutine while DAP searches, which do not dive, interleave with them on
+// the index's searcher pool. Build sorts the inverted lists once and
+// nothing mutates them afterwards, so concurrent scans share them with no
+// lock; run under -race. The corpus is inserted shuffled, so the lists
+// really are out of length order until Build sorts them.
 func TestConcurrentINVSearch(t *testing.T) {
 	var corpus [][]string
 	if err := grammar.Generate(grammar.TestScale(), func(toks []string) bool {
@@ -159,36 +159,24 @@ func TestConcurrentINVSearch(t *testing.T) {
 	queries := append(maskedQueries(serial, 40, 23),
 		strings.Fields("SELECT x FROM x WHERE x BETWEEN x AND x"),
 		strings.Fields("SELECT COUNT ( x ) FROM x ORDER BY x"))
-	rng := rand.New(rand.NewSource(29))
-	frags := make([][][]string, len(queries))
-	for i, q := range queries {
-		frags[i] = splitFragments(rng, q)
-	}
 	type answer struct {
 		rs []Result
 		st Stats
 	}
 	// answers runs every search of query qi on ix in a fixed order: INV,
-	// exact, DAP, then one prefix search per fragment on ps (reset first).
-	answers := func(ix *Index, ps *PrefixSearcher, qi int) []answer {
+	// exact, DAP.
+	answers := func(ix *Index, qi int) []answer {
 		var out []answer
 		for _, opts := range []Options{{INV: true}, {}, {DAP: true}} {
 			rs, st := ix.SearchTopK(queries[qi], 3, opts)
 			out = append(out, answer{rs, st})
 		}
-		ps.Reset()
-		for _, f := range frags[qi] {
-			ps.Extend(f)
-			rs, st := ps.Search()
-			out = append(out, answer{rs, st})
-		}
 		return out
 	}
 	want := make([][]answer, len(queries))
-	ps := serial.NewPrefixSearcher(3, Options{})
 	usedINV := 0
 	for qi := range queries {
-		want[qi] = answers(serial, ps, qi)
+		want[qi] = answers(serial, qi)
 		if want[qi][0].st.UsedINV {
 			usedINV++
 		}
@@ -203,10 +191,9 @@ func TestConcurrentINVSearch(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ps := ix.NewPrefixSearcher(3, Options{})
 			for i := range queries {
 				qi := (i + 7*g) % len(queries)
-				got := answers(ix, ps, qi)
+				got := answers(ix, qi)
 				for j := range got {
 					if !reflect.DeepEqual(got[j].rs, want[qi][j].rs) || got[j].st != want[qi][j].st {
 						t.Errorf("goroutine %d q#%d %v search %d: concurrent %v %+v, serial %v %+v",

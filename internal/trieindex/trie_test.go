@@ -249,12 +249,16 @@ func TestFigure10Example(t *testing.T) {
 	}
 }
 
+// TestDAPApproximation: a query whose closest structure differs only in a
+// prime-superset token still yields a valid (possibly different) structure
+// under DAP, and DAP visits no more nodes than the paper's Default arm,
+// the exact sweep without the warm start. The warm-started exact search
+// visits no more sweep nodes than that sweep either; on this query it
+// visits fewer than DAP, which does not dive.
 func TestDAPApproximation(t *testing.T) {
-	ix := buildIndex(t, grammar.TestScale(), false)
-	// A query whose closest structure differs only in a prime-superset
-	// token still yields a valid (possibly different) structure under DAP.
+	ix, roots := buildWithPointers(t, grammar.TestScale(), false)
 	q := strings.Fields("SELECT SUM ( x ) FROM x WHERE x = x")
-	exact, _ := ix.Search(q, Options{})
+	exact, stE := ix.Search(q, Options{})
 	dap, stD := ix.Search(q, Options{DAP: true})
 	if exact.Distance != 0 {
 		t.Fatalf("exact search should find the structure exactly")
@@ -262,11 +266,17 @@ func TestDAPApproximation(t *testing.T) {
 	if dap.Distance < exact.Distance {
 		t.Fatalf("DAP distance below exact minimum")
 	}
-	_, stE := ix.Search(q, Options{})
-	if stD.NodesVisited > stE.NodesVisited {
-		t.Errorf("DAP visited more nodes (%d) than exact (%d)",
-			stD.NodesVisited, stE.NodesVisited)
+	_, sweep := ix.searchPointer(roots, q, 1, Options{}, true, false)
+	if stD.NodesVisited > sweep.NodesVisited {
+		t.Errorf("DAP visited more nodes (%d) than the unseeded exact sweep (%d)",
+			stD.NodesVisited, sweep.NodesVisited)
 	}
+	if stE.NodesVisited > sweep.NodesVisited {
+		t.Errorf("warm-started exact search visited more sweep nodes (%d) than the unseeded sweep (%d)",
+			stE.NodesVisited, sweep.NodesVisited)
+	}
+	t.Logf("sweep nodes: unseeded exact %d, warm-started exact %d (+%d dive steps), DAP %d",
+		sweep.NodesVisited, stE.NodesVisited, stE.DiveSteps, stD.NodesVisited)
 }
 
 func TestINVPath(t *testing.T) {

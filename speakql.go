@@ -37,7 +37,6 @@ import (
 	"speakql/internal/grammar"
 	"speakql/internal/literal"
 	"speakql/internal/sqlengine"
-	"speakql/internal/trieindex"
 )
 
 // Engine is the SpeakQL correction engine. Construction generates and
@@ -64,11 +63,6 @@ type Binding = literal.Binding
 
 // GrammarConfig bounds structure-corpus generation.
 type GrammarConfig = grammar.GenConfig
-
-// SearchOptions selects structure-search optimizations: BDB bounds are
-// always applied unless disabled; DAP and INV are the approximate
-// accuracy-for-latency trades of Appendix D.3.
-type SearchOptions = trieindex.Options
 
 // NewEngine builds an engine. A zero Config uses the default grammar scale
 // and an empty catalog (structures will be correct, literals unbound).
