@@ -23,16 +23,15 @@
 // tenant registry triple tenant_warm_hit /
 // tenant_cold_load / tenant_evict_reload, the resident-lookup, persist-file
 // reload, and full put+evict+reload cycle costs of the multi-tenant
-// catalog registry through a capacity-1 LRU; and validate_bind_topk /
-// validate_execute_topk, a top-5 correction through the bind- and
-// execute-mode validation stage (DESIGN.md §15; the off-mode baseline is
-// correct_allocs_per_req). -faults SPEC (or the SPEAKQL_FAULTS environment variable)
+// catalog registry through a capacity-1 LRU; and validate_bind_topk, a
+// top-5 correction through the bind-mode validation stage (DESIGN.md §15;
+// the off-mode baseline is correct_allocs_per_req). -faults SPEC (or the SPEAKQL_FAULTS environment variable)
 // arms the deterministic fault injectors of internal/faultinject, for
 // rehearsing degraded runs reproducibly — off by default at zero cost.
 // Artifact ids: table2, figure6, figure7 (incl. figure12),
 // figure8, figure11, table4 (incl. figure13), figure14, figure15, figure16,
 // figure17, figure18, table5, ablation-columns, validation (the
-// execution-guided validation A/B).
+// validation A/B).
 package main
 
 import (
@@ -234,40 +233,27 @@ func microBench(env *experiments.Env) []microResult {
 	out = append(out, myersMicroBench()...)
 	out = append(out, tenantMicroBench(env)...)
 	out = append(out, correctAllocsMicroBench(env))
-	out = append(out, validateMicroBench(env)...)
+	out = append(out, validateMicroBench(env))
 	return out
 }
 
-// validateMicroBench times the execution-guided validation stage
-// (DESIGN.md §15) end to end: validate_bind_topk corrects a top-5 request
-// through a bind-mode engine (parse + schema-bind each candidate),
-// validate_execute_topk through an execute-mode engine (bind plus a
-// budget-bounded dry run against the Employees database). The pair carries
-// the stage's per-request overhead in the perf-trajectory artifact; the
-// off-mode baseline is correct_allocs_per_req.
-func validateMicroBench(env *experiments.Env) []microResult {
+// validateMicroBench times the validation stage (DESIGN.md §15) end to
+// end: validate_bind_topk corrects a top-5 request through a bind-mode
+// engine (parse + schema-bind each candidate). It carries the stage's
+// per-request overhead in the perf-trajectory artifact; the off-mode
+// baseline is correct_allocs_per_req.
+func validateMicroBench(env *experiments.Env) microResult {
 	const transcript = "select salary from employees where gender equals M"
-	var out []microResult
-	for _, c := range []struct {
-		name string
-		mode core.ValidationMode
-	}{
-		{"validate_bind_topk", core.ValidationBind},
-		{"validate_execute_topk", core.ValidationExecute},
-	} {
-		eng := core.NewEngineWithComponent(env.Structure, env.Engine.Catalog(), 5)
-		eng.SetValidation(core.ValidationConfig{Mode: c.mode}, env.EmpDB)
-		out = append(out, runMicro(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := eng.CorrectTopK(transcript, 5)
-				if res.Validation != string(c.mode) {
-					b.Fatalf("%s: validation = %q", c.name, res.Validation)
-				}
+	eng := core.NewEngineWithComponent(env.Structure, env.Engine.Catalog(), 5)
+	eng.SetValidation(core.ValidationConfig{Mode: core.ValidationBind}, env.EmpDB)
+	return runMicro("validate_bind_topk", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if res := eng.CorrectTopK(transcript, 5); res.Validation != string(core.ValidationBind) {
+				b.Fatalf("validate_bind_topk: validation = %q", res.Validation)
 			}
-		}))
-	}
-	return out
+		}
+	})
 }
 
 // correctAllocsMicroBench drives the full /api/correct serving path —

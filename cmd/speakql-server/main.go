@@ -23,19 +23,17 @@
 // [-max-inflight n] [-max-queue n]
 // [-session-ttl d] [-drain-timeout d] [-faults SPEC] [-pprof]
 // [-max-tenants n] [-tenant-dir DIR] [-memo-size n] [-gomemlimit SIZE]
-// [-node ID] [-session-store DIR] [-validate off|bind|execute]
-// [-validate-max-rows n] [-validate-timeout d]
+// [-node ID] [-session-store DIR] [-validate off|bind]
 //
-// Execution-guided validation (-validate, DESIGN.md §15): after ranking,
-// each top-k candidate is dry-run — parsed, schema-bound, and (in execute
-// mode) executed against the demo database under a row/time budget
-// (-validate-max-rows, -validate-timeout) — and candidates that fail are
-// demoted below every passing one. Responses gain per-candidate "verdict"
-// and "demoted" fields plus a top-level "validation" field; with
-// -validate=off (the default) responses are byte-identical to servers
-// without the stage. Non-seed tenants have no rows, so execute mode
-// degrades to bind for them. Validation is shed first under deadline
-// pressure and whenever the request degrades below full fidelity.
+// Validation (-validate=bind, DESIGN.md §15): after ranking, each top-k
+// candidate is dry-run — parsed and bound against the demo database's
+// schema, never executed — and candidates that fail are demoted below
+// every passing one. Responses gain per-candidate "verdict" and "demoted"
+// fields plus a top-level "validation" field; with -validate=off (the
+// default) responses are byte-identical to servers without the stage.
+// Non-seed tenants bind against a schema built from their catalogs.
+// Validation is shed whenever the request degrades below full fidelity or
+// its deadline passes.
 //
 // Multi-replica serving: -node names this replica (session ids become
 // "<node>-s<N>" so replicas behind cmd/speakql-router never mint colliding
@@ -73,8 +71,8 @@
 // correction endpoints; the SSE feed does not (subscribers are cheap
 // long-lived readers).
 //
-// -timeout bounds the correction work per /api/correct, /api/dictate, and
-// /api/stream request (0 disables). /api/correct answers a topk above 20
+// -timeout bounds the work per /api/correct, /api/dictate, /api/stream, and
+// /api/execute request (0 disables). /api/correct answers a topk above 20
 // with 400 before any correction work: a topk is one search-heap slot and
 // one literal determination per returned structure.
 // -cachesize bounds the LRU memo cache of structure searches keyed by the
@@ -128,7 +126,7 @@ func main() {
 	idxCache := flag.String("index-cache", "",
 		"path to a persisted structure index: loaded if present, built and written otherwise")
 	timeout := flag.Duration("timeout", httpapi.DefaultRequestTimeout,
-		"per-request correction deadline for /api/correct and /api/dictate (0 disables)")
+		"per-request deadline for /api/correct, /api/dictate, /api/stream and /api/execute (0 disables)")
 	cacheSize := flag.Int("cachesize", 1024,
 		"LRU memo cache entries for structure searches, keyed by masked transcript (0 disables)")
 	maxInflight := flag.Int("max-inflight", 64,
@@ -155,23 +153,15 @@ func main() {
 	sessionStore := flag.String("session-store", "",
 		"directory for session snapshots shared by every replica (e.g. an NFS mount); enables checkpoint/restore handoff so a session survives its replica dying (empty disables)")
 	validate := flag.String("validate", "off",
-		"execution-guided validation stage: off (disabled), bind (parse + schema-bind each top-k candidate), or execute (bind plus a budget-bounded dry run against the demo database); failed candidates are demoted below every passing one — see DESIGN.md §15")
-	validateMaxRows := flag.Int64("validate-max-rows", core.DefaultValidateMaxRows,
-		"row budget per candidate dry run in -validate=execute mode (rows materialized across scans, joins, and subqueries)")
-	validateTimeout := flag.Duration("validate-timeout", core.DefaultValidateTimeout,
-		"wall-clock budget per candidate dry run in -validate=execute mode (requests with their own deadline use it instead)")
+		"validation stage: off (disabled) or bind (parse + schema-bind each top-k candidate); failed candidates are demoted below every passing one — see DESIGN.md §15")
 	flag.Parse()
 
 	validateMode, okMode := core.ParseValidationMode(*validate)
 	if !okMode {
-		fmt.Fprintf(os.Stderr, "unknown -validate %q (want off, bind, or execute)\n", *validate)
+		fmt.Fprintf(os.Stderr, "unknown -validate %q (want off or bind)\n", *validate)
 		os.Exit(2)
 	}
-	validateCfg := core.ValidationConfig{
-		Mode:    validateMode,
-		MaxRows: *validateMaxRows,
-		Timeout: *validateTimeout,
-	}
+	validateCfg := core.ValidationConfig{Mode: validateMode}
 
 	if *memLimit != "" {
 		n, err := parseByteSize(*memLimit)
@@ -239,14 +229,12 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	// Validation: the seed engine dry-runs against the real demo database
-	// (execute mode is meaningful there); tenant engines get bind-only
-	// schemas synthesized from their catalogs by the registry, which
-	// downgrades execute to bind for them.
+	// Validation: the seed engine binds against the demo database's
+	// schema; tenant engines get schemas synthesized from their catalogs by
+	// the registry.
 	if validateMode != core.ValidationOff {
 		eng.SetValidation(validateCfg, db)
-		log.Printf("validation stage active: mode=%s max-rows=%d timeout=%s",
-			validateMode, validateCfg.MaxRows, validateCfg.Timeout)
+		log.Printf("validation stage active: mode=%s", validateMode)
 	}
 	// Multi-tenant registry: the engine's structure component and search
 	// cache are the shared, schema-agnostic half every tenant reuses; the

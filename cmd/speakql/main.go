@@ -7,11 +7,11 @@
 // Usage:
 //
 //	speakql [-db employees|yelp] [-scale test|default|paper] [-exec] [-topk N]
-//	        [-validate off|bind|execute]
+//	        [-validate off|bind]
 //
-// -validate turns on the execution-guided validation stage (DESIGN.md §15):
-// each candidate is dry-run against the demo schema and its verdict ("ok",
-// "bind_error", "empty_result", …) is shown next to the SQL; candidates
+// -validate=bind turns on the validation stage (DESIGN.md §15): each
+// candidate is parsed and bound against the demo schema and its verdict
+// ("ok", "bind_error", "parse_error") is shown next to the SQL; candidates
 // that fail are demoted below every passing one.
 //
 // Example session:
@@ -39,12 +39,12 @@ func main() {
 	execQ := flag.Bool("exec", false, "execute the corrected query against the demo database")
 	topk := flag.Int("topk", 1, "show the top-k correction candidates")
 	validate := flag.String("validate", "off",
-		"execution-guided validation: off, bind, or execute (shows a per-candidate verdict and demotes failed candidates)")
+		"validation: off or bind (shows a per-candidate verdict and demotes candidates that fail to parse or bind)")
 	flag.Parse()
 
 	validateMode, okMode := core.ParseValidationMode(*validate)
 	if !okMode {
-		fmt.Fprintf(os.Stderr, "unknown -validate %q (want off, bind, or execute)\n", *validate)
+		fmt.Fprintf(os.Stderr, "unknown -validate %q (want off or bind)\n", *validate)
 		os.Exit(2)
 	}
 

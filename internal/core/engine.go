@@ -56,7 +56,7 @@ type Engine struct {
 
 	// Validation stage (DESIGN.md §15), installed via SetValidation; a nil
 	// validateDB keeps the stage off regardless of mode.
-	validation ValidationConfig
+	validation ValidationMode
 	validateDB *sqlengine.Database
 }
 
@@ -198,8 +198,8 @@ type Output struct {
 	// DegradationShed.
 	Degradation string
 	// Validation records what the validation stage did: "" when the stage
-	// is off, the mode that ran ("bind" / "execute"), or ValidationShed
-	// when a configured stage was sacrificed under ladder pressure.
+	// is off, "bind" when it ran, or ValidationShed when a configured stage
+	// was sacrificed under ladder pressure.
 	Validation string
 	// ValidateLatency times the validation stage (zero unless it ran).
 	ValidateLatency time.Duration
@@ -263,7 +263,6 @@ func (e *Engine) CorrectTopKContext(ctx context.Context, transcript string, k in
 // t0 is when the correction started; the structure stage has just ended.
 func (e *Engine) finishPipeline(ctx context.Context, t0 time.Time, structs []structure.Result, serr error, memo *literal.VoteMemo) Output {
 	t1 := time.Now()
-	deadline, hasDeadline := ctx.Deadline()
 	out := Output{StructureLatency: t1.Sub(t0)}
 	if serr != nil {
 		// Structure determination failed outright (fault injection):
@@ -283,7 +282,7 @@ func (e *Engine) finishPipeline(ctx context.Context, t0 time.Time, structs []str
 	}
 	level := DegradationFull
 	kLit := e.kLiterals
-	if hasDeadline && e.litBudget > 0 {
+	if deadline, hasDeadline := ctx.Deadline(); hasDeadline && e.litBudget > 0 {
 		// Soft budget: structure ate most of the deadline window, so run
 		// literals in top-1 mode rather than risking a mid-fill expiry.
 		total := deadline.Sub(t0)
@@ -315,7 +314,7 @@ func (e *Engine) finishPipeline(ctx context.Context, t0 time.Time, structs []str
 		})
 	}
 	out.LiteralLatency = time.Since(t1)
-	e.maybeValidate(ctx, t0, deadline, hasDeadline, &out, level)
+	e.maybeValidate(ctx, &out, level)
 	return finish(out, level)
 }
 

@@ -1,15 +1,14 @@
 package core
 
-// validate.go is the execution-guided validation stage (DESIGN.md §15):
-// after structure and literal ranking, each candidate is dry-run against
-// the queried database — parse, bind, and optionally a bounded execute —
-// and candidates with provably worse verdicts are demoted below any that
-// run, preserving relative order inside each verdict class. The stage sits
-// at the very end of finishPipeline, after the §9 ladder has settled, and
-// is itself the ladder's cheapest sacrifice: any degradation, deadline
-// pressure, cancellation, or injected validate fault sheds validation and
-// serves the unvalidated ranking — validation can only ever reorder a
-// response, never fail one.
+// validate.go is the validation stage (DESIGN.md §15): after structure
+// and literal ranking, each candidate is dry-run against the queried
+// database's schema — parsed and name-bound, never executed — and
+// candidates that cannot run are demoted below any that can, preserving
+// relative order inside each verdict class. The stage sits at the very end
+// of finishPipeline, after the §9 ladder has settled, and is itself the
+// ladder's cheapest sacrifice: a degraded or expired request, or an
+// injected validate fault, sheds validation and serves the unvalidated
+// ranking — validation can only ever reorder a response, never fail one.
 
 import (
 	"context"
@@ -21,22 +20,21 @@ import (
 	"speakql/internal/sqlengine"
 )
 
-// ValidationMode selects how far the dry-run goes.
+// ValidationMode selects whether the stage runs.
 type ValidationMode string
 
 // Validation modes: off (stage disabled, output bit-identical to an engine
-// without the stage), bind (parse + name binding only), execute (bind plus
-// a bounded execute that also demotes provably empty results).
+// without the stage) and bind (parse + name binding of every candidate).
 const (
-	ValidationOff     ValidationMode = "off"
-	ValidationBind    ValidationMode = "bind"
-	ValidationExecute ValidationMode = "execute"
+	ValidationOff  ValidationMode = "off"
+	ValidationBind ValidationMode = "bind"
 )
 
-// ParseValidationMode parses the -validate flag value.
+// ParseValidationMode parses the -validate flag value: off, bind, or empty
+// (off).
 func ParseValidationMode(s string) (ValidationMode, bool) {
 	switch ValidationMode(s) {
-	case ValidationOff, ValidationBind, ValidationExecute:
+	case ValidationOff, ValidationBind:
 		return ValidationMode(s), true
 	case "":
 		return ValidationOff, true
@@ -45,57 +43,44 @@ func ParseValidationMode(s string) (ValidationMode, bool) {
 	}
 }
 
-// Validation defaults.
+// Former execute-mode budgets, kept so existing callers still compile.
 const (
-	// DefaultValidateMaxRows bounds each candidate's execute-mode dry-run
-	// to this many materialized rows.
+	// DefaultValidateMaxRows was the per-candidate row budget of the
+	// removed execute mode.
+	//
+	// Deprecated: validation never executes candidates; the engine ignores
+	// ValidationConfig.MaxRows.
 	DefaultValidateMaxRows = 100_000
-	// DefaultValidateTimeout bounds each candidate's execute-mode dry-run
-	// wall-clock when the request itself carries no deadline.
+	// DefaultValidateTimeout was the per-candidate time budget of the
+	// removed execute mode.
+	//
+	// Deprecated: validation never executes candidates; the engine ignores
+	// ValidationConfig.Timeout.
 	DefaultValidateTimeout = 50 * time.Millisecond
-	// DefaultValidateBudgetFraction is the shed threshold: when a
-	// deadline-carrying correction reaches the validation stage with less
-	// than this fraction of its deadline window remaining, validation is
-	// shed (§9: it is the first thing to go).
-	DefaultValidateBudgetFraction = 0.10
 )
 
 // ValidationConfig configures the engine's validation stage.
 type ValidationConfig struct {
-	// Mode is off, bind, or execute.
+	// Mode is off or bind.
 	Mode ValidationMode
-	// MaxRows is the per-candidate row budget for execute mode
-	// (0 = DefaultValidateMaxRows).
+	// MaxRows was the removed execute mode's row budget.
+	//
+	// Deprecated: ignored; validation never executes candidates.
 	MaxRows int64
-	// Timeout is the per-candidate wall-clock budget for execute mode when
-	// the request has no deadline (0 = DefaultValidateTimeout).
+	// Timeout was the removed execute mode's time budget.
+	//
+	// Deprecated: ignored; validation never executes candidates.
 	Timeout time.Duration
-	// BudgetFraction is the deadline fraction below which validation is
-	// shed (0 = DefaultValidateBudgetFraction; negative never sheds on the
-	// soft budget, only on hard expiry).
-	BudgetFraction float64
 }
 
 // SetValidation installs the validation stage on an engine: cfg selects
-// mode and budgets, db is the database candidates are dry-run against (the
-// real data for execute mode, or a rowless bind schema — see
-// sqlengine.NewSchemaDatabase — for catalog-only tenants). A nil db or
-// Mode == off disables the stage. Call before serving traffic; the engine
-// treats both values as immutable afterwards.
+// the mode, db is the database whose schema candidates bind against (the
+// demo database, or a rowless schema — see sqlengine.NewSchemaDatabase —
+// for catalog-only tenants). A nil db or Mode == off disables the stage.
+// Call before serving traffic; the engine treats both values as immutable
+// afterwards.
 func (e *Engine) SetValidation(cfg ValidationConfig, db *sqlengine.Database) {
-	if cfg.Mode == "" {
-		cfg.Mode = ValidationOff
-	}
-	if cfg.MaxRows == 0 {
-		cfg.MaxRows = DefaultValidateMaxRows
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = DefaultValidateTimeout
-	}
-	if cfg.BudgetFraction == 0 {
-		cfg.BudgetFraction = DefaultValidateBudgetFraction
-	}
-	e.validation = cfg
+	e.validation = cfg.Mode
 	e.validateDB = db
 }
 
@@ -103,18 +88,17 @@ func (e *Engine) SetValidation(cfg ValidationConfig, db *sqlengine.Database) {
 // stage (or no database) is installed. The HTTP memo keys cached bodies on
 // this, so a body rendered under one mode is never served under another.
 func (e *Engine) ValidationMode() ValidationMode {
-	if e.validateDB == nil || e.validation.Mode == "" || e.validation.Mode == ValidationOff {
+	if e.validateDB == nil || e.validation != ValidationBind {
 		return ValidationOff
 	}
-	return e.validation.Mode
+	return ValidationBind
 }
 
 // maybeValidate runs the validation stage on a finished output, in place.
 // level is the ladder level the response is about to be served at; only
 // full-fidelity outputs are validated (a degraded output already broke its
-// budget, and structure-only candidates are unfillable skeletons that
-// would all parse_error — demoting among them is noise).
-func (e *Engine) maybeValidate(ctx context.Context, t0 time.Time, deadline time.Time, hasDeadline bool, out *Output, level string) {
+// budget).
+func (e *Engine) maybeValidate(ctx context.Context, out *Output, level string) {
 	if e.ValidationMode() == ValidationOff || len(out.Candidates) == 0 {
 		return
 	}
@@ -124,35 +108,15 @@ func (e *Engine) maybeValidate(ctx context.Context, t0 time.Time, deadline time.
 		e.shedValidation(out, "degraded")
 		return
 	}
-	now := time.Now()
-	if hasDeadline {
-		total := deadline.Sub(t0)
-		frac := e.validation.BudgetFraction
-		if remaining := deadline.Sub(now); total > 0 && frac > 0 &&
-			remaining < time.Duration(float64(total)*frac) {
-			e.shedValidation(out, "deadline")
-			return
-		}
-	}
 	if err := faultinject.Fire(faultinject.StageValidate); err != nil {
 		obs.Add("validate.faults", 1)
 		e.shedValidation(out, "fault")
 		return
 	}
 
-	mode := e.ValidationMode()
-	execute := mode == ValidationExecute
+	t0 := time.Now()
 	for i := range out.Candidates {
-		var bud *sqlengine.RunBudget
-		if execute {
-			bud = &sqlengine.RunBudget{MaxRows: e.validation.MaxRows}
-			if hasDeadline {
-				bud.Deadline = deadline
-			} else {
-				bud.Deadline = now.Add(e.validation.Timeout)
-			}
-		}
-		v := sqlengine.DryRun(e.validateDB, out.Candidates[i].SQL, execute, bud)
+		v := sqlengine.DryRun(e.validateDB, out.Candidates[i].SQL)
 		out.Candidates[i].Verdict = string(v)
 		obs.Add("validate.verdict."+string(v), 1)
 	}
@@ -160,8 +124,8 @@ func (e *Engine) maybeValidate(ctx context.Context, t0 time.Time, deadline time.
 	if demoted := rerankByVerdict(out.Candidates); demoted > 0 {
 		obs.Add("validate.demoted", int64(demoted))
 	}
-	out.Validation = string(mode)
-	out.ValidateLatency = time.Since(now)
+	out.Validation = string(ValidationBind)
+	out.ValidateLatency = time.Since(t0)
 }
 
 // shedValidation records that validation was configured but skipped; the

@@ -11,9 +11,9 @@ import (
 	"speakql/internal/sqlengine"
 )
 
-// ValidationABResult is the execution-guided validation A/B (DESIGN.md §15):
-// top-1 execution accuracy with the validation stage off versus
-// -validate=execute, on the Employees and Yelp test corpora. The untrained
+// ValidationABResult is the validation A/B (DESIGN.md §15): top-1
+// execution accuracy with the validation stage off versus -validate=bind,
+// on the Employees and Yelp test corpora. The untrained
 // (GCS) ASR engine supplies the transcripts — the trained engine leaves too
 // little error mass at small scales for re-ranking to have headroom, and the
 // paper's motivating scenario is exactly the stock cloud ASR channel.
@@ -39,8 +39,8 @@ type ValidationABRow struct {
 func (ValidationABResult) ID() string { return "validation" }
 
 // RunValidationAB measures both arms over identical transcripts: each query
-// is transcribed once, then corrected by an unvalidated engine and by an
-// execute-mode validating engine sharing the same structure index and
+// is transcribed once, then corrected by an unvalidated engine and by a
+// bind-mode validating engine sharing the same structure index and
 // catalog, so any top-1 difference is attributable to verdict re-ranking
 // alone.
 func RunValidationAB(env *Env) ValidationABResult {
@@ -59,7 +59,7 @@ func runValidationCorpus(env *Env, name string, base *core.Engine, db *sqlengine
 	// evaluations against it).
 	off := core.NewEngineWithComponent(env.Structure, base.Catalog(), 5)
 	on := core.NewEngineWithComponent(env.Structure, base.Catalog(), 5)
-	on.SetValidation(core.ValidationConfig{Mode: core.ValidationExecute}, db)
+	on.SetValidation(core.ValidationConfig{Mode: core.ValidationBind}, db)
 	// One ASR engine, seeded per corpus: TranscribeN consumes RNG state, so
 	// each query is transcribed exactly once and both arms see those bytes.
 	ae := asr.NewEngine(asr.GCSProfile(), 4242)
@@ -94,7 +94,7 @@ func runValidationCorpus(env *Env, name string, base *core.Engine, db *sqlengine
 // Render implements Result.
 func (r ValidationABResult) Render() string {
 	var b strings.Builder
-	b.WriteString("Validation A/B — top-1 execution accuracy, -validate=off vs -validate=execute (GCS ASR)\n")
+	b.WriteString("Validation A/B — top-1 execution accuracy, -validate=off vs -validate=bind (GCS ASR)\n")
 	var rows [][]string
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
@@ -107,8 +107,8 @@ func (r ValidationABResult) Render() string {
 		})
 	}
 	b.WriteString(table(
-		[]string{"Corpus", "n", "Exec-acc off", "Exec-acc execute", "Lift", "Top-1 changed", "Demotions"}, rows))
-	b.WriteString("  (execute-mode dry runs demote parse/bind/empty-result candidates below\n" +
+		[]string{"Corpus", "n", "Exec-acc off", "Exec-acc bind", "Lift", "Top-1 changed", "Demotions"}, rows))
+	b.WriteString("  (bind-mode dry runs demote candidates that fail to parse or bind below\n" +
 		"   every passing one; identical transcripts feed both arms)\n")
 	return b.String()
 }

@@ -65,7 +65,7 @@ const (
 	// treated as a transport failure and enters the retry path).
 	StageNetwork = "network"
 	// StageValidate fires once per correction whose output is about to be
-	// execution-validated (DESIGN.md §15). An injected error sheds
+	// validated (DESIGN.md §15). An injected error sheds
 	// validation for that correction — the unvalidated ranking is served,
 	// never a failure — which is exactly the ladder behavior the chaos
 	// tests pin.

@@ -39,8 +39,8 @@ type correctWire struct {
 	LiteralMS   int64           `json:"literal_ms"`
 	StructureMS int64           `json:"structure_ms"`
 	Transcript  []string        `json:"transcript"`
-	// Validation reports what the validation stage did ("bind", "execute",
-	// or "shed"); omitempty keeps -validate=off responses byte-identical
+	// Validation reports what the validation stage did ("bind" or
+	// "shed"); omitempty keeps -validate=off responses byte-identical
 	// to the pre-validation format. "validation" also sorts after
 	// "transcript", preserving the alphabetical field order.
 	Validation string `json:"validation,omitempty"`

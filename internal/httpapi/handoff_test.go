@@ -114,6 +114,26 @@ func TestSessionLostIsTyped(t *testing.T) {
 	}
 }
 
+// A snapshot whose stream state cannot be rebuilt — an unknown phase, or
+// an idle dictation with fragments — is unreadable: the session is typed
+// lost instead of resuming as an empty dictation that drops its fragments.
+func TestCorruptSnapshotPhaseIsLost(t *testing.T) {
+	st := session.NewMemStore()
+	_, b := replica(t, "cb", st)
+	for i, phase := range []string{"paused", "idle"} {
+		id := fmt.Sprintf("ca-s%d", i+1)
+		snap := &session.Snapshot{ID: id, Stream: &session.StreamSnapshot{
+			Phase: phase, Fragments: []string{"select salary from employees"}, Seq: 1}}
+		if err := st.Save(snap); err != nil {
+			t.Fatal(err)
+		}
+		code, lost := post(t, b.URL+"/api/stream/dictate", map[string]any{"id": id, "fragment": "where gender equals M"})
+		if code != http.StatusNotFound || lost["code"] != "stream.lost" {
+			t.Fatalf("phase %q: answered %d %v, want 404 stream.lost", phase, code, lost)
+		}
+	}
+}
+
 // Satellite (c), sequential half: once the TTL sweeper evicts a session, the
 // snapshot dies fleet-wide — a later handoff must get the typed 404, not a
 // resurrected session.

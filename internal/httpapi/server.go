@@ -345,7 +345,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /api/stream/finalize", s.withRecover(s.gated(s.handleStreamFinalize)))
 	mux.HandleFunc("GET /api/stream/events", s.withRecover(s.handleStreamEvents))
 	mux.HandleFunc("POST /api/edit", s.withRecover(s.handleEdit))
-	mux.HandleFunc("POST /api/execute", s.withRecover(s.handleExecute))
+	mux.HandleFunc("POST /api/execute", s.withRecover(s.gated(s.handleExecute)))
 	mux.HandleFunc("GET /api/schema", s.withRecover(s.handleSchema))
 	mux.HandleFunc("GET /api/keyboard", s.withRecover(s.handleKeyboard))
 	mux.HandleFunc("GET /api/stats", s.withRecover(s.handleStats))
@@ -818,7 +818,16 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("tenant %q has no executable database (execution is seed-tenant only)", t.ID))
 		return
 	}
-	res, err := sqlengine.Run(s.db, req.SQL)
+	// Client SQL runs under the request deadline: one uncorrelated IN
+	// subquery re-runs per outer row, so a short body can cost minutes.
+	res, err := sqlengine.RunContext(r.Context(), s.db, req.SQL)
+	if errors.Is(err, context.DeadlineExceeded) {
+		writeJSON(w, http.StatusUnprocessableEntity, map[string]any{
+			"error": err.Error(),
+			"code":  "execute.deadline",
+		})
+		return
+	}
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, err)
 		return
@@ -977,9 +986,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"lost":          snap.Counters["stream.lost"],
 		}
 	}
-	// The validate block reports the execution-guided validation stage
-	// (DESIGN.md §15): the active mode plus the validate.* counters —
-	// candidates checked, per-verdict tallies, demotions, sheds, faults.
+	// The validate block reports the validation stage (DESIGN.md §15): the
+	// active mode plus the validate.* counters — candidates checked,
+	// per-verdict tallies, demotions, sheds, faults.
 	if mode := s.engine.ValidationMode(); mode != core.ValidationOff {
 		resp["validate"] = map[string]any{
 			"mode":     string(mode),

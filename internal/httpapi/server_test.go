@@ -2,13 +2,16 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"speakql/internal/core"
 	"speakql/internal/dataset"
@@ -202,6 +205,55 @@ func TestExecuteEndpoint(t *testing.T) {
 	code, out = post(t, s.URL+"/api/execute", map[string]any{"sql": "garbage"})
 	if code != http.StatusUnprocessableEntity {
 		t.Errorf("bad sql status = %d (%v)", code, out)
+	}
+}
+
+// nestedIn builds a query whose IN subqueries nest depth levels deep. Each
+// level is uncorrelated and re-runs once per outer row, so over n Salaries
+// rows the query materializes about n^(depth+1) rows.
+func nestedIn(depth int) string {
+	sql := "SELECT Salary FROM Salaries"
+	for i := 0; i < depth; i++ {
+		sql = "SELECT Salary FROM Salaries WHERE Salary IN ( " + sql + " )"
+	}
+	return sql
+}
+
+// Client SQL runs under the request deadline: a query whose unbounded run
+// takes far longer than the timeout comes back as a typed 422 within about
+// the timeout, instead of holding a core until it finishes.
+func TestExecuteHonoursRequestDeadline(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	api := newAPIServer(t, 0)
+	api.SetRequestTimeout(timeout)
+	ts := serve(t, api)
+	sql := nestedIn(4) // 124 Salaries rows: about 2.9·10¹⁰ rows unbounded
+
+	// The unbounded run exceeds 10× the timeout: the executor itself
+	// stops it at that deadline.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*timeout)
+	defer cancel()
+	if _, err := sqlengine.RunContext(ctx, api.db, sql); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("run under a %v deadline: err = %v, want it stopped by the deadline", 10*timeout, err)
+	}
+
+	body, err := json.Marshal(map[string]string{"sql": sql})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp := postRaw(t, ts.URL+"/api/execute", string(body))
+	elapsed := time.Since(start)
+	defer resp.Body.Close()
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || out["code"] != "execute.deadline" {
+		t.Fatalf("status %d body %v, want 422 with code execute.deadline", resp.StatusCode, out)
+	}
+	if elapsed > 2*timeout {
+		t.Fatalf("request took %v, want under 2× the %v timeout", elapsed, timeout)
 	}
 }
 

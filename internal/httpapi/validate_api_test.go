@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -21,8 +22,8 @@ import (
 	"speakql/internal/faultinject"
 )
 
-// setValidation installs an execute-mode (or other) validation stage on an
-// isolated test server's engine, dry-running against its own demo DB.
+// setValidation installs a validation stage on an isolated test server's
+// engine, binding against its own demo DB.
 func setValidation(api *Server, cfg core.ValidationConfig) {
 	api.engine.SetValidation(cfg, api.db)
 }
@@ -44,6 +45,16 @@ func rawCorrect(t *testing.T, url, transcript string, topk int) []byte {
 	return raw
 }
 
+// stageTimes matches the two per-stage wall-clock fields of a correction
+// body, which legitimately differ between two runs of the same request.
+var stageTimes = regexp.MustCompile(`"(structure_ms|literal_ms)":\d+`)
+
+// stripStageTimes zeroes structure_ms and literal_ms; every other byte of
+// the body is kept.
+func stripStageTimes(body []byte) []byte {
+	return stageTimes.ReplaceAll(body, []byte(`"$1":0`))
+}
+
 func TestValidationOffWireUnchanged(t *testing.T) {
 	plain := serve(t, newAPIServer(t, 0))
 	off := newAPIServer(t, 0)
@@ -57,8 +68,8 @@ func TestValidationOffWireUnchanged(t *testing.T) {
 		{"select salary from employees where gender equals M", 1},
 		{"select first name from employees", 5},
 	} {
-		want := rawCorrect(t, plain.URL, req.transcript, req.topk)
-		got := rawCorrect(t, offTS.URL, req.transcript, req.topk)
+		want := stripStageTimes(rawCorrect(t, plain.URL, req.transcript, req.topk))
+		got := stripStageTimes(rawCorrect(t, offTS.URL, req.transcript, req.topk))
 		if string(want) != string(got) {
 			t.Errorf("validation-off body differs for %q:\n plain: %s\n   off: %s",
 				req.transcript, want, got)
@@ -81,7 +92,7 @@ func TestValidationOffWireUnchanged(t *testing.T) {
 
 func TestValidationFieldsOnNBestResponse(t *testing.T) {
 	api := newAPIServer(t, 0)
-	setValidation(api, core.ValidationConfig{Mode: core.ValidationExecute})
+	setValidation(api, core.ValidationConfig{Mode: core.ValidationBind})
 	ts := serve(t, api)
 
 	status, out := post(t, ts.URL+"/api/correct", map[string]any{
@@ -89,8 +100,8 @@ func TestValidationFieldsOnNBestResponse(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d: %v", status, out)
 	}
-	if out["validation"] != "execute" {
-		t.Fatalf("validation = %v, want execute (degradation %v)", out["validation"], out["degradation"])
+	if out["validation"] != "bind" {
+		t.Fatalf("validation = %v, want bind (degradation %v)", out["validation"], out["degradation"])
 	}
 	cands, _ := out["candidates"].([]any)
 	if len(cands) == 0 {
@@ -108,14 +119,14 @@ func TestValidationFieldsOnNBestResponse(t *testing.T) {
 	if !ok {
 		t.Fatalf("no validate stats block: %v", stats)
 	}
-	if vb["mode"] != "execute" {
+	if vb["mode"] != "bind" {
 		t.Fatalf("validate stats mode = %v", vb["mode"])
 	}
 }
 
 func TestStreamFinalizeCarriesVerdict(t *testing.T) {
 	api := newAPIServer(t, 0)
-	setValidation(api, core.ValidationConfig{Mode: core.ValidationExecute})
+	setValidation(api, core.ValidationConfig{Mode: core.ValidationBind})
 	ts := serve(t, api)
 
 	_, sess := post(t, ts.URL+"/api/session", map[string]any{})
@@ -132,7 +143,7 @@ func TestStreamFinalizeCarriesVerdict(t *testing.T) {
 	if _, ok := fin["verdict"].(string); !ok {
 		t.Fatalf("finalize response has no verdict: %v", fin)
 	}
-	if fin["validation"] != "execute" {
+	if fin["validation"] != "bind" {
 		t.Fatalf("finalize validation = %v", fin["validation"])
 	}
 }
@@ -152,15 +163,15 @@ func TestMemoKeyedOnValidationMode(t *testing.T) {
 		t.Fatal("memo did not replay the identical unvalidated body")
 	}
 
-	// Flip validation on (operationally: a restart with -validate=execute;
+	// Flip validation on (operationally: a restart with -validate=bind;
 	// the memo outlives the flip). The cached unvalidated body must NOT be
 	// served as a validated response.
-	setValidation(api, core.ValidationConfig{Mode: core.ValidationExecute})
+	setValidation(api, core.ValidationConfig{Mode: core.ValidationBind})
 	validated := rawCorrect(t, ts.URL, transcript, 3)
 	if string(validated) == string(first) {
-		t.Fatal("memo served a cached unvalidated body under -validate=execute")
+		t.Fatal("memo served a cached unvalidated body under -validate=bind")
 	}
-	if !strings.Contains(string(validated), `"validation":"execute"`) {
+	if !strings.Contains(string(validated), `"validation":"bind"`) {
 		t.Fatalf("validated body missing validation field: %s", validated)
 	}
 	// And back: the off-mode key still holds the original body.
@@ -179,7 +190,7 @@ const chaosValidateSpec = "seed=77;validate:error@0.4,latency=1ms@0.3;structure:
 
 func TestChaosValidateFaultsNeverWedgeSessions(t *testing.T) {
 	api := newAPIServer(t, 0)
-	setValidation(api, core.ValidationConfig{Mode: core.ValidationExecute})
+	setValidation(api, core.ValidationConfig{Mode: core.ValidationBind})
 	api.SetRequestTimeout(10 * time.Second)
 	ts := serve(t, api)
 
@@ -215,7 +226,7 @@ func TestChaosValidateFaultsNeverWedgeSessions(t *testing.T) {
 				if out["candidates"] == nil {
 					t.Errorf("worker %d: validated correction lost its candidates: %v", w, out)
 				}
-				if v, ok := out["validation"].(string); ok && v != "execute" && v != core.ValidationShed {
+				if v, ok := out["validation"].(string); ok && v != "bind" && v != core.ValidationShed {
 					t.Errorf("worker %d: unexpected validation value %q", w, v)
 				}
 			}
@@ -242,10 +253,11 @@ func TestChaosValidateFaultsNeverWedgeSessions(t *testing.T) {
 
 func TestChaosValidationShedsUnderDeadlinePressure(t *testing.T) {
 	api := newAPIServer(t, 0)
-	// BudgetFraction > 1 makes the soft budget unsatisfiable for any
-	// deadline-carrying request: every correction reaches the stage and
-	// sheds it, deterministically.
-	setValidation(api, core.ValidationConfig{Mode: core.ValidationExecute, BudgetFraction: 2})
+	setValidation(api, core.ValidationConfig{Mode: core.ValidationBind})
+	// A literal soft budget of the whole window makes any structure
+	// latency trip the ladder's literals_top1 rung on a deadline-carrying
+	// request, deterministically; validation is the rung's first casualty.
+	api.engine.SetLiteralBudgetFraction(1.0)
 	api.SetRequestTimeout(5 * time.Second)
 	ts := serve(t, api)
 
@@ -254,8 +266,9 @@ func TestChaosValidationShedsUnderDeadlinePressure(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d: %v", status, out)
 	}
-	if out["degradation"] == core.DegradationFull && out["validation"] != core.ValidationShed {
-		t.Fatalf("validation = %v under deadline pressure, want shed", out["validation"])
+	if out["degradation"] != core.DegradationLiteralsTop1 || out["validation"] != core.ValidationShed {
+		t.Fatalf("degradation = %v, validation = %v under deadline pressure, want literals_top1 and shed",
+			out["degradation"], out["validation"])
 	}
 	if strings.Contains(fmt.Sprint(out["candidates"]), "verdict") {
 		t.Fatalf("shed response carries verdicts: %v", out["candidates"])

@@ -1,9 +1,8 @@
 // Package obs is SpeakQL's lightweight observability layer: per-stage
-// latency spans, monotonic counters, and an optional pluggable sink for
-// exporting events. The correction pipeline (structure determination,
-// literal determination, the HTTP handlers) records into the process-wide
-// default registry; GET /api/stats serves its snapshot. With no sink set
-// the layer only aggregates — a span costs two clock reads and a few
+// latency spans and monotonic counters. The correction pipeline (structure
+// determination, literal determination, the HTTP handlers) records into
+// the process-wide default registry; GET /api/stats serves its snapshot.
+// The layer only aggregates — a span costs two clock reads and a few
 // atomic adds, cheap enough to stay always-on in the hot path.
 package obs
 
@@ -14,15 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Sink receives every completed span and counter increment, for exporting
-// to an external system (log, OTLP bridge, test capture). Implementations
-// must be safe for concurrent use; calls happen on the hot path, so they
-// should be fast or hand off asynchronously.
-type Sink interface {
-	Span(stage string, d time.Duration)
-	Count(name string, delta int64)
-}
 
 // stageAgg accumulates one stage's spans. All fields are atomics: spans
 // from concurrent requests land here without locking. Alongside the
@@ -47,18 +37,14 @@ func (a *stageAgg) record(d time.Duration) {
 	}
 }
 
-// Registry aggregates spans and counters and forwards them to the sink, if
-// any. The zero value is not usable; call NewRegistry.
+// Registry aggregates spans and counters. The zero value is not usable;
+// call NewRegistry.
 type Registry struct {
 	stages sync.Map // string → *stageAgg
 	counts sync.Map // string → *atomic.Int64
-	sink   atomic.Value
 }
 
-// sinkBox wraps the sink so atomic.Value sees one concrete type.
-type sinkBox struct{ s Sink }
-
-// NewRegistry returns an empty registry with no sink.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
 // defaultRegistry is the process-wide registry the pipeline records into.
@@ -66,16 +52,6 @@ var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
-
-// SetSink installs (or, with nil, removes) the registry's export sink.
-func (r *Registry) SetSink(s Sink) { r.sink.Store(sinkBox{s}) }
-
-func (r *Registry) loadSink() Sink {
-	if b, ok := r.sink.Load().(sinkBox); ok {
-		return b.s
-	}
-	return nil
-}
 
 // Span is an in-flight stage timing started by StartSpan.
 type Span struct {
@@ -94,11 +70,7 @@ func (sp Span) End() {
 	if sp.r == nil {
 		return
 	}
-	d := time.Since(sp.start)
-	sp.r.stageFor(sp.stage).record(d)
-	if s := sp.r.loadSink(); s != nil {
-		s.Span(sp.stage, d)
-	}
+	sp.r.stageFor(sp.stage).record(time.Since(sp.start))
 }
 
 func (r *Registry) stageFor(stage string) *stageAgg {
@@ -119,9 +91,6 @@ func (r *Registry) Add(name string, delta int64) {
 		c, _ = r.counts.LoadOrStore(name, new(atomic.Int64))
 	}
 	c.(*atomic.Int64).Add(delta)
-	if s := r.loadSink(); s != nil {
-		s.Count(name, delta)
-	}
 }
 
 // StageStats is one stage's aggregate: how many spans completed, their

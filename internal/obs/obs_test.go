@@ -56,40 +56,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// captureSink records events for sink-delivery assertions.
-type captureSink struct {
-	mu     sync.Mutex
-	spans  int
-	counts int64
-}
-
-func (c *captureSink) Span(string, time.Duration) {
-	c.mu.Lock()
-	c.spans++
-	c.mu.Unlock()
-}
-
-func (c *captureSink) Count(_ string, d int64) {
-	c.mu.Lock()
-	c.counts += d
-	c.mu.Unlock()
-}
-
-func TestSinkReceivesEvents(t *testing.T) {
-	r := NewRegistry()
-	sink := &captureSink{}
-	r.SetSink(sink)
-	r.StartSpan("s").End()
-	r.Add("c", 5)
-	r.SetSink(nil)
-	r.StartSpan("s").End() // must not reach the removed sink
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	if sink.spans != 1 || sink.counts != 5 {
-		t.Errorf("sink saw spans=%d counts=%d", sink.spans, sink.counts)
-	}
-}
-
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup

@@ -55,17 +55,12 @@ type Shared struct {
 	// LiteralBudget overrides the degradation ladder's soft-budget fraction
 	// for tenant engines; 0 keeps core.DefaultLiteralBudget.
 	LiteralBudget float64
-	// Validation configures the execution-guided validation stage for tenant
-	// engines (DESIGN.md §15). Non-seed tenants are registered as bare
-	// catalogs — table/attribute/value name lists with no rows — so their
-	// bind schema is synthesized with sqlengine.NewSchemaDatabase and
-	// ValidationExecute is downgraded to ValidationBind: executing against a
-	// rowless schema would verdict every candidate empty_result, which
-	// demotes correct SQL below nothing but ranks it below genuinely `ok`
-	// candidates that cannot exist — strictly worse than binding only. The
-	// seed tenant keeps whatever validation its engine was built with (the
-	// server wires it against the real database, where execute is
-	// meaningful).
+	// Validation configures the validation stage for tenant engines
+	// (DESIGN.md §15). Non-seed tenants are registered as bare catalogs —
+	// table/attribute/value name lists with no rows — so their bind schema
+	// is synthesized with sqlengine.NewSchemaDatabase. The seed tenant keeps
+	// whatever validation its engine was built with (the server binds it
+	// against the demo database).
 	Validation core.ValidationConfig
 }
 
@@ -230,11 +225,6 @@ func (r *Registry) buildTenant(id string, cat *literal.Catalog) *Tenant {
 		eng.AdoptSearchCache(r.shared.Cache)
 	}
 	if cfg := r.shared.Validation; cfg.Mode != "" && cfg.Mode != core.ValidationOff {
-		if cfg.Mode == core.ValidationExecute {
-			// Rowless schema DB: execute would verdict everything
-			// empty_result. Bind-level validation is the honest maximum.
-			cfg.Mode = core.ValidationBind
-		}
 		eng.SetValidation(cfg, sqlengine.NewSchemaDatabase(id, cat.Tables(), cat.Attributes()))
 	}
 	return &Tenant{ID: id, Engine: eng, Catalog: cat}

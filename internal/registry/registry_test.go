@@ -631,11 +631,11 @@ func TestSingleTenantDifferential(t *testing.T) {
 	compare(t, "reloaded", reloaded.Engine)
 }
 
-func TestTenantValidationDowngradesExecuteToBind(t *testing.T) {
+func TestTenantValidationBindsCatalogSchema(t *testing.T) {
 	reg, err := New(Config{
 		Shared: Shared{
 			Structure:  testComponent(t),
-			Validation: core.ValidationConfig{Mode: core.ValidationExecute},
+			Validation: core.ValidationConfig{Mode: core.ValidationBind},
 		},
 		Dir: t.TempDir(),
 	})
@@ -646,9 +646,8 @@ func TestTenantValidationDowngradesExecuteToBind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Non-seed tenants are bare catalogs: no rows to execute against, so
-	// execute-mode validation must degrade to bind-mode rather than verdict
-	// every candidate empty_result.
+	// Non-seed tenants are bare catalogs: their candidates bind against a
+	// rowless schema synthesized from the catalog's names.
 	if mode := tenant.Engine.ValidationMode(); mode != core.ValidationBind {
 		t.Fatalf("tenant validation mode = %q, want bind", mode)
 	}
@@ -663,12 +662,9 @@ func TestTenantValidationDowngradesExecuteToBind(t *testing.T) {
 		if c.Verdict == "" {
 			t.Fatalf("candidate %d unverdicted: %+v", i, c)
 		}
-		if c.Verdict == "empty_result" {
-			t.Fatalf("bind-mode tenant produced an execution verdict: %+v", c)
-		}
 	}
 
-	// The downgrade survives the evict/reload round trip.
+	// The stage survives the evict/reload round trip.
 	if _, err := reg.Put("other", testCat(1)); err != nil {
 		t.Fatal(err)
 	}

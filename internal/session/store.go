@@ -30,6 +30,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"speakql/internal/stream"
 )
 
 // SnapshotVersion is the codec version embedded in every encoded snapshot;
@@ -76,8 +78,11 @@ func (snap *Snapshot) Encode() ([]byte, error) {
 }
 
 // DecodeSnapshot parses an encoded snapshot, rejecting unknown codec
-// versions and snapshots without an ID (a snapshot that cannot say which
-// session it is must never be restored as some other session).
+// versions, snapshots without an ID (a snapshot that cannot say which
+// session it is must never be restored as some other session), and stream
+// states stream.RestoreDictation cannot rebuild: an unknown phase, or an
+// idle dictation with fragments. Restoring either would silently drop the
+// recorded fragments.
 func DecodeSnapshot(raw []byte) (*Snapshot, error) {
 	var snap Snapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
@@ -88,6 +93,17 @@ func DecodeSnapshot(raw []byte) (*Snapshot, error) {
 	}
 	if snap.ID == "" {
 		return nil, errors.New("session: snapshot has no session id")
+	}
+	if st := snap.Stream; st != nil {
+		switch stream.State(st.Phase) {
+		case stream.StateIdle:
+			if len(st.Fragments) > 0 {
+				return nil, fmt.Errorf("session: idle stream carries %d fragments", len(st.Fragments))
+			}
+		case stream.StateStreaming, stream.StateFinalized, stream.StateClosed:
+		default:
+			return nil, fmt.Errorf("session: unknown stream phase %q", st.Phase)
+		}
 	}
 	return &snap, nil
 }

@@ -166,6 +166,34 @@ func TestDecodeSnapshotRejects(t *testing.T) {
 	}
 }
 
+// Decode accepts exactly the stream states stream.RestoreDictation can
+// rebuild: an unknown phase, or an idle dictation with fragments, would
+// restore as an empty dictation and drop the recorded fragments.
+func TestDecodeSnapshotStreamPhases(t *testing.T) {
+	for _, c := range []struct {
+		stream string
+		ok     bool
+	}{
+		{``, true}, // no open dictation
+		{`,"stream":{"phase":"idle"}`, true},
+		{`,"stream":{"phase":"streaming","fragments":["select salary"],"seq":1}`, true},
+		{`,"stream":{"phase":"finalized","fragments":["select salary"],"seq":1}`, true},
+		{`,"stream":{"phase":"finalized"}`, true},
+		{`,"stream":{"phase":"closed","fragments":["select salary"],"seq":1}`, true},
+		{`,"stream":{"phase":"idle","fragments":["select salary"]}`, false},
+		{`,"stream":{"phase":"paused","fragments":["select salary"],"seq":1}`, false},
+		{`,"stream":{"phase":"Streaming","fragments":["select salary"],"seq":1}`, false},
+		{`,"stream":{"fragments":["select salary"]}`, false},
+		{`,"stream":{}`, false},
+	} {
+		raw := `{"v":1,"id":"s1"` + c.stream + `}`
+		_, err := DecodeSnapshot([]byte(raw))
+		if (err == nil) != c.ok {
+			t.Errorf("DecodeSnapshot(%s): err = %v, want ok=%v", raw, err, c.ok)
+		}
+	}
+}
+
 // storeContract drives the Store interface invariants both implementations
 // must share.
 func storeContract(t *testing.T, st Store) {

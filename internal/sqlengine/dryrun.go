@@ -1,108 +1,39 @@
 package sqlengine
 
-// dryrun.go is the execution-guided validation entry point (DESIGN.md §15):
-// a candidate query is dry-run in up to three stages — parse, bind against
-// the schema, and optionally a bounded execute — and classified into a
-// Verdict. The correction engine uses verdicts to demote provably broken
-// candidates below any that run (the self-healing re-rank), so the
-// classification here is deliberately conservative: a candidate is only
-// marked worse than "unknown" when the failure is provable within budget.
+// dryrun.go is the validation entry point (DESIGN.md §15): a candidate
+// query is dry-run in two stages — parse, then bind against the schema —
+// and classified into a Verdict. The correction engine uses verdicts to
+// demote candidates that cannot run below any that can (the self-healing
+// re-rank). No row is ever read, so a verdict depends only on the SQL and
+// the schema.
 
-import (
-	"errors"
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Verdict classifies one candidate's dry-run outcome.
 type Verdict string
 
-// The verdict lattice, best to worst. BudgetExceeded means the bounded
-// execute ran out of allowance before proving anything — the candidate is
-// neither vindicated nor condemned, so it ranks with the unvalidated.
+// The verdicts, best to worst.
 const (
-	VerdictOK             Verdict = "ok"
-	VerdictBudgetExceeded Verdict = "budget_exceeded"
-	VerdictEmptyResult    Verdict = "empty_result"
-	VerdictBindError      Verdict = "bind_error"
-	VerdictParseError     Verdict = "parse_error"
+	VerdictOK         Verdict = "ok"
+	VerdictBindError  Verdict = "bind_error"
+	VerdictParseError Verdict = "parse_error"
 )
 
 // VerdictRank orders verdicts for re-ranking: lower is better. The empty
-// verdict (candidate never validated) ranks with budget_exceeded — both
-// mean "unknown", and unknowns must not be demoted below provable
-// failures' survivors nor promoted above proven-runnable candidates.
+// verdict (candidate never validated) is unknown: it ranks below
+// candidates proven to bind and above provable failures.
 func VerdictRank(v Verdict) int {
 	switch v {
 	case VerdictOK:
 		return 0
-	case "", VerdictBudgetExceeded:
-		return 1
-	case VerdictEmptyResult:
-		return 2
 	case VerdictBindError:
-		return 3
+		return 2
 	case VerdictParseError:
-		return 4
+		return 3
 	default:
 		return 1
 	}
 }
-
-// ErrBudgetExceeded is returned (wrapped) by ExecuteBudgeted when a
-// RunBudget runs out of rows or time.
-var ErrBudgetExceeded = errors.New("sqlengine: execution budget exceeded")
-
-// RunBudget bounds the work one budgeted execution may do. It is charged
-// once per row materialized anywhere in the plan — base-table scans, join
-// outputs, and subqueries all draw from the same allowance. A RunBudget is
-// single-use and not safe for concurrent use; all exhaustion state lives
-// here, never in the Database, so a blown budget cannot poison later runs.
-type RunBudget struct {
-	// MaxRows is the total row allowance (0 = unlimited).
-	MaxRows int64
-	// Deadline is the wall-clock cutoff (zero = none). It is checked
-	// every budgetTimeCheck charges to keep the per-row cost at a counter
-	// increment.
-	Deadline time.Time
-
-	rows int64
-}
-
-// budgetTimeCheck is how many charged rows pass between deadline checks.
-const budgetTimeCheck = 1024
-
-// Remaining returns the unused row allowance (MaxRows when unlimited).
-func (b *RunBudget) Remaining() int64 {
-	if b == nil || b.MaxRows <= 0 {
-		return 0
-	}
-	if b.rows >= b.MaxRows {
-		return 0
-	}
-	return b.MaxRows - b.rows
-}
-
-// charge consumes n rows of allowance; a nil budget is unlimited.
-func (b *RunBudget) charge(n int) error {
-	if b == nil {
-		return nil
-	}
-	prev := b.rows
-	b.rows += int64(n)
-	if b.MaxRows > 0 && b.rows > b.MaxRows {
-		return fmt.Errorf("%w: %d rows over MaxRows=%d", ErrBudgetExceeded, b.rows, b.MaxRows)
-	}
-	if !b.Deadline.IsZero() && prev/budgetTimeCheck != b.rows/budgetTimeCheck &&
-		time.Now().After(b.Deadline) {
-		return fmt.Errorf("%w: deadline passed after %d rows", ErrBudgetExceeded, b.rows)
-	}
-	return nil
-}
-
-// IsBudgetExceeded reports whether err is a budget exhaustion (as opposed
-// to a genuine execution failure).
-func IsBudgetExceeded(err error) bool { return errors.Is(err, ErrBudgetExceeded) }
 
 // Bind resolves every name in stmt against db's schema without touching a
 // single row: each FROM table must exist, and every column reference —
@@ -182,14 +113,10 @@ func bindPred(db *Database, rel *relation, p *Predicate) error {
 	return nil
 }
 
-// DryRun classifies one candidate SQL string against db. With execute
-// false it stops after name binding (parse_error / bind_error / ok). With
-// execute true it additionally runs the statement under bud and
-// distinguishes a query that provably returns nothing (empty_result) from
-// one whose budget ran out first (budget_exceeded). Any other runtime
-// failure — including the engine's hard join caps — counts as bind_error:
-// the candidate cannot run as written.
-func DryRun(db *Database, sql string, execute bool, bud *RunBudget) Verdict {
+// DryRun classifies one candidate SQL string against db's schema:
+// parse_error when it does not parse, bind_error when a table or column
+// does not resolve, ok otherwise.
+func DryRun(db *Database, sql string) Verdict {
 	stmt, err := Parse(sql)
 	if err != nil {
 		return VerdictParseError
@@ -197,20 +124,7 @@ func DryRun(db *Database, sql string, execute bool, bud *RunBudget) Verdict {
 	if err := Bind(db, stmt); err != nil {
 		return VerdictBindError
 	}
-	if !execute {
-		return VerdictOK
-	}
-	res, err := ExecuteBudgeted(db, stmt, bud)
-	switch {
-	case IsBudgetExceeded(err):
-		return VerdictBudgetExceeded
-	case err != nil:
-		return VerdictBindError
-	case len(res.Rows) == 0:
-		return VerdictEmptyResult
-	default:
-		return VerdictOK
-	}
+	return VerdictOK
 }
 
 // NewSchemaDatabase builds a rowless bind-only database from flat name
@@ -219,7 +133,6 @@ func DryRun(db *Database, sql string, execute bool, bud *RunBudget) Verdict {
 // attribute belongs to which table. Every table therefore carries every
 // attribute: Bind against the result checks exactly that each referenced
 // table is a known table and each referenced attribute a known attribute.
-// With no rows, execute-mode validation over it degenerates to bind mode.
 func NewSchemaDatabase(name string, tables, attrs []string) *Database {
 	db := NewDatabase(name)
 	cols := make([]Column, len(attrs))

@@ -1,6 +1,9 @@
 package sqlengine
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -8,100 +11,126 @@ import (
 func TestDryRunVerdicts(t *testing.T) {
 	db := testDB()
 	cases := []struct {
-		sql     string
-		execute bool
-		want    Verdict
+		sql  string
+		want Verdict
 	}{
-		{"SELECT FirstName FROM Employees", false, VerdictOK},
-		{"SELECT FirstName FROM Employees", true, VerdictOK},
-		{"SELECT FROM WHERE", false, VerdictParseError},
-		{"SELECT FirstName FROM Employers", false, VerdictBindError},
-		{"SELECT Salary FROM Employees", false, VerdictBindError},
-		{"SELECT FirstName FROM Employees WHERE Wage > 100", false, VerdictBindError},
-		{"SELECT FirstName FROM Employees WHERE Gender = 'X'", true, VerdictEmptyResult},
-		// Bind mode never executes: a provably empty query is still ok.
-		{"SELECT FirstName FROM Employees WHERE Gender = 'X'", false, VerdictOK},
-		// Aggregates over empty inputs still produce a row.
-		{"SELECT COUNT ( * ) FROM Employees WHERE Gender = 'X'", true, VerdictOK},
+		{"SELECT FirstName FROM Employees", VerdictOK},
+		{"SELECT FROM WHERE", VerdictParseError},
+		{"SELECT FirstName FROM Employers", VerdictBindError},
+		{"SELECT Salary FROM Employees", VerdictBindError},
+		{"SELECT FirstName FROM Employees WHERE Wage > 100", VerdictBindError},
+		// Binding never executes: a provably empty query is still ok.
+		{"SELECT FirstName FROM Employees WHERE Gender = 'X'", VerdictOK},
 		// Subquery operands bind against their own FROM list.
 		{"SELECT FirstName FROM Employees WHERE EmployeeNumber IN " +
-			"( SELECT EmployeeNumber FROM Salaries WHERE Salary > 70000 )", true, VerdictOK},
+			"( SELECT EmployeeNumber FROM Salaries WHERE Salary > 70000 )", VerdictOK},
 		{"SELECT FirstName FROM Employees WHERE EmployeeNumber IN " +
-			"( SELECT EmployeeNumber FROM Wages )", false, VerdictBindError},
+			"( SELECT EmployeeNumber FROM Wages )", VerdictBindError},
 	}
 	for _, c := range cases {
-		if got := DryRun(db, c.sql, c.execute, nil); got != c.want {
-			t.Errorf("DryRun(%q, execute=%v) = %s, want %s", c.sql, c.execute, got, c.want)
+		if got := DryRun(db, c.sql); got != c.want {
+			t.Errorf("DryRun(%q) = %s, want %s", c.sql, got, c.want)
 		}
 	}
 }
 
-func TestDryRunBudgetExceededIsTyped(t *testing.T) {
-	db := testDB()
-	// Employees has 4 rows; a 2-row budget is exhausted on the base scan.
-	// The verdict must be the typed budget class, never empty_result.
-	bud := &RunBudget{MaxRows: 2}
-	if got := DryRun(db, "SELECT FirstName FROM Employees WHERE Gender = 'X'", true, bud); got != VerdictBudgetExceeded {
-		t.Fatalf("verdict = %s, want %s", got, VerdictBudgetExceeded)
+// numbersDB holds one single-column table N with rows 0..n-1.
+func numbersDB(t *testing.T, n int) *Database {
+	t.Helper()
+	db := NewDatabase("numbers")
+	tbl := db.CreateTable("N", Column{"V", IntCol})
+	for i := 0; i < n; i++ {
+		if err := tbl.Insert(Int(int64(i))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	_, err := ExecuteBudgeted(db, mustParse(t, "SELECT FirstName FROM Employees"), &RunBudget{MaxRows: 2})
-	if !IsBudgetExceeded(err) {
-		t.Fatalf("ExecuteBudgeted error = %v, want budget exceeded", err)
-	}
+	return db
+}
+
+func cancelledCtx() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
 }
 
 func TestBudgetChargesJoinWork(t *testing.T) {
-	db := testDB()
-	// Employees ⨯ Salaries via comma join resolves an equi-join: 4 base
-	// rows each side + 4 join outputs = 12 charged rows.
-	sql := "SELECT FirstName FROM Employees , Salaries WHERE Employees . EmployeeNumber = Salaries . EmployeeNumber"
-	if got := DryRun(db, sql, true, &RunBudget{MaxRows: 9}); got != VerdictBudgetExceeded {
-		t.Fatalf("tight join budget verdict = %s, want %s", got, VerdictBudgetExceeded)
+	// 40 rows each side stay under one check interval, but the cross
+	// product's 1,600 output rows cross it: a done context can only stop
+	// this run by charging the join's output.
+	db := numbersDB(t, 40)
+	db.CreateTable("M", Column{"W", IntCol})
+	m, _ := db.Table("M")
+	for i := 0; i < 40; i++ {
+		if err := m.Insert(Int(int64(i))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := DryRun(db, sql, true, &RunBudget{MaxRows: 100}); got != VerdictOK {
-		t.Fatalf("ample join budget verdict = %s, want %s", got, VerdictOK)
+	const sql = "SELECT V FROM N , M"
+	if _, err := RunContext(cancelledCtx(), db, sql); !errors.Is(err, context.Canceled) {
+		t.Fatalf("join under a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if got := len(mustRun(t, db, sql).Rows); got != 1600 {
+		t.Fatalf("join rows = %d, want 1600", got)
+	}
+}
+
+func TestBudgetChargesSubqueryWork(t *testing.T) {
+	// An uncorrelated IN subquery re-runs once per outer row: two levels
+	// over 300 rows materialize about 2.7·10⁷ rows unbounded. Each
+	// execution is charged, so a deadline stops the run within a few
+	// check intervals.
+	db := numbersDB(t, 300)
+	const sql = "SELECT V FROM N WHERE V IN ( SELECT V FROM N WHERE V IN ( SELECT V FROM N ) )"
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := RunContext(ctx, db, sql)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if !strings.Contains(err.Error(), "execution stopped") {
+		t.Fatalf("err = %v, want the executor's stop error", err)
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("run stopped %v after start, want soon after its 20ms deadline", el)
 	}
 }
 
 func TestBudgetExhaustionDoesNotLeak(t *testing.T) {
-	db := testDB()
-	sql := "SELECT FirstName FROM Employees"
-	want := rowStrings(mustRun(t, db, sql))
+	db := numbersDB(t, budgetCheckRows+10)
+	const sql = "SELECT V FROM N"
+	want := len(mustRun(t, db, sql).Rows)
 
-	// Exhaust budgets repeatedly; the database must keep answering the
-	// same query identically through plain Execute and fresh budgets —
-	// all exhaustion state lives in the RunBudget, none in db.
+	// Stop runs repeatedly; the database must keep answering the same
+	// query identically — all budget state lives in the run, none in db.
 	for i := 0; i < 10; i++ {
-		if got := DryRun(db, sql, true, &RunBudget{MaxRows: 1}); got != VerdictBudgetExceeded {
-			t.Fatalf("iteration %d: verdict = %s, want %s", i, got, VerdictBudgetExceeded)
+		if _, err := RunContext(cancelledCtx(), db, sql); !errors.Is(err, context.Canceled) {
+			t.Fatalf("iteration %d: err = %v, want context.Canceled", i, err)
 		}
-		if got := rowStrings(mustRun(t, db, sql)); len(got) != len(want) {
-			t.Fatalf("iteration %d: Execute after exhaustion returned %d rows, want %d",
-				i, len(got), len(want))
+		if got := len(mustRun(t, db, sql).Rows); got != want {
+			t.Fatalf("iteration %d: Run after a stopped run returned %d rows, want %d", i, got, want)
 		}
-		if got := DryRun(db, sql, true, &RunBudget{MaxRows: 1000}); got != VerdictOK {
-			t.Fatalf("iteration %d: fresh ample budget verdict = %s, want %s", i, got, VerdictOK)
+		res, err := RunContext(context.Background(), db, sql)
+		if err != nil || len(res.Rows) != want {
+			t.Fatalf("iteration %d: RunContext(Background) = %v rows, %v", i, res, err)
 		}
 	}
 }
 
 func TestBudgetDeadline(t *testing.T) {
-	db := testDB()
-	// An already-expired deadline with enough rows to cross a time-check
-	// boundary must exceed; the same query with a generous deadline is ok.
-	big := db.CreateTable("Big", Column{"N", IntCol})
-	for i := 0; i < budgetTimeCheck+10; i++ {
-		if err := big.Insert(Int(int64(i))); err != nil {
-			t.Fatal(err)
-		}
+	// An expired deadline with enough rows to cross a check boundary must
+	// stop the run with the context's error; a generous deadline is ok.
+	db := numbersDB(t, budgetCheckRows+10)
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, err := RunContext(expired, db, "SELECT V FROM N"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired deadline: err = %v, want context.DeadlineExceeded", err)
 	}
-	expired := &RunBudget{Deadline: time.Now().Add(-time.Second)}
-	if got := DryRun(db, "SELECT N FROM Big", true, expired); got != VerdictBudgetExceeded {
-		t.Fatalf("expired deadline verdict = %s, want %s", got, VerdictBudgetExceeded)
-	}
-	ample := &RunBudget{Deadline: time.Now().Add(time.Minute)}
-	if got := DryRun(db, "SELECT N FROM Big", true, ample); got != VerdictOK {
-		t.Fatalf("ample deadline verdict = %s, want %s", got, VerdictOK)
+	ample, cancel2 := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel2()
+	res, err := RunContext(ample, db, "SELECT V FROM N")
+	if err != nil || len(res.Rows) != budgetCheckRows+10 {
+		t.Fatalf("ample deadline: %d rows, err %v", len(res.Rows), err)
 	}
 }
 
@@ -117,37 +146,20 @@ func TestSchemaDatabaseBindsMembership(t *testing.T) {
 		{"SELECT Wage FROM Business", VerdictBindError},
 	}
 	for _, c := range cases {
-		if got := DryRun(db, c.sql, false, nil); got != c.want {
+		if got := DryRun(db, c.sql); got != c.want {
 			t.Errorf("DryRun(%q) = %s, want %s", c.sql, got, c.want)
 		}
-	}
-	// Executing a rowless schema DB can only ever yield empty_result —
-	// which is exactly why callers drop catalog-only tenants to bind mode.
-	if got := DryRun(db, "SELECT Name FROM Business", true, nil); got != VerdictEmptyResult {
-		t.Fatalf("execute over schema-only DB = %s, want %s", got, VerdictEmptyResult)
 	}
 }
 
 func TestVerdictRankLattice(t *testing.T) {
-	order := []Verdict{VerdictOK, VerdictBudgetExceeded, VerdictEmptyResult, VerdictBindError, VerdictParseError}
+	order := []Verdict{VerdictOK, "", VerdictBindError, VerdictParseError}
 	for i := 1; i < len(order); i++ {
-		if VerdictRank(order[i-1]) > VerdictRank(order[i]) {
-			t.Fatalf("lattice order broken at %s > %s", order[i-1], order[i])
+		if VerdictRank(order[i-1]) >= VerdictRank(order[i]) {
+			t.Fatalf("lattice order broken at %q >= %q", order[i-1], order[i])
 		}
 	}
-	if VerdictRank("") != VerdictRank(VerdictBudgetExceeded) {
-		t.Fatal("unvalidated must rank with budget_exceeded (both unknown)")
+	if VerdictRank("some_future_verdict") != VerdictRank("") {
+		t.Fatal("an unknown verdict must rank with the unvalidated")
 	}
-	if VerdictRank(VerdictOK) >= VerdictRank("") {
-		t.Fatal("ok must outrank unknown")
-	}
-}
-
-func mustParse(t *testing.T, sql string) *SelectStmt {
-	t.Helper()
-	stmt, err := Parse(sql)
-	if err != nil {
-		t.Fatalf("Parse(%q): %v", sql, err)
-	}
-	return stmt
 }

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -21,17 +22,42 @@ const maxJoinRows = 2_000_000
 
 // Execute runs a parsed statement against the database.
 func Execute(db *Database, stmt *SelectStmt) (*Result, error) {
-	return ExecuteBudgeted(db, stmt, nil)
+	return execute(db, stmt, nil)
 }
 
-// ExecuteBudgeted runs a parsed statement under an optional work budget
-// (nil = unlimited, identical to Execute). The budget is charged for every
-// row materialized — base-table scans, join outputs, and subquery work all
-// draw from the same allowance — so a runaway candidate is cut off after a
-// bounded amount of work with ErrBudgetExceeded. All budget state lives in
-// bud itself; the Database is never mutated, so an exhausted run leaves no
-// trace in shared engine state.
-func ExecuteBudgeted(db *Database, stmt *SelectStmt, bud *RunBudget) (*Result, error) {
+// budgetCheckRows is how many materialized rows pass between checks of the
+// caller's context.
+const budgetCheckRows = 1024
+
+// budget bounds one run by its caller's context. It is charged for every
+// row materialized — base-table scans, join outputs, and each subquery
+// execution — and polls the context every budgetCheckRows rows, so a
+// runaway query (an uncorrelated IN subquery re-runs once per outer row)
+// stops soon after its deadline. A nil budget never stops. All state lives
+// here, never in the Database, so a stopped run leaves no trace.
+type budget struct {
+	ctx  context.Context
+	rows int64
+}
+
+// charge consumes n rows and reports the context's error, wrapped, once a
+// check finds it done.
+func (b *budget) charge(n int) error {
+	if b == nil {
+		return nil
+	}
+	prev := b.rows
+	b.rows += int64(n)
+	if prev/budgetCheckRows == b.rows/budgetCheckRows {
+		return nil
+	}
+	if err := b.ctx.Err(); err != nil {
+		return fmt.Errorf("sqlengine: execution stopped after %d rows: %w", b.rows, err)
+	}
+	return nil
+}
+
+func execute(db *Database, stmt *SelectStmt, bud *budget) (*Result, error) {
 	rel, err := buildFrom(db, stmt, bud)
 	if err != nil {
 		return nil, err
@@ -70,11 +96,18 @@ func ExecuteBudgeted(db *Database, stmt *SelectStmt, bud *RunBudget) (*Result, e
 
 // Run parses and executes sql in one step.
 func Run(db *Database, sql string) (*Result, error) {
+	return RunContext(context.Background(), db, sql)
+}
+
+// RunContext is Run under ctx: once ctx is done the run stops within
+// budgetCheckRows materialized rows, with an error that wraps ctx.Err()
+// (errors.Is(err, context.DeadlineExceeded) after a deadline).
+func RunContext(ctx context.Context, db *Database, sql string) (*Result, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return Execute(db, stmt)
+	return execute(db, stmt, &budget{ctx: ctx})
 }
 
 // relation is an intermediate working set with a bound schema.
@@ -107,7 +140,7 @@ func (r *relation) resolve(c ColRef) (int, error) {
 // buildFrom assembles the FROM relation: NATURAL JOIN chains hash-join on
 // shared column names; comma lists use extracted equi-join predicates where
 // possible and fall back to cross products.
-func buildFrom(db *Database, stmt *SelectStmt, bud *RunBudget) (*relation, error) {
+func buildFrom(db *Database, stmt *SelectStmt, bud *budget) (*relation, error) {
 	if len(stmt.From) == 0 {
 		return nil, fmt.Errorf("sqlengine: no tables")
 	}
@@ -132,7 +165,7 @@ func buildFrom(db *Database, stmt *SelectStmt, bud *RunBudget) (*relation, error
 	return base, nil
 }
 
-func tableRelation(db *Database, name string, bud *RunBudget) (*relation, error) {
+func tableRelation(db *Database, name string, bud *budget) (*relation, error) {
 	t, ok := db.Table(name)
 	if !ok {
 		return nil, fmt.Errorf("sqlengine: unknown table %s", name)
@@ -149,7 +182,7 @@ func tableRelation(db *Database, name string, bud *RunBudget) (*relation, error)
 
 // naturalJoin hash-joins two relations on all shared column names,
 // projecting the shared columns once (left side), per SQL NATURAL JOIN.
-func naturalJoin(a, b *relation, bud *RunBudget) (*relation, error) {
+func naturalJoin(a, b *relation, bud *budget) (*relation, error) {
 	var aIdx, bIdx []int
 	for i, ac := range a.cols {
 		for j, bc := range b.cols {
@@ -198,7 +231,7 @@ func naturalJoin(a, b *relation, bud *RunBudget) (*relation, error) {
 
 // equiOrCrossJoin joins a comma-listed table using any Table.Col = Table.Col
 // equality found in the WHERE tree, else a cross product.
-func equiOrCrossJoin(a, b *relation, where *BoolNode, bud *RunBudget) (*relation, error) {
+func equiOrCrossJoin(a, b *relation, where *BoolNode, bud *budget) (*relation, error) {
 	var aIdx, bIdx []int
 	collectEquiPairs(where, func(l, r ColRef) {
 		li, lerr := a.resolve(l)
@@ -257,7 +290,7 @@ func collectEquiPairs(n *BoolNode, f func(l, r ColRef)) {
 	}
 }
 
-func crossJoin(a, b *relation, bud *RunBudget) (*relation, error) {
+func crossJoin(a, b *relation, bud *budget) (*relation, error) {
 	if len(a.rows)*len(b.rows) > maxJoinRows {
 		return nil, fmt.Errorf("sqlengine: cross product of %d×%d rows refused",
 			len(a.rows), len(b.rows))
@@ -292,7 +325,7 @@ func pick(row []Value, idx []int) []Value {
 }
 
 // evalBool evaluates a WHERE tree on one row.
-func evalBool(db *Database, rel *relation, row []Value, n *BoolNode, bud *RunBudget) (bool, error) {
+func evalBool(db *Database, rel *relation, row []Value, n *BoolNode, bud *budget) (bool, error) {
 	if n.Pred != nil {
 		return evalPred(db, rel, row, n.Pred, bud)
 	}
@@ -309,7 +342,7 @@ func evalBool(db *Database, rel *relation, row []Value, n *BoolNode, bud *RunBud
 	return evalBool(db, rel, row, n.Right, bud)
 }
 
-func evalPred(db *Database, rel *relation, row []Value, p *Predicate, bud *RunBudget) (bool, error) {
+func evalPred(db *Database, rel *relation, row []Value, p *Predicate, bud *budget) (bool, error) {
 	switch p.Kind {
 	case predCompare:
 		lv, err := operandValue(db, rel, row, p.Left, bud)
@@ -342,7 +375,7 @@ func evalPred(db *Database, rel *relation, row []Value, p *Predicate, bud *RunBu
 			return false, err
 		}
 		if p.Sub != nil {
-			sub, err := ExecuteBudgeted(db, p.Sub, bud)
+			sub, err := execute(db, p.Sub, bud)
 			if err != nil {
 				return false, err
 			}
@@ -362,7 +395,7 @@ func evalPred(db *Database, rel *relation, row []Value, p *Predicate, bud *RunBu
 	}
 }
 
-func operandValue(db *Database, rel *relation, row []Value, o Operand, bud *RunBudget) (Value, error) {
+func operandValue(db *Database, rel *relation, row []Value, o Operand, bud *budget) (Value, error) {
 	switch {
 	case o.Col != nil:
 		i, err := rel.resolve(*o.Col)
@@ -371,7 +404,7 @@ func operandValue(db *Database, rel *relation, row []Value, o Operand, bud *RunB
 		}
 		return row[i], nil
 	case o.Sub != nil:
-		sub, err := ExecuteBudgeted(db, o.Sub, bud)
+		sub, err := execute(db, o.Sub, bud)
 		if err != nil {
 			return Null(), err
 		}
