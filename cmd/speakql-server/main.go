@@ -22,7 +22,7 @@
 // [-scale test|default|paper] [-timeout 10s] [-cachesize 1024]
 // [-max-inflight n] [-max-queue n]
 // [-session-ttl d] [-drain-timeout d] [-faults SPEC] [-pprof]
-// [-max-tenants n] [-tenant-dir DIR] [-memo-size n] [-gomemlimit SIZE]
+// [-max-tenants n] [-tenant-dir DIR] [-memo-size n]
 // [-node ID] [-session-store DIR] [-validate off|bind]
 //
 // Validation (-validate=bind, DESIGN.md §15): after ranking, each top-k
@@ -49,9 +49,9 @@
 // (singleflight). Hits are byte-identical to the miss that populated them;
 // faulted, degraded, and session-stateful requests bypass it entirely, and a
 // tenant's entries are invalidated when its catalog changes (0 disables).
-// -gomemlimit SIZE (e.g. 512MiB, 4GiB) sets the runtime's soft heap limit
-// via runtime/debug.SetMemoryLimit, so sustained overload shows up as GC
-// backpressure in the /api/stats runtime block instead of an OOM kill.
+// The Go runtime reads a soft heap limit from the environment
+// (GOMEMLIMIT=512MiB), so sustained overload shows up as GC backpressure in
+// the /api/stats runtime block instead of an OOM kill.
 //
 // Multi-tenancy: the structure index, its searcher pools, and the search
 // memo cache are schema-agnostic and shared by every tenant; only the
@@ -100,9 +100,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime/debug"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -146,8 +143,6 @@ func main() {
 		"directory persisting tenant catalogs across restarts and evictions (empty keeps every registered tenant resident)")
 	memoSize := flag.Int("memo-size", 4096,
 		"server-level correction memo entries: fully rendered /api/correct responses keyed by (tenant, transcript, topk), with singleflight collapse of concurrent identical requests (0 disables)")
-	memLimit := flag.String("gomemlimit", "",
-		"soft Go heap limit with optional size suffix, e.g. 512MiB or 4GiB — sets runtime/debug.SetMemoryLimit so steady overload degrades GC pacing instead of OOMing (empty leaves the runtime default / GOMEMLIMIT env)")
 	nodeID := flag.String("node", "",
 		"replica node id: namespaces session ids so replicas behind speakql-router never collide (empty runs single-node)")
 	sessionStore := flag.String("session-store", "",
@@ -162,16 +157,6 @@ func main() {
 		os.Exit(2)
 	}
 	validateCfg := core.ValidationConfig{Mode: validateMode}
-
-	if *memLimit != "" {
-		n, err := parseByteSize(*memLimit)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -gomemlimit: %v\n", err)
-			os.Exit(2)
-		}
-		debug.SetMemoryLimit(n)
-		log.Printf("memory limit set to %s (%d bytes)", *memLimit, n)
-	}
 
 	spec := *faults
 	if spec == "" {
@@ -309,33 +294,6 @@ func main() {
 		}
 	}
 	log.Printf("server stopped")
-}
-
-// parseByteSize parses a byte count with an optional binary (KiB, MiB, GiB,
-// TiB) or decimal (KB, MB, GB, TB) suffix; a bare number is bytes.
-func parseByteSize(s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	suffixes := []struct {
-		suffix string
-		mult   int64
-	}{
-		{"TiB", 1 << 40}, {"GiB", 1 << 30}, {"MiB", 1 << 20}, {"KiB", 1 << 10},
-		{"TB", 1e12}, {"GB", 1e9}, {"MB", 1e6}, {"KB", 1e3}, {"B", 1},
-	}
-	mult := int64(1)
-	num := s
-	for _, c := range suffixes {
-		if strings.HasSuffix(s, c.suffix) {
-			mult = c.mult
-			num = strings.TrimSpace(strings.TrimSuffix(s, c.suffix))
-			break
-		}
-	}
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("%q is not a positive byte size (try 512MiB)", s)
-	}
-	return int64(v * float64(mult)), nil
 }
 
 // loadOrBuildIndex reads a persisted structure index, or builds it from the

@@ -8,7 +8,7 @@ package core
 // search LRU, which finalize and repeated clause prefixes hit) and replays
 // unchanged literal windows from a per-session memo, while honoring the
 // same degradation ladder and deadline budget as one-shot correction.
-// internal/stream adds the session state machine and event fan-out on top.
+// internal/session adds the dictation lifecycle and event fan-out on top.
 
 import (
 	"context"
@@ -25,8 +25,9 @@ import (
 // metadata for the interactive display.
 type FragmentOutput struct {
 	Output
-	// Seq numbers the fragments of this session, starting at 1. Finalize
-	// reports the last fragment's Seq.
+	// Seq numbers the fragments of this session, starting at 1: it is the
+	// number of fragments dictated so far. Finalize reports the last
+	// fragment's Seq.
 	Seq int
 	// RawTranscript is the accumulated raw dictation (before spoken-form
 	// substitution; Output.Transcript carries the processed tokens).
@@ -52,7 +53,6 @@ type FragmentSession struct {
 	e         *Engine
 	memo      *literal.VoteMemo
 	fragments []string
-	seq       int
 }
 
 // NewFragmentSession starts an empty streaming correction session. Like
@@ -64,9 +64,9 @@ func (e *Engine) NewFragmentSession() *FragmentSession {
 // Fragments returns the raw fragments dictated so far.
 func (fs *FragmentSession) Fragments() []string { return fs.fragments }
 
-// Transcript returns the accumulated raw transcript: the non-blank
+// transcript returns the accumulated raw transcript: the non-blank
 // fragments, trimmed and joined by single spaces.
-func (fs *FragmentSession) Transcript() string {
+func (fs *FragmentSession) transcript() string {
 	parts := make([]string, 0, len(fs.fragments))
 	for _, f := range fs.fragments {
 		if f = strings.TrimSpace(f); f != "" {
@@ -85,33 +85,16 @@ func (fs *FragmentSession) CorrectFragment(ctx context.Context, fragment string)
 	span := obs.StartSpan("core.correct_fragment")
 	defer span.End()
 	fs.fragments = append(fs.fragments, fragment)
-	fs.seq++
 	return fs.correct(ctx)
 }
 
-// RestoreFragments rehydrates an empty session from a snapshot's recorded
-// fragment sequence: every fragment is appended, then the accumulated
-// transcript is corrected once. Because each fragment's correction is the
-// one-shot correction of the accumulated transcript, the restored session's
-// candidates and bindings match what len(fragments) sequential
-// CorrectFragment calls would have produced — which is what lets a replica
-// resume another replica's dictation mid-stream. Calling it on a session
-// that has already seen fragments corrupts the sequence numbering; restore
-// only ever targets a fresh NewFragmentSession.
-func (fs *FragmentSession) RestoreFragments(ctx context.Context, fragments []string) FragmentOutput {
-	span := obs.StartSpan("core.restore_fragments")
-	defer span.End()
-	fs.AppendRawFragments(fragments)
-	return fs.correct(ctx)
-}
-
-// AppendRawFragments records fragments without correcting anything — the
-// cheap half of RestoreFragments, used when rehydrating a finalized
-// dictation whose definitive output already shipped (no further correction
-// will ever run, but Transcript and Fragments must still read back).
+// AppendRawFragments records fragments without correcting anything: a
+// session restored from a snapshot reloads its dictation this way. Each
+// fragment's correction is the one-shot correction of the accumulated
+// transcript, so the next CorrectFragment or Finalize answers exactly as it
+// would have on a session that dictated these fragments itself.
 func (fs *FragmentSession) AppendRawFragments(fragments []string) {
 	fs.fragments = append(fs.fragments, fragments...)
-	fs.seq = len(fs.fragments)
 }
 
 // Finalize re-corrects the accumulated transcript without appending
@@ -129,12 +112,12 @@ func (fs *FragmentSession) Finalize(ctx context.Context) FragmentOutput {
 // session's vote memo, and adds the streaming position metadata.
 func (fs *FragmentSession) correct(ctx context.Context) FragmentOutput {
 	t0 := time.Now()
-	transcript := fs.Transcript()
+	transcript := fs.transcript()
 	structs, serr := fs.e.structure.DetermineTopKErr(ctx, transcript, 1)
 	out := fs.e.finishPipeline(ctx, t0, structs, serr, fs.memo)
 	fo := FragmentOutput{
 		Output:        out,
-		Seq:           fs.seq,
+		Seq:           len(fs.fragments),
 		RawTranscript: transcript,
 	}
 	fo.Pending = pendingPlaceholders(out)

@@ -104,8 +104,12 @@ func (e *Engine) maybeValidate(ctx context.Context, out *Output, level string) {
 	}
 	span := obs.StartSpan("core.validate")
 	defer span.End()
-	if level != DegradationFull || ctx.Err() != nil {
+	if level != DegradationFull {
 		e.shedValidation(out, "degraded")
+		return
+	}
+	if ctx.Err() != nil {
+		e.shedValidation(out, "expired")
 		return
 	}
 	if err := faultinject.Fire(faultinject.StageValidate); err != nil {

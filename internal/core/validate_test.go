@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"speakql/internal/faultinject"
+	"speakql/internal/obs"
 	"speakql/internal/sqlengine"
 )
 
@@ -188,7 +189,8 @@ func TestRerankByVerdict(t *testing.T) {
 
 // Under deadline pressure validation sheds: a response the ladder served
 // below full fidelity, or one whose deadline passed before the stage ran,
-// carries no verdicts and keeps its unvalidated order.
+// carries no verdicts and keeps its unvalidated order. Each reason has its
+// own counter, so /api/stats tells ladder pressure from expiry.
 func TestValidationShedsUnderDeadlinePressure(t *testing.T) {
 	e := validatingEngine(t, ValidationBind)
 	base := e.CorrectTopK("select first name from employees", 3)
@@ -209,7 +211,19 @@ func TestValidationShedsUnderDeadlinePressure(t *testing.T) {
 		for i := range out.Candidates {
 			out.Candidates[i].Verdict, out.Candidates[i].Demoted = "", false
 		}
+		before := obs.Default().Snapshot().Counters
 		e.maybeValidate(c.ctx, &out, c.level)
+		after := obs.Default().Snapshot().Counters
+		for _, reason := range []string{"degraded", "expired"} {
+			name := "validate.shed." + reason
+			want := int64(0)
+			if reason == c.name {
+				want = 1
+			}
+			if got := after[name] - before[name]; got != want {
+				t.Errorf("%s: %s moved by %d, want %d", c.name, name, got, want)
+			}
+		}
 		if out.Validation != ValidationShed {
 			t.Fatalf("%s: Validation = %q, want shed", c.name, out.Validation)
 		}

@@ -312,18 +312,6 @@ type CorpusConfig struct {
 	Seed          int64
 }
 
-// DefaultCorpusConfig reproduces the paper's split sizes (750/500/500) at
-// the harness's default grammar scale.
-func DefaultCorpusConfig() CorpusConfig {
-	return CorpusConfig{
-		Grammar: grammar.DefaultScale(),
-		TrainN:  750,
-		TestN:   500,
-		YelpN:   500,
-		Seed:    42,
-	}
-}
-
 // NewCorpus generates the full spoken-SQL corpus over the given databases.
 func NewCorpus(empDB, yelpDB *sqlengine.Database, cfg CorpusConfig) Corpus {
 	return Corpus{

@@ -11,11 +11,12 @@ package httpapi
 //   - Checkpoints happen under the per-session lock, so snapshots are always
 //     a request boundary — never a torn mid-mutation state — and the store's
 //     last-writer-wins matches the session's own serialization.
-//   - A restore replays the snapshot's raw fragments through a fresh engine
-//     fragment session (see internal/session); the pipeline's pinned
-//     incremental ≡ one-shot identity makes the resumed stream bit-identical
-//     to one that never moved. Resumed responses carry "resumed": true and
-//     an X-SpeakQL-Resume-Ns header so the router can observe failover cost.
+//   - A restore reloads the snapshot's raw fragments into a fresh engine
+//     fragment session and corrects nothing (see internal/session); the
+//     pipeline's pinned fragment ≡ one-shot identity makes the resumed
+//     stream bit-identical to one that never moved. Resumed responses carry
+//     "resumed": true and an X-SpeakQL-Resume-Ns header so the router can
+//     observe failover cost.
 //   - TTL eviction is fleet-wide death: the sweeper deletes the snapshot
 //     along with the local entry. A restore that races it double-checks the
 //     store *after* registering the restored entry; if the snapshot is gone
@@ -29,7 +30,6 @@ package httpapi
 //     session.restores, stream.resumed, stream.lost.
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -49,22 +49,14 @@ func (s *Server) SetNodeID(node string) { s.nodeID = node }
 // SetSessionStore connects this replica to the fleet's snapshot store:
 // sessions checkpoint into it after every mutating request and unknown
 // session ids are restored from it before being 404ed. Call before Handler.
-func (s *Server) SetSessionStore(st session.Store) {
-	s.store = st
-	s.checkpoint = st != nil
-}
-
-// SetCheckpointing toggles snapshot writes while leaving restore active —
-// chaos tests use checkpoint-disabled replicas to force the stream.lost
-// path deterministically. No-op without a store.
-func (s *Server) SetCheckpointing(enabled bool) { s.checkpoint = enabled && s.store != nil }
+func (s *Server) SetSessionStore(st session.Store) { s.store = st }
 
 // checkpointLocked persists the session's current snapshot under the
 // caller's entry.mu, so every stored snapshot is a clean request boundary.
 // Checkpoint failures are counted, not surfaced: the request itself
 // succeeded, and the worst case is resuming from the previous snapshot.
 func (s *Server) checkpointLocked(id string, entry *sessionEntry) {
-	if s.store == nil || !s.checkpoint {
+	if s.store == nil {
 		return
 	}
 	if err := s.store.Save(entry.sess.Snapshot(id, entry.tenant)); err != nil {
@@ -79,7 +71,7 @@ func (s *Server) checkpointLocked(id string, entry *sessionEntry) {
 // restore this request performed (the failover cost the router observes);
 // ok=false means the session is gone fleet-wide — answer with
 // writeSessionMiss.
-func (s *Server) lookupSession(ctx context.Context, id string) (entry *sessionEntry, resumedNs int64, ok bool) {
+func (s *Server) lookupSession(id string) (entry *sessionEntry, resumedNs int64, ok bool) {
 	if e, found := s.session(id); found {
 		return e, 0, true
 	}
@@ -98,15 +90,7 @@ func (s *Server) lookupSession(ctx context.Context, id string) (entry *sessionEn
 		return nil, 0, false
 	}
 	e := &sessionEntry{events: stream.NewBroadcaster(), tenant: snap.Tenant}
-	cfg := stream.Config{Events: e.events, Session: id}
-	sess, out := session.Restore(ctx, eng, cfg, snap)
-	if out.Err != nil {
-		// Degraded restore pass (deadline, injected fault): the session is
-		// fully wired and finalize retries at full fidelity — count it and
-		// continue rather than dropping a recoverable session.
-		s.reg.Add("session.restore_degraded", 1)
-	}
-	e.sess = sess
+	e.sess = session.Restore(eng, stream.Config{Events: e.events, Session: id}, snap)
 	e.touch()
 	winner, inserted := s.sessions.putIfAbsent(id, e)
 	if !inserted {
@@ -157,7 +141,7 @@ func (s *Server) engineFor(tenant string) (*core.Engine, bool) {
 // back here (the newer owner died), serving the stale copy would silently
 // drop the fragments applied in between. Callers hold entry.mu. Returns the
 // rebuild nanoseconds when a resync happened, 0 otherwise.
-func (s *Server) resyncLocked(ctx context.Context, id string, entry *sessionEntry) int64 {
+func (s *Server) resyncLocked(id string, entry *sessionEntry) int64 {
 	if s.store == nil {
 		return 0
 	}
@@ -165,11 +149,7 @@ func (s *Server) resyncLocked(ctx context.Context, id string, entry *sessionEntr
 	if err != nil || !found || snap.Stream == nil {
 		return 0
 	}
-	cur := 0
-	if d := entry.sess.Stream(); d != nil {
-		_, _, cur = d.SnapshotState()
-	}
-	if snap.Stream.Seq <= cur {
+	if cur, _ := entry.sess.StreamPosition(); snap.Stream.Seq <= cur {
 		return 0
 	}
 	t0 := time.Now()
@@ -177,11 +157,7 @@ func (s *Server) resyncLocked(ctx context.Context, id string, entry *sessionEntr
 	if !ok {
 		return 0
 	}
-	sess, out := session.Restore(ctx, eng, stream.Config{Events: entry.events, Session: id}, snap)
-	if out.Err != nil {
-		s.reg.Add("session.restore_degraded", 1)
-	}
-	entry.sess = sess
+	entry.sess = session.Restore(eng, stream.Config{Events: entry.events, Session: id}, snap)
 	s.reg.Add("session.resyncs", 1)
 	s.reg.Add("stream.resumed", 1)
 	return time.Since(t0).Nanoseconds()

@@ -96,12 +96,17 @@ func TestResumeHeaderOnHandoffOnly(t *testing.T) {
 	}
 }
 
+// noCheckpoints is a replica's view of the fleet store with checkpointing
+// off: restores still read the store, but no snapshot is ever saved.
+type noCheckpoints struct{ session.Store }
+
+func (noCheckpoints) Save(*session.Snapshot) error { return nil }
+
 // A replica that does not checkpoint leaves nothing to restore: the session
 // is typed lost on the next replica, not silently recreated.
 func TestSessionLostIsTyped(t *testing.T) {
 	st := session.NewMemStore()
-	sa, a := replica(t, "la", st)
-	sa.SetCheckpointing(false)
+	_, a := replica(t, "la", noCheckpoints{st})
 	_, b := replica(t, "lb", st)
 	_, out := post(t, a.URL+"/api/stream/dictate", map[string]any{"fragment": "select salary from employees"})
 	id := out["id"].(string)

@@ -20,7 +20,7 @@ import (
 // newAPIServer builds an isolated Server (own engine, small corpus) for
 // tests that mutate server-level state — admission, TTLs, fault injection —
 // and must not disturb the shared fixture.
-func newAPIServer(t *testing.T, cacheSize int) *Server {
+func newAPIServer(t testing.TB, cacheSize int) *Server {
 	t.Helper()
 	db := dataset.NewEmployeesDB(dataset.EmployeesConfig{Employees: 60, Departments: 4, Seed: 7})
 	cat := literal.NewCatalog(db.TableNames(), db.AttributeNames(), db.StringValues(0))

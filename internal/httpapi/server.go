@@ -121,9 +121,6 @@ type Server struct {
 	// store is the fleet's session-snapshot store (handoff.go); nil disables
 	// checkpointing and restore.
 	store session.Store
-	// checkpoint gates snapshot writes (restore stays active regardless, so
-	// chaos tests can force the stream.lost path).
-	checkpoint bool
 }
 
 // New creates a Server over the given engine and database, reporting stats
@@ -712,7 +709,7 @@ func (s *Server) handleDictate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	entry, resumedNs, ok := s.lookupSession(ctx, req.ID)
+	entry, resumedNs, ok := s.lookupSession(req.ID)
 	if !ok {
 		s.writeSessionMiss(w, req.ID)
 		return
@@ -760,7 +757,7 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	entry, resumedNs, ok := s.lookupSession(r.Context(), req.ID)
+	entry, resumedNs, ok := s.lookupSession(req.ID)
 	if !ok {
 		s.writeSessionMiss(w, req.ID)
 		return
@@ -969,21 +966,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp["admission"] = s.gate.stats()
 	}
 	// The handoff block groups the serving-tier session-mobility story:
-	// which replica this is, whether it checkpoints, how many snapshots the
-	// fleet store holds, and the checkpoint/restore/resume/lost counters.
+	// which replica this is, how many snapshots the fleet store holds, and
+	// the checkpoint/restore/resume/lost counters.
 	if s.store != nil {
 		snapshots := -1
 		if ids, err := s.store.List(); err == nil {
 			snapshots = len(ids)
 		}
 		resp["handoff"] = map[string]any{
-			"node":          s.nodeID,
-			"checkpointing": s.checkpoint,
-			"snapshots":     snapshots,
-			"checkpoints":   snap.Counters["session.checkpoints"],
-			"restores":      snap.Counters["session.restores"],
-			"resumed":       snap.Counters["stream.resumed"],
-			"lost":          snap.Counters["stream.lost"],
+			"node":        s.nodeID,
+			"snapshots":   snapshots,
+			"checkpoints": snap.Counters["session.checkpoints"],
+			"restores":    snap.Counters["session.restores"],
+			"resumed":     snap.Counters["stream.resumed"],
+			"lost":        snap.Counters["stream.lost"],
 		}
 	}
 	// The validate block reports the validation stage (DESIGN.md §15): the

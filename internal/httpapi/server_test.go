@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -208,15 +209,15 @@ func TestExecuteEndpoint(t *testing.T) {
 	}
 }
 
-// nestedIn builds a query whose IN subqueries nest depth levels deep. Each
-// level is uncorrelated and re-runs once per outer row, so over n Salaries
-// rows the query materializes about n^(depth+1) rows.
-func nestedIn(depth int) string {
-	sql := "SELECT Salary FROM Salaries"
-	for i := 0; i < depth; i++ {
-		sql = "SELECT Salary FROM Salaries WHERE Salary IN ( " + sql + " )"
+// filterHeavy is an /api/execute body whose WHERE clause does all the
+// work: every row of the Salaries × Titles × Departments cross product
+// scans an IN list of 10,000 values that never matches (69 KB of SQL).
+func filterHeavy() string {
+	vals := make([]string, 10_000)
+	for i := range vals {
+		vals[i] = strconv.Itoa(i + 1)
 	}
-	return sql
+	return "SELECT Salary FROM Salaries , Titles , Departments WHERE Salary IN ( " + strings.Join(vals, " , ") + " )"
 }
 
 // Client SQL runs under the request deadline: a query whose unbounded run
@@ -227,7 +228,7 @@ func TestExecuteHonoursRequestDeadline(t *testing.T) {
 	api := newAPIServer(t, 0)
 	api.SetRequestTimeout(timeout)
 	ts := serve(t, api)
-	sql := nestedIn(4) // 124 Salaries rows: about 2.9·10¹⁰ rows unbounded
+	sql := filterHeavy() // 124·60·4 rows × 10⁴ comparisons: about 6 s unbounded
 
 	// The unbounded run exceeds 10× the timeout: the executor itself
 	// stops it at that deadline.

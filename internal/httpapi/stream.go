@@ -27,30 +27,25 @@ import (
 	"net/http"
 
 	"speakql/internal/core"
-	"speakql/internal/stream"
+	"speakql/internal/session"
 )
 
 type streamDictateReq struct {
 	ID       string `json:"id"`
 	Fragment string `json:"fragment"`
 	// Seq, when positive, is the sequence number the client expects this
-	// fragment to receive — its idempotency key. If the session's dictation
-	// already reached Seq, the fragment was applied by an earlier attempt
-	// whose response was lost (a replica died mid-reply, a proxy gave up):
-	// the server acknowledges with the current display instead of applying
-	// the fragment twice. This is what makes client-side retries through the
-	// router exactly-once.
+	// fragment to receive — its idempotency key. If the session's open
+	// dictation already reached Seq, the fragment was applied by an earlier
+	// attempt whose response was lost (a replica died mid-reply, a proxy
+	// gave up): the server acknowledges with the current display instead of
+	// applying the fragment twice. This is what makes client-side retries
+	// through the router exactly-once. A finalized dictation is not open: a
+	// fragment after it starts the next dictation at Seq 1.
 	Seq int `json:"seq,omitempty"`
 }
 
 type streamFinalizeReq struct {
 	ID string `json:"id"`
-}
-
-// streamConflict reports whether err is a dictation-lifecycle rejection,
-// answered with 409 Conflict rather than 500.
-func streamConflict(err error) bool {
-	return errors.Is(err, stream.ErrFinalized) || errors.Is(err, stream.ErrClosed)
 }
 
 // streamState shapes one fragment correction for the JSON response. The
@@ -101,7 +96,7 @@ func (s *Server) handleStreamDictate(w http.ResponseWriter, r *http.Request) {
 		req.ID = id
 	}
 	ctx := r.Context()
-	entry, resumedNs, ok := s.lookupSession(ctx, req.ID)
+	entry, resumedNs, ok := s.lookupSession(req.ID)
 	if !ok {
 		s.writeSessionMiss(w, req.ID)
 		return
@@ -113,23 +108,18 @@ func (s *Server) handleStreamDictate(w http.ResponseWriter, r *http.Request) {
 		entry.mu.Lock()
 		defer entry.mu.Unlock()
 		if req.Seq > 0 {
-			cur := 0
-			if d := entry.sess.Stream(); d != nil {
-				_, _, cur = d.SnapshotState()
-			}
+			cur, finalized := entry.sess.StreamPosition()
 			if req.Seq > cur+1 {
 				// The client has acknowledged fragments this copy never saw:
 				// the session advanced on another replica while this one held
 				// a stale entry (it owned the session before a ring remap).
 				// Resync from the fleet's snapshot before applying.
-				if ns := s.resyncLocked(ctx, req.ID, entry); ns > 0 {
+				if ns := s.resyncLocked(req.ID, entry); ns > 0 {
 					resumedNs = ns
 				}
-				if d := entry.sess.Stream(); d != nil {
-					_, _, cur = d.SnapshotState()
-				}
+				cur, finalized = entry.sess.StreamPosition()
 			}
-			if entry.sess.Stream() != nil && cur >= req.Seq {
+			if !finalized && cur >= req.Seq {
 				// The fragment already landed via an attempt whose response
 				// was lost — acknowledge, don't re-apply.
 				s.reg.Add("stream.duplicate_acks", 1)
@@ -152,7 +142,7 @@ func (s *Server) handleStreamDictate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch {
-	case streamConflict(err):
+	case errors.Is(err, session.ErrFinalized):
 		writeErr(w, http.StatusConflict, err)
 		return
 	case err != nil:
@@ -182,7 +172,7 @@ func (s *Server) handleStreamFinalize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	entry, resumedNs, ok := s.lookupSession(ctx, req.ID)
+	entry, resumedNs, ok := s.lookupSession(req.ID)
 	if !ok {
 		s.writeSessionMiss(w, req.ID)
 		return
@@ -194,7 +184,7 @@ func (s *Server) handleStreamFinalize(w http.ResponseWriter, r *http.Request) {
 		// from the request itself: validate against the store once (finalize
 		// is the per-session slow path already) so a stale copy can never
 		// finalize a shorter stream than the one the client dictated.
-		if ns := s.resyncLocked(ctx, req.ID, entry); ns > 0 {
+		if ns := s.resyncLocked(req.ID, entry); ns > 0 {
 			resumedNs = ns
 		}
 		out, err := entry.sess.FinalizeStream(ctx)
@@ -204,7 +194,7 @@ func (s *Server) handleStreamFinalize(w http.ResponseWriter, r *http.Request) {
 		return out, err
 	}()
 	switch {
-	case streamConflict(err):
+	case errors.Is(err, session.ErrFinalized):
 		writeErr(w, http.StatusConflict, err)
 		return
 	case err != nil:
@@ -233,7 +223,7 @@ func (s *Server) handleStreamEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("session")
 	// Subscribers restore too: after a failover the display reconnects its
 	// feed to whichever replica now owns the session.
-	entry, _, ok := s.lookupSession(r.Context(), id)
+	entry, _, ok := s.lookupSession(id)
 	if !ok {
 		s.writeSessionMiss(w, id)
 		return

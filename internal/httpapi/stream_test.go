@@ -65,6 +65,34 @@ func TestStreamDictateFinalize(t *testing.T) {
 	}
 }
 
+// Seq keys idempotency within one dictation: after a finalize, the next
+// dictation's seq 1 is a new fragment, not a duplicate of the finished
+// dictation's first, and a retry of it is still acknowledged only once.
+func TestStreamSeqRestartsAfterFinalize(t *testing.T) {
+	s := srv(t)
+	_, out := post(t, s.URL+"/api/session", map[string]any{})
+	id := out["id"].(string)
+	for i, f := range []string{"select salary from employees", "where gender equals M"} {
+		code, out := post(t, s.URL+"/api/stream/dictate", map[string]any{"id": id, "fragment": f, "seq": i + 1})
+		if code != http.StatusOK || out["duplicate"] != nil {
+			t.Fatalf("fragment %d: status %d (%v)", i+1, code, out)
+		}
+	}
+	if code, out := post(t, s.URL+"/api/stream/finalize", map[string]any{"id": id}); code != http.StatusOK {
+		t.Fatalf("finalize: status %d (%v)", code, out)
+	}
+	next := map[string]any{"id": id, "fragment": "select title from titles", "seq": 1}
+	code, out := post(t, s.URL+"/api/stream/dictate", next)
+	if code != http.StatusOK || out["duplicate"] != nil || out["seq"] != 1.0 ||
+		out["transcript"] != "select title from titles" {
+		t.Fatalf("next dictation's seq 1: status %d (%v), want it applied as fragment 1", code, out)
+	}
+	code, out = post(t, s.URL+"/api/stream/dictate", next)
+	if code != http.StatusOK || out["duplicate"] != true || out["seq"] != 1.0 {
+		t.Fatalf("retried seq 1: status %d (%v), want a duplicate ack at seq 1", code, out)
+	}
+}
+
 func TestStreamUnknownSession(t *testing.T) {
 	s := srv(t)
 	if code, _ := post(t, s.URL+"/api/stream/dictate",

@@ -83,12 +83,19 @@ type replicaProc struct {
 	api  *httpapi.Server
 	hs   *http.Server
 	ln   net.Listener
-
-	checkpointing bool
 }
 
+// noCheckpoints is a replica's view of the fleet store with checkpointing
+// off: restores still read the store, but no snapshot is ever saved.
+type noCheckpoints struct{ session.Store }
+
+func (noCheckpoints) Save(*session.Snapshot) error { return nil }
+
 func newReplicaProc(t *testing.T, name string, store session.Store, checkpointing bool) *replicaProc {
-	p := &replicaProc{name: name, store: store, addr: "127.0.0.1:0", checkpointing: checkpointing}
+	if !checkpointing {
+		store = noCheckpoints{store}
+	}
+	p := &replicaProc{name: name, store: store, addr: "127.0.0.1:0"}
 	p.start(t)
 	t.Cleanup(p.kill)
 	return p
@@ -108,7 +115,6 @@ func (p *replicaProc) start(t *testing.T) {
 	// session id its predecessor already handed out.
 	api.SetNodeID(fmt.Sprintf("%s-g%d", p.name, p.gen))
 	api.SetSessionStore(p.store)
-	api.SetCheckpointing(p.checkpointing)
 	var ln net.Listener
 	var err error
 	deadline := time.Now().Add(2 * time.Second)

@@ -36,10 +36,13 @@ type Event struct {
 
 // Session is one interactive query-composition session.
 type Session struct {
-	engine    *core.Engine
-	tokens    []string
-	events    []Event
-	dict      *stream.Dictation // open clause-streaming dictation, if any
+	engine *core.Engine
+	tokens []string
+	events []Event
+	// dict is the latest clause-streaming dictation, nil before the first
+	// fragment; finalized closes it to further fragments (streaming.go).
+	dict      *core.FragmentSession
+	finalized bool
 	streamCfg stream.Config
 }
 

@@ -30,8 +30,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-
-	"speakql/internal/stream"
 )
 
 // SnapshotVersion is the codec version embedded in every encoded snapshot;
@@ -39,12 +37,13 @@ import (
 // a session from a future format.
 const SnapshotVersion = 1
 
-// StreamSnapshot is the portable state of an open clause-streaming
-// dictation: the lifecycle phase and the raw fragments, which together are
-// sufficient to rebuild the dictation bit-identically on another replica
-// (see stream.RestoreDictation).
+// StreamSnapshot is the portable state of a clause-streaming dictation:
+// the lifecycle phase and the raw fragments, which together are sufficient
+// to rebuild the dictation bit-identically on another replica (see
+// Restore).
 type StreamSnapshot struct {
-	// Phase is the dictation's lifecycle state (stream.State as a string).
+	// Phase is the dictation's lifecycle phase: "idle", "streaming" or
+	// "finalized".
 	Phase string `json:"phase"`
 	// Fragments is the raw dictated fragment sequence, in order.
 	Fragments []string `json:"fragments,omitempty"`
@@ -67,7 +66,8 @@ type Snapshot struct {
 	// Events is the interaction log (effort accounting must survive handoff;
 	// it is the paper's primary metric).
 	Events []Event `json:"events,omitempty"`
-	// Stream is the open dictation's checkpoint, nil when none is open.
+	// Stream is the latest dictation's checkpoint, nil before the first
+	// streamed fragment.
 	Stream *StreamSnapshot `json:"stream,omitempty"`
 }
 
@@ -80,9 +80,9 @@ func (snap *Snapshot) Encode() ([]byte, error) {
 // DecodeSnapshot parses an encoded snapshot, rejecting unknown codec
 // versions, snapshots without an ID (a snapshot that cannot say which
 // session it is must never be restored as some other session), and stream
-// states stream.RestoreDictation cannot rebuild: an unknown phase, or an
-// idle dictation with fragments. Restoring either would silently drop the
-// recorded fragments.
+// states Restore cannot rebuild: an unknown phase, or an idle dictation
+// with fragments. Restoring either would silently drop the recorded
+// fragments.
 func DecodeSnapshot(raw []byte) (*Snapshot, error) {
 	var snap Snapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
@@ -95,12 +95,12 @@ func DecodeSnapshot(raw []byte) (*Snapshot, error) {
 		return nil, errors.New("session: snapshot has no session id")
 	}
 	if st := snap.Stream; st != nil {
-		switch stream.State(st.Phase) {
-		case stream.StateIdle:
+		switch st.Phase {
+		case phaseIdle:
 			if len(st.Fragments) > 0 {
 				return nil, fmt.Errorf("session: idle stream carries %d fragments", len(st.Fragments))
 			}
-		case stream.StateStreaming, stream.StateFinalized, stream.StateClosed:
+		case phaseStreaming, phaseFinalized:
 		default:
 			return nil, fmt.Errorf("session: unknown stream phase %q", st.Phase)
 		}

@@ -2,14 +2,26 @@ package session
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"speakql/internal/obs"
 	"speakql/internal/stream"
 )
+
+// stageSpans totals the spans every pipeline stage has recorded: a call
+// that leaves it unchanged ran no correction.
+func stageSpans() int64 {
+	var n int64
+	for _, st := range obs.Default().Snapshot().Stages {
+		n += st.Count
+	}
+	return n
+}
 
 // Snapshot → encode → decode → Restore must reproduce the session exactly:
 // display, effort log, and — mid-stream — the dictation's state, with the
@@ -59,12 +71,13 @@ func TestSnapshotRestoreMidStreamBitIdentical(t *testing.T) {
 	if decoded.ID != "s-handoff" || decoded.Tenant != "default" {
 		t.Fatalf("snapshot identity lost: %+v", decoded)
 	}
-	if decoded.Stream == nil || decoded.Stream.Phase != string(stream.StateStreaming) {
+	if decoded.Stream == nil || decoded.Stream.Phase != phaseStreaming || decoded.Stream.Seq != 2 {
 		t.Fatalf("stream checkpoint lost: %+v", decoded.Stream)
 	}
-	restored, out := Restore(ctx, e, stream.Config{}, decoded)
-	if out.Err != nil {
-		t.Fatalf("restore correction failed: %v", out.Err)
+	spans := stageSpans()
+	restored := Restore(e, stream.Config{}, decoded)
+	if got := stageSpans(); got != spans {
+		t.Fatalf("restore recorded %d pipeline spans, want none", got-spans)
 	}
 	if got, want := restored.SQL(), orig.SQL(); got != want {
 		t.Fatalf("restored display %q != original %q", got, want)
@@ -100,9 +113,10 @@ func TestSnapshotRestoreMidStreamBitIdentical(t *testing.T) {
 	}
 }
 
-// A finalized snapshot restores finalized: the display survives, further
-// fragments are rejected with ErrFinalized (same as on the original
-// replica), and no correction runs during restore.
+// A finalized snapshot restores finalized: the display survives, a second
+// finalize is rejected with ErrFinalized and the next fragment opens a new
+// dictation (same as on the original replica), and no correction runs
+// during restore.
 func TestSnapshotRestoreFinalized(t *testing.T) {
 	e := engine(t)
 	ctx := context.Background()
@@ -114,19 +128,27 @@ func TestSnapshotRestoreFinalized(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := s.Snapshot("s-fin", "")
-	restored, _ := Restore(ctx, e, stream.Config{}, snap)
+	spans := stageSpans()
+	restored := Restore(e, stream.Config{}, snap)
+	if got := stageSpans(); got != spans {
+		t.Fatalf("restore recorded %d pipeline spans, want none", got-spans)
+	}
 	if got, want := restored.SQL(), s.SQL(); got != want {
 		t.Fatalf("restored display %q != %q", got, want)
 	}
-	if st := restored.Stream().State(); st != stream.StateFinalized {
-		t.Fatalf("restored stream state = %v, want finalized", st)
+	if n, fin := restored.StreamPosition(); n != 1 || !fin {
+		t.Fatalf("restored stream position = %d, finalized %v; want 1, true", n, fin)
 	}
-	if _, err := restored.StreamFragment(ctx, "where gender equals M"); err != nil {
+	if _, err := restored.FinalizeStream(ctx); !errors.Is(err, ErrFinalized) {
+		t.Fatalf("second finalize after restore: err = %v, want ErrFinalized", err)
+	}
+	out, err := restored.StreamFragment(ctx, "where gender equals M")
+	if err != nil || out.Seq != 1 {
 		// StreamFragment starts a fresh dictation after finalize by design —
 		// exactly like the original replica would.
-		t.Fatalf("post-finalize fragment should start a new dictation, got %v", err)
+		t.Fatalf("post-finalize fragment should start a new dictation at seq 1, got seq %d, err %v", out.Seq, err)
 	}
-	if _, err := restored.Stream().Finalize(ctx); err != nil {
+	if _, err := restored.FinalizeStream(ctx); err != nil {
 		t.Fatalf("new dictation should finalize cleanly, got %v", err)
 	}
 }
@@ -141,9 +163,9 @@ func TestSnapshotRestoreDisplayOnly(t *testing.T) {
 	if snap.Stream != nil {
 		t.Fatalf("no dictation open, but snapshot has stream: %+v", snap.Stream)
 	}
-	restored, out := Restore(context.Background(), e, stream.Config{}, snap)
-	if out.Err != nil || out.Seq != 0 {
-		t.Fatalf("display-only restore ran a stream correction: %+v", out)
+	restored := Restore(e, stream.Config{}, snap)
+	if n, fin := restored.StreamPosition(); n != 0 || fin {
+		t.Fatalf("display-only restore opened a dictation: %d fragments, finalized %v", n, fin)
 	}
 	if restored.SQL() != s.SQL() || restored.Effort() != s.Effort() {
 		t.Fatalf("display-only restore diverged: %q/%d vs %q/%d",
@@ -166,9 +188,10 @@ func TestDecodeSnapshotRejects(t *testing.T) {
 	}
 }
 
-// Decode accepts exactly the stream states stream.RestoreDictation can
-// rebuild: an unknown phase, or an idle dictation with fragments, would
-// restore as an empty dictation and drop the recorded fragments.
+// Decode accepts exactly the stream phases Snapshot writes: an unknown
+// phase, or an idle dictation with fragments, would restore as some other
+// dictation than the one recorded. "closed" is unknown: no session ever
+// wrote it.
 func TestDecodeSnapshotStreamPhases(t *testing.T) {
 	for _, c := range []struct {
 		stream string
@@ -179,7 +202,7 @@ func TestDecodeSnapshotStreamPhases(t *testing.T) {
 		{`,"stream":{"phase":"streaming","fragments":["select salary"],"seq":1}`, true},
 		{`,"stream":{"phase":"finalized","fragments":["select salary"],"seq":1}`, true},
 		{`,"stream":{"phase":"finalized"}`, true},
-		{`,"stream":{"phase":"closed","fragments":["select salary"],"seq":1}`, true},
+		{`,"stream":{"phase":"closed","fragments":["select salary"],"seq":1}`, false},
 		{`,"stream":{"phase":"idle","fragments":["select salary"]}`, false},
 		{`,"stream":{"phase":"paused","fragments":["select salary"],"seq":1}`, false},
 		{`,"stream":{"phase":"Streaming","fragments":["select salary"],"seq":1}`, false},

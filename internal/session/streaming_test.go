@@ -5,8 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"speakql/internal/stream"
 )
 
 func TestStreamFragmentGrowsDisplay(t *testing.T) {
@@ -36,9 +34,13 @@ func TestStreamFragmentGrowsDisplay(t *testing.T) {
 	if s.Dictations() != 2 || s.Touches() != 2*CostRecordButton {
 		t.Errorf("effort: dictations=%d touches=%d", s.Dictations(), s.Touches())
 	}
-	// The finalized dictation stays inspectable until the next fragment.
-	if st := s.Stream().State(); st != stream.StateFinalized {
-		t.Errorf("stream state = %q", st)
+	// The finalized dictation stays inspectable until the next fragment,
+	// and finalizing it again is rejected.
+	if n, fin := s.StreamPosition(); n != 2 || !fin {
+		t.Errorf("stream position = %d, finalized %v; want 2, true", n, fin)
+	}
+	if _, err := s.FinalizeStream(ctx); !errors.Is(err, ErrFinalized) {
+		t.Errorf("double finalize: err = %v, want ErrFinalized", err)
 	}
 }
 
@@ -65,25 +67,7 @@ func TestStreamFragmentStartsFreshAfterFinalize(t *testing.T) {
 
 func TestFinalizeStreamWithoutDictation(t *testing.T) {
 	s := New(engine(t))
-	if _, err := s.FinalizeStream(context.Background()); !errors.Is(err, stream.ErrFinalized) {
+	if _, err := s.FinalizeStream(context.Background()); !errors.Is(err, ErrFinalized) {
 		t.Fatalf("finalize with no stream: err = %v", err)
-	}
-	s.CloseStream() // no-op on nil dictation
-}
-
-func TestCloseStreamRejectsFurtherFragments(t *testing.T) {
-	s := New(engine(t))
-	ctx := context.Background()
-	if _, err := s.StreamFragment(ctx, "select salary from employees"); err != nil {
-		t.Fatal(err)
-	}
-	s.CloseStream()
-	// A closed dictation is replaced transparently by the next fragment.
-	out, err := s.StreamFragment(ctx, "select title from titles")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Seq != 1 {
-		t.Errorf("fragment after close reused the closed dictation: seq=%d", out.Seq)
 	}
 }

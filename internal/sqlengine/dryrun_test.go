@@ -3,6 +3,7 @@ package sqlengine
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -75,12 +76,51 @@ func TestBudgetChargesJoinWork(t *testing.T) {
 }
 
 func TestBudgetChargesSubqueryWork(t *testing.T) {
-	// An uncorrelated IN subquery re-runs once per outer row: two levels
-	// over 300 rows materialize about 2.7·10⁷ rows unbounded. Each
-	// execution is charged, so a deadline stops the run within a few
-	// check intervals.
-	db := numbersDB(t, 300)
+	// Each subquery runs once per run, not once per outer row: two levels of
+	// IN over n rows charge three scans, two WHERE passes over n rows, and
+	// two IN scans of n values per tested row — 2n²+5n, where re-running
+	// the subqueries per row would charge about n³. A done context still
+	// stops the run: its charges cross many check intervals.
+	const n = 300
+	db := numbersDB(t, n)
 	const sql = "SELECT V FROM N WHERE V IN ( SELECT V FROM N WHERE V IN ( SELECT V FROM N ) )"
+	stmt, err := Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bud := &budget{ctx: context.Background()}
+	res, err := execute(db, stmt, bud)
+	if err != nil || len(res.Rows) != n {
+		t.Fatalf("nested IN: %v rows, err %v; want %d rows", res, err, n)
+	}
+	if bound := int64(2*n*n + 5*n); bud.rows > bound {
+		t.Fatalf("nested IN charged %d rows, want at most %d (one run per subquery)", bud.rows, bound)
+	}
+	if _, err := RunContext(cancelledCtx(), db, sql); !errors.Is(err, context.Canceled) {
+		t.Fatalf("nested IN under a cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
+// filterHeavy is a query whose every row scans an IN list of nvals values
+// that never matches V.
+func filterHeavy(nvals int) string {
+	vals := make([]string, nvals)
+	for i := range vals {
+		vals[i] = strconv.Itoa(1_000_000 + i)
+	}
+	return "SELECT V FROM N WHERE V IN ( " + strings.Join(vals, " , ") + " )"
+}
+
+func TestBudgetChargesFilterWork(t *testing.T) {
+	// 1,000 rows stay under one check interval, so only the WHERE clause's
+	// work can cross it: 4·10⁷ IN-list comparisons unbounded. A done
+	// context stops the run by its filter charges, and a deadline stops it
+	// within a few check intervals.
+	db := numbersDB(t, 1000)
+	sql := filterHeavy(40_000)
+	if _, err := RunContext(cancelledCtx(), db, sql); !errors.Is(err, context.Canceled) {
+		t.Fatalf("filter under a cancelled context: err = %v, want context.Canceled", err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()

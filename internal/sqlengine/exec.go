@@ -22,30 +22,29 @@ const maxJoinRows = 2_000_000
 
 // Execute runs a parsed statement against the database.
 func Execute(db *Database, stmt *SelectStmt) (*Result, error) {
-	return execute(db, stmt, nil)
+	return execute(db, stmt, &budget{ctx: context.Background()})
 }
 
-// budgetCheckRows is how many materialized rows pass between checks of the
+// budgetCheckRows is how many charged rows pass between checks of the
 // caller's context.
 const budgetCheckRows = 1024
 
-// budget bounds one run by its caller's context. It is charged for every
-// row materialized — base-table scans, join outputs, and each subquery
-// execution — and polls the context every budgetCheckRows rows, so a
-// runaway query (an uncorrelated IN subquery re-runs once per outer row)
-// stops soon after its deadline. A nil budget never stops. All state lives
-// here, never in the Database, so a stopped run leaves no trace.
+// budget is one run's state. It bounds the run by its caller's context: it
+// is charged a row for every row materialized (base-table scans and join
+// outputs), for every row a WHERE clause tests, and for every value an IN
+// predicate scans, and polls the context every budgetCheckRows rows, so a
+// runaway query stops soon after its deadline. It also holds each
+// subquery's result, so a subquery runs once per run. All state lives here,
+// never in the Database, so a stopped run leaves no trace.
 type budget struct {
 	ctx  context.Context
 	rows int64
+	subs map[*SelectStmt]*Result
 }
 
 // charge consumes n rows and reports the context's error, wrapped, once a
 // check finds it done.
 func (b *budget) charge(n int) error {
-	if b == nil {
-		return nil
-	}
 	prev := b.rows
 	b.rows += int64(n)
 	if prev/budgetCheckRows == b.rows/budgetCheckRows {
@@ -57,6 +56,24 @@ func (b *budget) charge(n int) error {
 	return nil
 }
 
+// subquery returns sub's result, running it on first use only: a subquery
+// binds only its own FROM list, so its result cannot depend on the outer
+// row.
+func (b *budget) subquery(db *Database, sub *SelectStmt) (*Result, error) {
+	if res, ok := b.subs[sub]; ok {
+		return res, nil
+	}
+	res, err := execute(db, sub, b)
+	if err != nil {
+		return nil, err
+	}
+	if b.subs == nil {
+		b.subs = make(map[*SelectStmt]*Result)
+	}
+	b.subs[sub] = res
+	return res, nil
+}
+
 func execute(db *Database, stmt *SelectStmt, bud *budget) (*Result, error) {
 	rel, err := buildFrom(db, stmt, bud)
 	if err != nil {
@@ -65,6 +82,9 @@ func execute(db *Database, stmt *SelectStmt, bud *budget) (*Result, error) {
 	if stmt.Where != nil {
 		filtered := rel.rows[:0:0]
 		for _, row := range rel.rows {
+			if err := bud.charge(1); err != nil {
+				return nil, err
+			}
 			ok, err := evalBool(db, rel, row, stmt.Where, bud)
 			if err != nil {
 				return nil, err
@@ -375,8 +395,11 @@ func evalPred(db *Database, rel *relation, row []Value, p *Predicate, bud *budge
 			return false, err
 		}
 		if p.Sub != nil {
-			sub, err := execute(db, p.Sub, bud)
+			sub, err := bud.subquery(db, p.Sub)
 			if err != nil {
+				return false, err
+			}
+			if err := bud.charge(len(sub.Rows)); err != nil {
 				return false, err
 			}
 			for _, r := range sub.Rows {
@@ -385,6 +408,9 @@ func evalPred(db *Database, rel *relation, row []Value, p *Predicate, bud *budge
 				}
 			}
 			return false, nil
+		}
+		if err := bud.charge(len(p.Vals)); err != nil {
+			return false, err
 		}
 		for _, v := range p.Vals {
 			if Equal(lv, v) {
@@ -404,7 +430,7 @@ func operandValue(db *Database, rel *relation, row []Value, o Operand, bud *budg
 		}
 		return row[i], nil
 	case o.Sub != nil:
-		sub, err := execute(db, o.Sub, bud)
+		sub, err := bud.subquery(db, o.Sub)
 		if err != nil {
 			return Null(), err
 		}

@@ -118,18 +118,6 @@ func Weight(tok string) float64 {
 	}
 }
 
-// WeightOfClass returns the edit-distance weight for a token class.
-func WeightOfClass(c Class) float64 {
-	switch c {
-	case Keyword:
-		return WeightKeyword
-	case SplChar:
-		return WeightSplChar
-	default:
-		return WeightLiteral
-	}
-}
-
 // Placeholder returns the i-th (1-based) placeholder variable name, "x1",
 // "x2", ... as used in masked structures.
 func Placeholder(i int) string { return fmt.Sprintf("x%d", i) }

@@ -11,7 +11,7 @@ import (
 type Event struct {
 	// Session identifies the dictation on multiplexed feeds.
 	Session string `json:"session,omitempty"`
-	// Kind is "fragment", "finalized", or "closed".
+	// Kind is "fragment" or "finalized".
 	Kind string `json:"kind"`
 	// Seq is the fragment sequence number the snapshot corresponds to.
 	Seq int `json:"seq,omitempty"`

@@ -1,4 +1,7 @@
-package stream
+package stream_test
+
+// The feed's producer is session.Session: these tests dictate through a
+// session and read what its broadcaster carries.
 
 import (
 	"context"
@@ -12,6 +15,8 @@ import (
 	"speakql/internal/faultinject"
 	"speakql/internal/grammar"
 	"speakql/internal/literal"
+	"speakql/internal/session"
+	"speakql/internal/stream"
 )
 
 var (
@@ -36,64 +41,19 @@ func engine(t testing.TB) *core.Engine {
 	return testEngine
 }
 
-func TestStateMachine(t *testing.T) {
-	ctx := context.Background()
-	d := NewDictation(engine(t), Config{})
-	if d.State() != StateIdle {
-		t.Fatalf("new dictation state = %q", d.State())
-	}
-	if _, err := d.Dictate(ctx, "select sales from employers"); err != nil {
-		t.Fatal(err)
-	}
-	if d.State() != StateStreaming {
-		t.Fatalf("state after dictate = %q", d.State())
-	}
-	fin, err := d.Finalize(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.State() != StateFinalized {
-		t.Fatalf("state after finalize = %q", d.State())
-	}
-	if fin.Best().SQL == "" {
-		t.Error("finalized dictation has no SQL")
-	}
-	if _, err := d.Dictate(ctx, "wear name equals Jon"); !errors.Is(err, ErrFinalized) {
-		t.Errorf("dictate after finalize: err = %v, want ErrFinalized", err)
-	}
-	if _, err := d.Finalize(ctx); !errors.Is(err, ErrFinalized) {
-		t.Errorf("double finalize: err = %v, want ErrFinalized", err)
-	}
-	d.Close()
-	d.Close() // idempotent
-	if d.State() != StateClosed {
-		t.Fatalf("state after close = %q", d.State())
-	}
-	if _, err := d.Dictate(ctx, "x"); !errors.Is(err, ErrClosed) {
-		t.Errorf("dictate after close: err = %v, want ErrClosed", err)
-	}
-	if _, err := d.Finalize(ctx); !errors.Is(err, ErrClosed) {
-		t.Errorf("finalize after close: err = %v, want ErrClosed", err)
-	}
-	// The last snapshot outlives the dictation.
-	if d.Snapshot().Best().SQL != fin.Best().SQL {
-		t.Error("snapshot lost after close")
-	}
-}
-
-// TestDictationMatchesOneShot: the stream layer adds state handling, not
-// semantics — its final output must match the engine's one-shot path.
+// TestDictationMatchesOneShot: streaming adds lifecycle and events, not
+// semantics — a finalized dictation matches the engine's one-shot path.
 func TestDictationMatchesOneShot(t *testing.T) {
 	e := engine(t)
 	ctx := context.Background()
 	frags := []string{"select sales from employers", "wear name equals Jon"}
-	d := NewDictation(e, Config{})
+	s := session.New(e)
 	for _, f := range frags {
-		if _, err := d.Dictate(ctx, f); err != nil {
+		if _, err := s.StreamFragment(ctx, f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fin, err := d.Finalize(ctx)
+	fin, err := s.FinalizeStream(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,28 +61,29 @@ func TestDictationMatchesOneShot(t *testing.T) {
 	if fin.Best().SQL != want.Best().SQL {
 		t.Fatalf("stream SQL %q, one-shot %q", fin.Best().SQL, want.Best().SQL)
 	}
-	if d.Transcript() != strings.Join(frags, " ") {
-		t.Errorf("transcript = %q", d.Transcript())
+	if fin.RawTranscript != strings.Join(frags, " ") {
+		t.Errorf("transcript = %q", fin.RawTranscript)
 	}
 }
 
 func TestDictationPublishesEvents(t *testing.T) {
-	b := NewBroadcaster()
+	b := stream.NewBroadcaster()
 	defer b.Close()
 	sub := b.Subscribe()
-	d := NewDictation(engine(t), Config{Events: b, Session: "s1"})
+	s := session.New(engine(t))
+	s.SetStreamConfig(stream.Config{Events: b, Session: "s1"})
 	ctx := context.Background()
-	if _, err := d.Dictate(ctx, "select sales from employers"); err != nil {
+	if _, err := s.StreamFragment(ctx, "select sales from employers"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Dictate(ctx, "wear name equals Jon"); err != nil {
+	if _, err := s.StreamFragment(ctx, "wear name equals Jon"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Finalize(ctx); err != nil {
+	if _, err := s.FinalizeStream(ctx); err != nil {
 		t.Fatal(err)
 	}
-	d.Close()
-	wantKinds := []string{"fragment", "fragment", "finalized", "closed"}
+	wantKinds := []string{"fragment", "fragment", "finalized"}
+	wantSeqs := []int{1, 2, 2}
 	for i, want := range wantKinds {
 		select {
 		case ev := <-sub.Events():
@@ -132,8 +93,8 @@ func TestDictationPublishesEvents(t *testing.T) {
 			if ev.Session != "s1" {
 				t.Fatalf("event %d session = %q", i, ev.Session)
 			}
-			if want == "fragment" && ev.Seq != i+1 {
-				t.Errorf("fragment event seq = %d, want %d", ev.Seq, i+1)
+			if ev.Seq != wantSeqs[i] {
+				t.Errorf("event %d seq = %d, want %d", i, ev.Seq, wantSeqs[i])
 			}
 			if want == "finalized" && ev.SQL == "" {
 				t.Error("finalized event carries no SQL")
@@ -142,21 +103,15 @@ func TestDictationPublishesEvents(t *testing.T) {
 			t.Fatalf("no event %d (%s)", i, want)
 		}
 	}
-}
-
-func TestDictationFragmentBudget(t *testing.T) {
-	// An already-expired parent deadline can only tighten the per-fragment
-	// budget; the dictation must still answer (degraded), not hang.
-	d := NewDictation(engine(t), Config{FragmentBudget: time.Nanosecond})
-	out, err := d.Dictate(context.Background(), "select sales from employers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Degraded() {
-		t.Skip("fragment finished inside a nanosecond budget") // wildly unlikely
+	select {
+	case ev := <-sub.Events():
+		t.Fatalf("unexpected event after finalize: %+v", ev)
+	default:
 	}
 }
 
+// TestDictationInjectedError: a stream fault rejects the fragment before
+// any correction, so nothing is published and the display keeps its state.
 func TestDictationInjectedError(t *testing.T) {
 	inj, err := faultinject.Parse("seed=3;stream:error")
 	if err != nil {
@@ -164,111 +119,28 @@ func TestDictationInjectedError(t *testing.T) {
 	}
 	faultinject.Set(inj)
 	defer faultinject.Set(nil)
-	d := NewDictation(engine(t), Config{})
-	_, derr := d.Dictate(context.Background(), "select sales from employers")
+	b := stream.NewBroadcaster()
+	defer b.Close()
+	sub := b.Subscribe()
+	s := session.New(engine(t))
+	s.SetStreamConfig(stream.Config{Events: b, Session: "s1"})
+	_, derr := s.StreamFragment(context.Background(), "select sales from employers")
 	var ierr *faultinject.InjectedError
 	if !errors.As(derr, &ierr) || ierr.Stage != faultinject.StageStream {
 		t.Fatalf("dictate under stream:error returned %v", derr)
 	}
-	if d.State() != StateIdle {
-		t.Errorf("rejected fragment moved state to %q", d.State())
+	if n, fin := s.StreamPosition(); n != 0 || fin {
+		t.Errorf("rejected fragment was applied: %d fragments, finalized %v", n, fin)
 	}
-}
-
-func TestBroadcasterDropsWhenFull(t *testing.T) {
-	b := NewBroadcaster()
-	defer b.Close()
-	sub := b.Subscribe()
-	for i := 0; i < subscriberBuffer+10; i++ {
-		b.Publish(Event{Kind: "fragment", Seq: i})
+	if len(s.Tokens()) != 0 {
+		t.Errorf("rejected fragment changed the display: %v", s.Tokens())
 	}
-	sub.Cancel()
-	n := 0
-	for range sub.Events() {
-		n++
+	if st := s.Snapshot("s1", "").Stream; st == nil || st.Phase != "idle" {
+		t.Errorf("rejected fragment left stream snapshot %+v, want phase idle", st)
 	}
-	if n != subscriberBuffer {
-		t.Fatalf("received %d events, want the buffer's %d (rest dropped)", n, subscriberBuffer)
-	}
-}
-
-func TestBroadcasterCloseAndCancel(t *testing.T) {
-	b := NewBroadcaster()
-	s1, s2 := b.Subscribe(), b.Subscribe()
-	if b.Subscribers() != 2 {
-		t.Fatalf("subscribers = %d", b.Subscribers())
-	}
-	s1.Cancel()
-	s1.Cancel() // idempotent
-	if _, ok := <-s1.Events(); ok {
-		t.Error("cancelled subscriber channel still open")
-	}
-	b.Close()
-	b.Close() // idempotent
-	if _, ok := <-s2.Events(); ok {
-		t.Error("subscriber channel open after broadcaster close")
-	}
-	b.Publish(Event{Kind: "fragment"}) // no-op, must not panic
-	s3 := b.Subscribe()
-	if _, ok := <-s3.Events(); ok {
-		t.Error("subscribe after close returned an open channel")
-	}
-	s3.Cancel() // safe on an already-closed subscription
-}
-
-// TestBroadcasterConcurrency races publishers, subscribers, cancels, and a
-// close; run under -race this is the fan-out's safety net.
-func TestBroadcasterConcurrency(t *testing.T) {
-	b := NewBroadcaster()
-	var wg sync.WaitGroup
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				b.Publish(Event{Kind: "fragment", Seq: i})
-			}
-		}()
-	}
-	for s := 0; s < 4; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sub := b.Subscribe()
-			for i := 0; i < 50; i++ {
-				select {
-				case <-sub.Events():
-				case <-time.After(10 * time.Millisecond):
-				}
-			}
-			sub.Cancel()
-		}()
-	}
-	wg.Wait()
-	b.Close()
-}
-
-// TestCloseNeverBlocks: Close must return even while a correction holds the
-// dictation mutex — the TTL sweeper depends on it.
-func TestCloseNeverBlocks(t *testing.T) {
-	d := NewDictation(engine(t), Config{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 5; i++ {
-			d.Dictate(context.Background(), "select first name from employees")
-		}
-	}()
-	done := make(chan struct{})
-	go func() {
-		d.Close()
-		close(done)
-	}()
 	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close blocked behind in-flight corrections")
+	case ev := <-sub.Events():
+		t.Fatalf("rejected fragment published %+v", ev)
+	default:
 	}
-	wg.Wait()
 }

@@ -247,9 +247,6 @@ func (ix *Index) sortInv() {
 // Total returns the number of distinct structures indexed.
 func (ix *Index) Total() int { return ix.total }
 
-// MaxLen returns the maximum indexed structure length.
-func (ix *Index) MaxLen() int { return ix.maxLen }
-
 // NumTries returns the number of non-empty tries.
 func (ix *Index) NumTries() int {
 	n := 0
