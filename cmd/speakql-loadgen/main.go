@@ -7,7 +7,7 @@
 //
 //	speakql-loadgen -url http://localhost:8080 [-seed 1] [-duration 30s]
 //	                [-rps 0] [-concurrency 32] [-mix correct=40,nbest=10,…]
-//	                [-plan-size 0] [-timeout 30s] [-json FILE] [-merge FILE]
+//	                [-plan-size 0] [-timeout 30s] [-json FILE]
 //	                [-max-error-rate 0]
 //
 // Traffic classes (weights via -mix; see internal/loadgen):
@@ -30,9 +30,7 @@
 // same parameters replay identical request sequences, and the report's
 // workload_checksum proves it — so before/after comparisons across server
 // builds measure the server, not workload drift. -json writes the full
-// report; -merge appends the headline numbers (load_correct_p50/p99,
-// load_stream_p99, load_shed_rate) into an existing speakql-bench -json
-// artifact so the CI perf-trajectory diff tracks them release over release.
+// report.
 //
 // Exit status: 0 on a clean run, 1 when the error rate exceeds
 // -max-error-rate (default 0: any request error fails the run; shed 503s
@@ -65,7 +63,6 @@ func main() {
 	planSize := flag.Int("plan-size", 0, "ops in the generated plan; runs longer than the plan replay it (0 derives from -rps and -duration)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request client timeout")
 	jsonOut := flag.String("json", "", "write the full machine-readable report to this file")
-	merge := flag.String("merge", "", "append headline load keys into this existing speakql-bench -json artifact")
 	maxErrRate := flag.Float64("max-error-rate", 0,
 		"tolerated request error rate before exiting 1 (0 demands a clean run; raise for chaos runs that kill replicas mid-traffic)")
 	flag.Parse()
@@ -110,13 +107,6 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Printf("wrote report to %s\n", *jsonOut)
-	}
-	if *merge != "" {
-		if err := rep.MergeBench(*merge); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("merged load keys into %s\n", *merge)
 	}
 	if rep.ErrorRate > *maxErrRate {
 		fmt.Fprintf(os.Stderr, "run saw errors (rate %.3f > max %.3f): %v\n",

@@ -8,7 +8,6 @@ package core
 import (
 	"context"
 	"testing"
-	"time"
 
 	"speakql/internal/faultinject"
 )
@@ -27,43 +26,6 @@ func TestDegradationFullOnHealthyPath(t *testing.T) {
 		if len(c.Bindings) == 0 {
 			t.Errorf("full-fidelity candidate %d has no bindings", i)
 		}
-	}
-}
-
-// A tight soft budget (the whole window) forces the literals_top1 rung: one
-// structure, literals still determined — a filled candidate, not a skeleton.
-func TestDegradationLiteralsTop1UnderSoftBudget(t *testing.T) {
-	e, err := NewEngine(testEngineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetLiteralBudgetFraction(1.0) // any structure latency trips the rung
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	out := e.CorrectTopKContext(ctx, degradeTranscript, 3)
-	if out.Degradation != DegradationLiteralsTop1 {
-		t.Fatalf("degradation = %q, want literals_top1", out.Degradation)
-	}
-	if !out.Degraded() {
-		t.Error("Degraded() false on literals_top1")
-	}
-	if len(out.Candidates) != 1 {
-		t.Fatalf("top-1 mode kept %d candidates, want 1", len(out.Candidates))
-	}
-	c := out.Candidates[0]
-	if len(c.Bindings) == 0 {
-		t.Fatal("literals_top1 candidate has no bindings — should still be filled")
-	}
-	for _, b := range c.Bindings {
-		if len(b.TopK) > 1 {
-			t.Errorf("placeholder %s carries %d literal alternatives in top-1 mode",
-				b.Placeholder, len(b.TopK))
-		}
-	}
-	// The soft rung must not fire without a deadline.
-	out = e.CorrectTopK(degradeTranscript, 3)
-	if out.Degradation != DegradationFull {
-		t.Errorf("no-deadline correction degraded to %q", out.Degradation)
 	}
 }
 

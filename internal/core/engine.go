@@ -31,18 +31,7 @@ type Config struct {
 	// StructureCacheSize bounds the LRU memo cache for structure searches,
 	// keyed by the masked transcript (see SearchLRU). 0 disables caching.
 	StructureCacheSize int
-	// LiteralBudgetFraction is the graceful-degradation soft budget: when a
-	// deadline-carrying correction finishes structure determination with
-	// less than this fraction of the deadline window remaining, the literal
-	// stage runs in top-1 mode (one structure, one literal per placeholder)
-	// instead of being skipped wholesale. 0 means DefaultLiteralBudget;
-	// negative disables the ladder's soft rung.
-	LiteralBudgetFraction float64
 }
-
-// DefaultLiteralBudget is the default LiteralBudgetFraction: degrade the
-// literal stage when less than a quarter of the deadline window is left.
-const DefaultLiteralBudget = 0.25
 
 // Engine is the SpeakQL correction engine. Construction generates and
 // indexes the structure corpus (the offline step); Correct is cheap and
@@ -52,7 +41,6 @@ type Engine struct {
 	catalog   *literal.Catalog
 	kLiterals int
 	cache     *SearchLRU // nil when caching is disabled
-	litBudget float64    // soft-budget fraction; <= 0 disables the rung
 
 	// Validation stage (DESIGN.md §15), installed via SetValidation; a nil
 	// validateDB keeps the stage off regardless of mode.
@@ -72,15 +60,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Catalog == nil {
 		cfg.Catalog = literal.NewCatalog(nil, nil, nil)
 	}
-	if cfg.LiteralBudgetFraction == 0 {
-		cfg.LiteralBudgetFraction = DefaultLiteralBudget
-	}
 	sc, err := structure.New(structure.Config{Grammar: cfg.Grammar})
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{structure: sc, catalog: cfg.Catalog, kLiterals: cfg.TopKLiterals,
-		litBudget: cfg.LiteralBudgetFraction}
+	e := &Engine{structure: sc, catalog: cfg.Catalog, kLiterals: cfg.TopKLiterals}
 	if cfg.StructureCacheSize > 0 {
 		e.cache = NewSearchLRU(cfg.StructureCacheSize)
 		sc.SetSearchCache(e.cache)
@@ -97,14 +81,8 @@ func NewEngineWithComponent(sc *structure.Component, cat *literal.Catalog, kLite
 	if cat == nil {
 		cat = literal.NewCatalog(nil, nil, nil)
 	}
-	return &Engine{structure: sc, catalog: cat, kLiterals: kLiterals,
-		litBudget: DefaultLiteralBudget}
+	return &Engine{structure: sc, catalog: cat, kLiterals: kLiterals}
 }
-
-// SetLiteralBudgetFraction overrides the soft-budget fraction of the
-// degradation ladder (see Config.LiteralBudgetFraction); <= 0 disables the
-// literals_top1 rung. Call before serving traffic.
-func (e *Engine) SetLiteralBudgetFraction(f float64) { e.litBudget = f }
 
 // EnableSearchCache installs a structure-search memo cache of the given
 // size on an already-built engine (used by the engine-sharing paths that
@@ -169,10 +147,6 @@ type Candidate struct {
 const (
 	// DegradationFull: both stages ran at their configured fidelity.
 	DegradationFull = "full"
-	// DegradationLiteralsTop1: structure determination consumed most of the
-	// deadline, so the literal stage ran in top-1 mode — one structure
-	// hypothesis, one literal per placeholder — instead of being skipped.
-	DegradationLiteralsTop1 = "literals_top1"
 	// DegradationStructureOnly: the deadline expired (or the literal stage
 	// failed) after structures were found; candidates carry the skeleton
 	// with unfilled placeholders and no bindings.
@@ -194,12 +168,11 @@ type Output struct {
 	StructureLatency time.Duration
 	LiteralLatency   time.Duration
 	// Degradation is the ladder level this response was served at: one of
-	// DegradationFull, DegradationLiteralsTop1, DegradationStructureOnly,
-	// DegradationShed.
+	// DegradationFull, DegradationStructureOnly, DegradationShed.
 	Degradation string
 	// Validation records what the validation stage did: "" when the stage
 	// is off, "bind" when it ran, or ValidationShed when a configured stage
-	// was sacrificed under ladder pressure.
+	// was skipped (expired deadline or injected fault).
 	Validation string
 	// ValidateLatency times the validation stage (zero unless it ran).
 	ValidateLatency time.Duration
@@ -242,8 +215,8 @@ func (e *Engine) CorrectTopK(transcript string, k int) Output {
 // honored between pipeline stages and at trie-partition boundaries inside
 // structure determination. Rather than failing outright when the deadline
 // tightens, the engine walks the graceful-degradation ladder — full →
-// literals_top1 → structure_only → shed — and reports the level it served
-// at in Output.Degradation. A cancelled call returns promptly with
+// structure_only → shed — and reports the level it served at in
+// Output.Degradation. A cancelled call returns promptly with
 // whatever partial Output the completed work supports and never leaks a
 // goroutine.
 func (e *Engine) CorrectTopKContext(ctx context.Context, transcript string, k int) Output {
@@ -280,24 +253,11 @@ func (e *Engine) finishPipeline(ctx context.Context, t0 time.Time, structs []str
 		// shape while the user retries.
 		return finish(structureOnly(out, structs), DegradationStructureOnly)
 	}
-	level := DegradationFull
-	kLit := e.kLiterals
-	if deadline, hasDeadline := ctx.Deadline(); hasDeadline && e.litBudget > 0 {
-		// Soft budget: structure ate most of the deadline window, so run
-		// literals in top-1 mode rather than risking a mid-fill expiry.
-		total := deadline.Sub(t0)
-		if remaining := deadline.Sub(t1); total > 0 &&
-			remaining < time.Duration(float64(total)*e.litBudget) {
-			level = DegradationLiteralsTop1
-			structs = structs[:1]
-			kLit = 1
-		}
-	}
 	lspan := obs.StartSpan("literal.determine")
 	defer lspan.End()
 	for _, sr := range structs {
 		out.Transcript = sr.Transcript
-		bindings, lerr := literal.DetermineMemoErr(sr.Transcript, sr.Structure, e.catalog, kLit, memo)
+		bindings, lerr := literal.DetermineMemoErr(sr.Transcript, sr.Structure, e.catalog, e.kLiterals, memo)
 		if lerr != nil {
 			// The literal stage failed: degrade the whole response to
 			// structure-only rather than mixing filled and unfilled
@@ -314,8 +274,8 @@ func (e *Engine) finishPipeline(ctx context.Context, t0 time.Time, structs []str
 		})
 	}
 	out.LiteralLatency = time.Since(t1)
-	e.maybeValidate(ctx, &out, level)
-	return finish(out, level)
+	e.maybeValidate(ctx, &out)
+	return finish(out, DegradationFull)
 }
 
 // finish stamps the output's ladder level and counts it.

@@ -6,9 +6,9 @@ package core
 // candidates that cannot run are demoted below any that can, preserving
 // relative order inside each verdict class. The stage sits at the very end
 // of finishPipeline, after the §9 ladder has settled, and is itself the
-// ladder's cheapest sacrifice: a degraded or expired request, or an
-// injected validate fault, sheds validation and serves the unvalidated
-// ranking — validation can only ever reorder a response, never fail one.
+// ladder's cheapest sacrifice: an expired request, or an injected validate
+// fault, sheds validation and serves the unvalidated ranking — validation
+// can only ever reorder a response, never fail one.
 
 import (
 	"context"
@@ -94,20 +94,14 @@ func (e *Engine) ValidationMode() ValidationMode {
 	return ValidationBind
 }
 
-// maybeValidate runs the validation stage on a finished output, in place.
-// level is the ladder level the response is about to be served at; only
-// full-fidelity outputs are validated (a degraded output already broke its
-// budget).
-func (e *Engine) maybeValidate(ctx context.Context, out *Output, level string) {
+// maybeValidate runs the validation stage on a full-fidelity output, in
+// place.
+func (e *Engine) maybeValidate(ctx context.Context, out *Output) {
 	if e.ValidationMode() == ValidationOff || len(out.Candidates) == 0 {
 		return
 	}
 	span := obs.StartSpan("core.validate")
 	defer span.End()
-	if level != DegradationFull {
-		e.shedValidation(out, "degraded")
-		return
-	}
 	if ctx.Err() != nil {
 		e.shedValidation(out, "expired")
 		return
@@ -141,7 +135,7 @@ func (e *Engine) shedValidation(out *Output, why string) {
 }
 
 // ValidationShed is the Output.Validation value reporting that validation
-// was configured but sacrificed for this response (§9 ladder pressure or
+// was configured but sacrificed for this response (an expired deadline or
 // an injected validate fault).
 const ValidationShed = "shed"
 

@@ -15,8 +15,8 @@
 // ordinal). Two runs that issue the same sequence of Fire calls per stage
 // see the same faults, which is what makes chaos tests debuggable.
 //
-// Spec grammar (the -faults flag / SPEAKQL_FAULTS env var on both
-// binaries):
+// Spec grammar (the -faults flag / SPEAKQL_FAULTS env var on
+// speakql-server and speakql-router):
 //
 //	spec    := clause (';' clause)*
 //	clause  := 'seed=' uint | stage ':' fault (',' fault)*

@@ -108,7 +108,6 @@ func TestChaosConcurrentMixedTraffic(t *testing.T) {
 	}
 	levels := map[string]bool{
 		core.DegradationFull:          true,
-		core.DegradationLiteralsTop1:  true,
 		core.DegradationStructureOnly: true,
 		core.DegradationShed:          true,
 	}

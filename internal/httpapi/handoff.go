@@ -135,21 +135,19 @@ func (s *Server) engineFor(tenant string) (*core.Engine, bool) {
 }
 
 // resyncLocked refreshes a locally live session from the fleet's snapshot
-// when the store holds a strictly newer stream. This closes the stale-copy
-// hole: a replica that once owned a session keeps its in-memory entry even
-// after the ring routes the session elsewhere, and if routing later falls
-// back here (the newer owner died), serving the stale copy would silently
-// drop the fragments applied in between. Callers hold entry.mu. Returns the
-// rebuild nanoseconds when a resync happened, 0 otherwise.
+// when the store holds a newer state of it (Snapshot.NewerThan). This
+// closes the stale-copy hole: a replica that once owned a session keeps its
+// in-memory entry even after the ring routes the session elsewhere, and if
+// routing later falls back here (the newer owner died), serving the stale
+// copy would silently drop the fragments, dictations or finalize applied in
+// between. Callers hold entry.mu. Returns the rebuild nanoseconds when a
+// resync happened, 0 otherwise.
 func (s *Server) resyncLocked(id string, entry *sessionEntry) int64 {
 	if s.store == nil {
 		return 0
 	}
 	snap, found, err := s.store.Load(id)
-	if err != nil || !found || snap.Stream == nil {
-		return 0
-	}
-	if cur, _ := entry.sess.StreamPosition(); snap.Stream.Seq <= cur {
+	if err != nil || !found || !snap.NewerThan(entry.sess) {
 		return 0
 	}
 	t0 := time.Now()
@@ -159,7 +157,9 @@ func (s *Server) resyncLocked(id string, entry *sessionEntry) int64 {
 	}
 	entry.sess = session.Restore(eng, stream.Config{Events: entry.events, Session: id}, snap)
 	s.reg.Add("session.resyncs", 1)
-	s.reg.Add("stream.resumed", 1)
+	if snap.Stream != nil {
+		s.reg.Add("stream.resumed", 1)
+	}
 	return time.Since(t0).Nanoseconds()
 }
 

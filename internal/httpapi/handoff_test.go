@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -208,5 +209,61 @@ func TestEvictionRacingHandoffNeverHalfRestores(t *testing.T) {
 		}
 		// Clean up whichever replica holds the session.
 		sa.evictIdleSessions(time.Now().Add(2 * time.Hour))
+	}
+}
+
+// A stale copy whose dictation is finalized must not swallow the next
+// dictation's clauses: A dictates seq 1 and 2 and finalizes, B takes the
+// session over and applies the next dictation's seq 1, and A — answering
+// that dictation's seq 2 — must resync and apply it as seq 2 on top of B's
+// clause rather than open a new dictation with it.
+func TestStaleFinalizedCopyResyncsNextDictation(t *testing.T) {
+	st := session.NewMemStore()
+	_, a := replica(t, "fa", st)
+	_, b := replica(t, "fb", st)
+	_, out := post(t, a.URL+"/api/stream/dictate", map[string]any{"fragment": "select salary from employees", "seq": 1})
+	id := out["id"].(string)
+	post(t, a.URL+"/api/stream/dictate", map[string]any{"id": id, "fragment": "where gender equals M", "seq": 2})
+	if code, fin := post(t, a.URL+"/api/stream/finalize", map[string]any{"id": id}); code != http.StatusOK {
+		t.Fatalf("finalize: %d %v", code, fin)
+	}
+	code, moved := post(t, b.URL+"/api/stream/dictate", map[string]any{"id": id, "fragment": "select first name from employees", "seq": 1})
+	if code != http.StatusOK || moved["seq"] != float64(1) {
+		t.Fatalf("next dictation on B: %d %v", code, moved)
+	}
+	code, back := post(t, a.URL+"/api/stream/dictate", map[string]any{"id": id, "fragment": "where salary greater than 50000", "seq": 2})
+	if code != http.StatusOK {
+		t.Fatalf("seq 2 on stale A: %d %v", code, back)
+	}
+	if back["seq"] != float64(2) || back["resumed"] != true {
+		t.Fatalf("stale A lost B's clause: seq = %v, resumed = %v (%v)", back["seq"], back["resumed"], back)
+	}
+	if tr, _ := back["transcript"].(string); !strings.Contains(tr, "first name") {
+		t.Fatalf("transcript %q lacks B's first clause", tr)
+	}
+}
+
+// A stale copy that missed a finalize must not ack the next dictation's
+// seq 1 as a duplicate of the finalized one: A dictates seq 1 and 2, B
+// takes over and finalizes, and A's next seq 1 opens a new dictation.
+func TestStaleCopyMissingFinalizeOpensNextDictation(t *testing.T) {
+	st := session.NewMemStore()
+	_, a := replica(t, "na", st)
+	_, b := replica(t, "nb", st)
+	_, out := post(t, a.URL+"/api/stream/dictate", map[string]any{"fragment": "select salary from employees", "seq": 1})
+	id := out["id"].(string)
+	post(t, a.URL+"/api/stream/dictate", map[string]any{"id": id, "fragment": "where gender equals M", "seq": 2})
+	if code, fin := post(t, b.URL+"/api/stream/finalize", map[string]any{"id": id}); code != http.StatusOK {
+		t.Fatalf("finalize on B: %d %v", code, fin)
+	}
+	code, next := post(t, a.URL+"/api/stream/dictate", map[string]any{"id": id, "fragment": "select first name from employees", "seq": 1})
+	if code != http.StatusOK {
+		t.Fatalf("next dictation on stale A: %d %v", code, next)
+	}
+	if next["duplicate"] == true || next["seq"] != float64(1) {
+		t.Fatalf("stale A acked the next dictation as a duplicate: %v", next)
+	}
+	if tr, _ := next["transcript"].(string); strings.Contains(tr, "gender") {
+		t.Fatalf("next dictation continued the finalized one: %q", tr)
 	}
 }

@@ -109,11 +109,18 @@ func (s *Server) handleStreamDictate(w http.ResponseWriter, r *http.Request) {
 		defer entry.mu.Unlock()
 		if req.Seq > 0 {
 			cur, finalized := entry.sess.StreamPosition()
-			if req.Seq > cur+1 {
-				// The client has acknowledged fragments this copy never saw:
-				// the session advanced on another replica while this one held
-				// a stale entry (it owned the session before a ring remap).
-				// Resync from the fleet's snapshot before applying.
+			open := cur // fragments of the open dictation; 0 once finalized
+			if finalized {
+				open = 0
+			}
+			if req.Seq != open+1 {
+				// Not the open dictation's next fragment. A gap means the
+				// client acknowledged fragments this copy never saw; an
+				// apparent duplicate is a retry, or a copy that missed a
+				// finalize or the next dictation. Either way the session may
+				// have advanced on another replica while this one held a
+				// stale entry (it owned the session before a ring remap), so
+				// resync from the fleet's snapshot before deciding.
 				if ns := s.resyncLocked(req.ID, entry); ns > 0 {
 					resumedNs = ns
 				}

@@ -2,10 +2,7 @@ package loadgen
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -206,69 +203,5 @@ func TestOpenLoopRun(t *testing.T) {
 	}
 	if rep.ErrorRate != 0 {
 		t.Errorf("error rate %.3f: %v", rep.ErrorRate, rep.FirstErrors)
-	}
-}
-
-// TestMergeBench round-trips the BENCH artifact merge: existing micro
-// entries survive, the four load keys appear, and a re-merge replaces
-// rather than duplicates them.
-func TestMergeBench(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	seedDoc := `{
-  "scale": "test",
-  "micro": [
-    {"name": "search_serial", "ns_per_op": 123.0, "bytes_per_op": 4, "allocs_per_op": 1, "iterations": 10}
-  ]
-}`
-	if err := os.WriteFile(path, []byte(seedDoc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep := &Report{
-		TotalRequests: 100,
-		ShedRate:      0.25,
-		Classes: map[string]ClassReport{
-			string(ClassCorrect): {Sent: 50, P50Ms: 2, P99Ms: 8},
-			string(ClassStream):  {Sent: 20, P99Ms: 5},
-		},
-	}
-	if err := rep.MergeBench(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.MergeBench(path); err != nil { // idempotent re-merge
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Scale string            `json:"scale"`
-		Micro []benchMicroEntry `json:"micro"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Scale != "test" {
-		t.Errorf("sibling field lost: scale = %q", doc.Scale)
-	}
-	wantNs := map[string]float64{
-		"search_serial":    123.0,
-		"load_correct_p50": 2e6,
-		"load_correct_p99": 8e6,
-		"load_stream_p99":  5e6,
-		"load_shed_rate":   0.25e6,
-	}
-	if len(doc.Micro) != len(wantNs) {
-		t.Fatalf("micro has %d entries, want %d: %+v", len(doc.Micro), len(wantNs), doc.Micro)
-	}
-	for _, e := range doc.Micro {
-		want, ok := wantNs[e.Name]
-		if !ok {
-			t.Errorf("unexpected micro entry %q", e.Name)
-			continue
-		}
-		if e.NsPerOp != want {
-			t.Errorf("%s ns_per_op = %v, want %v", e.Name, e.NsPerOp, want)
-		}
 	}
 }

@@ -12,8 +12,7 @@
 // request sequences — the plan's FNV-64a checksum in the report proves it —
 // so before/after comparisons across server builds measure the server, not
 // workload drift. Execution happens in Runner (run.go); results render as a
-// machine-readable Report (report.go) that joins the BENCH_*.json perf
-// trajectory.
+// machine-readable Report (report.go).
 package loadgen
 
 import (

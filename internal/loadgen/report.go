@@ -1,11 +1,8 @@
 package loadgen
 
-// report.go renders a run into the machine-readable report that joins the
-// BENCH_*.json perf trajectory: per-class latency quantiles, throughput,
-// shed and error rates, and the plan checksum that proves two runs replayed
-// the same workload. MergeBench appends the headline numbers as micro-style
-// entries into an existing speakql-bench -json artifact so the CI perf-diff
-// script covers them with no schema change.
+// report.go renders a run into its machine-readable report: per-class
+// latency quantiles, throughput, shed and error rates, and the plan
+// checksum that proves two runs replayed the same workload.
 
 import (
 	"encoding/json"
@@ -145,79 +142,6 @@ func (rep *Report) Render() string {
 			name, c.Sent, c.OK, c.Shed, c.Errors, c.P50Ms, c.P90Ms, c.P99Ms, c.MaxMs)
 	}
 	return out
-}
-
-// benchMicroEntry mirrors speakql-bench's microResult JSON shape so merged
-// entries are indistinguishable from native ones to the CI diff script.
-type benchMicroEntry struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	N           int     `json:"iterations"`
-}
-
-// MergeBench appends the report's headline numbers into the speakql-bench
-// -json artifact at path as micro entries, so the existing warn-only CI
-// perf diff covers load-test latency with no schema change:
-//
-//	load_correct_p50 / load_correct_p99 — /api/correct latency (ns in
-//	  ns_per_op, the diff script's comparison field)
-//	load_stream_p99 — streaming-fragment p99 (ns)
-//	load_shed_rate — overall shed percentage ×1e6 in ns_per_op (a rate has
-//	  no ns; scaling keeps the diff's relative-change math meaningful)
-//
-// The file must already exist (speakql-bench writes it first in CI).
-func (rep *Report) MergeBench(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("loadgen merge: %w", err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("loadgen merge: parse %s: %w", path, err)
-	}
-	var micro []benchMicroEntry
-	if m, ok := doc["micro"]; ok {
-		if err := json.Unmarshal(m, &micro); err != nil {
-			return fmt.Errorf("loadgen merge: micro block: %w", err)
-		}
-	}
-	correct := rep.Classes[string(ClassCorrect)]
-	stream := rep.Classes[string(ClassStream)]
-	n := int(rep.TotalRequests)
-	entries := []benchMicroEntry{
-		{Name: "load_correct_p50", NsPerOp: correct.P50Ms * 1e6, N: int(correct.Sent)},
-		{Name: "load_correct_p99", NsPerOp: correct.P99Ms * 1e6, N: int(correct.Sent)},
-		{Name: "load_stream_p99", NsPerOp: stream.P99Ms * 1e6, N: int(stream.Sent)},
-		{Name: "load_shed_rate", NsPerOp: rep.ShedRate * 1e6, N: n},
-	}
-	// Replace any stale entries from an earlier merge, then append.
-	kept := micro[:0]
-	for _, e := range micro {
-		stale := false
-		for _, ne := range entries {
-			if e.Name == ne.Name {
-				stale = true
-				break
-			}
-		}
-		if !stale {
-			kept = append(kept, e)
-		}
-	}
-	micro = append(kept, entries...)
-	enc, err := json.Marshal(micro)
-	if err != nil {
-		return err
-	}
-	doc["micro"] = enc
-	outRaw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	outRaw = append(outRaw, '\n')
-	return os.WriteFile(path, outRaw, 0o644)
 }
 
 // WriteJSON writes the full report to path.

@@ -1,11 +1,11 @@
 package obs
 
 // histogram.go is the latency-distribution half of the observability layer:
-// a fixed-size, lock-free, HDR-style log-linear histogram. Mean and max (the
-// stageAgg aggregates) cannot answer the question the serving tier is tuned
-// against — "what does the p99 request see?" — so every span additionally
-// lands in a per-stage Histogram, and GET /api/stats serves per-endpoint
-// quantiles from it. cmd/speakql-loadgen reuses the same type client-side so
+// a fixed-size, lock-free, HDR-style log-linear histogram. Mean and max
+// cannot answer the question the serving tier is tuned against — "what
+// does the p99 request see?" — so every span lands in a per-stage
+// Histogram, which also keeps the stage's count, total and max, and GET
+// /api/stats serves per-endpoint quantiles from it. cmd/speakql-loadgen reuses the same type client-side so
 // server-reported and load-generator-measured distributions are bucketed
 // identically.
 //

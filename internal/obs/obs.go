@@ -14,33 +14,12 @@ import (
 	"time"
 )
 
-// stageAgg accumulates one stage's spans. All fields are atomics: spans
-// from concurrent requests land here without locking. Alongside the
-// count/total/max aggregates every span lands in a log-linear histogram, so
-// snapshots can answer tail-latency questions (p50/p90/p99) per stage.
-type stageAgg struct {
-	count atomic.Int64
-	nanos atomic.Int64
-	max   atomic.Int64
-	hist  Histogram
-}
-
-func (a *stageAgg) record(d time.Duration) {
-	a.count.Add(1)
-	a.nanos.Add(int64(d))
-	a.hist.Observe(d)
-	for {
-		cur := a.max.Load()
-		if int64(d) <= cur || a.max.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
-}
-
-// Registry aggregates spans and counters. The zero value is not usable;
-// call NewRegistry.
+// Registry aggregates spans and counters. Each stage's spans land in its
+// own log-linear Histogram, which keeps the count, total and max alongside
+// the buckets, so snapshots answer tail-latency questions (p50/p90/p99)
+// per stage. The zero value is not usable; call NewRegistry.
 type Registry struct {
-	stages sync.Map // string → *stageAgg
+	stages sync.Map // string → *Histogram
 	counts sync.Map // string → *atomic.Int64
 }
 
@@ -70,15 +49,15 @@ func (sp Span) End() {
 	if sp.r == nil {
 		return
 	}
-	sp.r.stageFor(sp.stage).record(time.Since(sp.start))
+	sp.r.stageFor(sp.stage).Observe(time.Since(sp.start))
 }
 
-func (r *Registry) stageFor(stage string) *stageAgg {
-	if a, ok := r.stages.Load(stage); ok {
-		return a.(*stageAgg)
+func (r *Registry) stageFor(stage string) *Histogram {
+	if h, ok := r.stages.Load(stage); ok {
+		return h.(*Histogram)
 	}
-	a, _ := r.stages.LoadOrStore(stage, &stageAgg{})
-	return a.(*stageAgg)
+	h, _ := r.stages.LoadOrStore(stage, &Histogram{})
+	return h.(*Histogram)
 }
 
 // Add increments a monotonic counter.
@@ -124,14 +103,14 @@ type Snapshot struct {
 func (r *Registry) Snapshot() Snapshot {
 	snap := Snapshot{Stages: map[string]StageStats{}, Counters: map[string]int64{}}
 	r.stages.Range(func(k, v any) bool {
-		a := v.(*stageAgg)
+		h := v.(*Histogram)
 		snap.Stages[k.(string)] = StageStats{
-			Count: a.count.Load(),
-			Total: time.Duration(a.nanos.Load()),
-			Max:   time.Duration(a.max.Load()),
-			P50:   a.hist.Quantile(0.50),
-			P90:   a.hist.Quantile(0.90),
-			P99:   a.hist.Quantile(0.99),
+			Count: h.Count(),
+			Total: time.Duration(h.sum.Load()),
+			Max:   h.Max(),
+			P50:   h.Quantile(0.50),
+			P90:   h.Quantile(0.90),
+			P99:   h.Quantile(0.99),
 		}
 		return true
 	})

@@ -12,7 +12,10 @@ import "strings"
 // Encode returns the Metaphone encoding of word. Non-ASCII-letter runes are
 // ignored except digits, which are passed through unchanged so that tokens
 // like "d002" or "1993" remain distinguishable — SpeakQL indexes schema
-// literals that freely mix letters and digits.
+// literals that freely mix letters and digits — and the four non-ASCII
+// runes whose case mapping is an ASCII letter (İ ı → I, ſ → S, the Kelvin
+// sign → K), which fold to that letter so the encoding never depends on
+// letter case.
 func Encode(word string) string {
 	return string(AppendEncode(nil, word))
 }
@@ -26,7 +29,8 @@ func Encode(word string) string {
 // scratch holds candidate text as subslices of one arena).
 func AppendEncode[T ~string | ~[]byte](dst []byte, word T) []byte {
 	// Normalize into a stack buffer: upper-case ASCII letters, keep digits,
-	// drop everything else (identifier separators contribute no sound).
+	// fold the four non-ASCII runes that case-map to an ASCII letter, drop
+	// everything else (identifier separators contribute no sound).
 	var nb [64]byte
 	w := nb[:0]
 	for i := 0; i < len(word); i++ {
@@ -38,6 +42,15 @@ func AppendEncode[T ~string | ~[]byte](dst []byte, word T) []byte {
 			w = append(w, c)
 		case c >= '0' && c <= '9':
 			w = append(w, c)
+		case c == 0xC4 && i+1 < len(word) && (word[i+1] == 0xB0 || word[i+1] == 0xB1):
+			w = append(w, 'I') // U+0130 İ, U+0131 ı
+			i++
+		case c == 0xC5 && i+1 < len(word) && word[i+1] == 0xBF:
+			w = append(w, 'S') // U+017F ſ
+			i++
+		case c == 0xE2 && i+2 < len(word) && word[i+1] == 0x84 && word[i+2] == 0xAA:
+			w = append(w, 'K') // U+212A Kelvin sign
+			i += 2
 		}
 	}
 	if len(w) == 0 {

@@ -147,6 +147,14 @@ func TestEncodeIdempotentOnCase(t *testing.T) {
 	f := func(s string) bool {
 		return Encode(strings.ToLower(s)) == Encode(strings.ToUpper(s))
 	}
+	// The non-ASCII runes whose case mapping is an ASCII letter: İ and ı
+	// (I), ſ (S) and the Kelvin sign (K). A random draw rarely holds one.
+	for _, s := range []string{"İa", "ıa", "ſa", "\u212Aa"} {
+		if !f(s) {
+			t.Errorf("Encode(%q) differs between lower (%q) and upper (%q) case",
+				s, Encode(strings.ToLower(s)), Encode(strings.ToUpper(s)))
+		}
+	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}

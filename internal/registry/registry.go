@@ -52,9 +52,6 @@ type Shared struct {
 	// TopKLiterals is the per-placeholder candidate count for tenant
 	// engines (default 5).
 	TopKLiterals int
-	// LiteralBudget overrides the degradation ladder's soft-budget fraction
-	// for tenant engines; 0 keeps core.DefaultLiteralBudget.
-	LiteralBudget float64
 	// Validation configures the validation stage for tenant engines
 	// (DESIGN.md §15). Non-seed tenants are registered as bare catalogs —
 	// table/attribute/value name lists with no rows — so their bind schema
@@ -218,9 +215,6 @@ func (r *Registry) SeedID() string {
 // buildTenant assembles the cheap per-tenant half around the shared half.
 func (r *Registry) buildTenant(id string, cat *literal.Catalog) *Tenant {
 	eng := core.NewEngineWithComponent(r.shared.Structure, cat, r.shared.TopKLiterals)
-	if r.shared.LiteralBudget != 0 {
-		eng.SetLiteralBudgetFraction(r.shared.LiteralBudget)
-	}
 	if r.shared.Cache != nil {
 		eng.AdoptSearchCache(r.shared.Cache)
 	}

@@ -34,6 +34,17 @@ func (s *Session) Snapshot(id, tenant string) *Snapshot {
 	return snap
 }
 
+// NewerThan reports whether snap holds a later state of the session than
+// the live copy s: its effort log is longer (every mutating request except
+// a finalize appends to it), or equally long with the dictation finalized
+// where s's is still open.
+func (snap *Snapshot) NewerThan(s *Session) bool {
+	if len(snap.Events) != len(s.events) {
+		return len(snap.Events) > len(s.events)
+	}
+	return snap.Stream != nil && snap.Stream.Phase == phaseFinalized && !s.finalized
+}
+
 // Restore rebuilds a live session from a snapshot on this replica: display,
 // effort log and dictation fragments verbatim, with no correction run. cfg
 // carries the receiving replica's event broadcaster (subscribers re-attach

@@ -128,8 +128,8 @@ func TestINVKernelSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkSearchTestScalePointer is the pointer-trie reference kernel on
-// the identical corpus and query as BenchmarkSearchTestScale — the
-// in-binary before/after for the arena flattening.
+// the identical corpus and query as the root package's
+// BenchmarkSearch/near — the before/after for the arena flattening.
 func BenchmarkSearchTestScalePointer(b *testing.B) {
 	ix, roots := buildWithPointers(b, grammar.TestScale(), false)
 	q := strings.Fields("SELECT x FROM x x x = x AND x = x")

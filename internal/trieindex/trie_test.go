@@ -336,24 +336,6 @@ func TestSearchDistanceBounds(t *testing.T) {
 	}
 }
 
-func BenchmarkSearchTestScale(b *testing.B) {
-	ix := buildIndex(b, grammar.TestScale(), false)
-	q := strings.Fields("SELECT x FROM x x x = x AND x = x")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Search(q, Options{})
-	}
-}
-
-func BenchmarkSearchTestScaleNoBDB(b *testing.B) {
-	ix := buildIndex(b, grammar.TestScale(), false)
-	q := strings.Fields("SELECT x FROM x x x = x AND x = x")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Search(q, Options{DisableBDB: true})
-	}
-}
-
 func TestMemoryStats(t *testing.T) {
 	ix := buildIndex(t, grammar.TestScale(), false)
 	st := ix.Memory()
