@@ -136,3 +136,215 @@ func TestGenerateCoversDerivableInBounds(t *testing.T) {
 		}
 	}
 }
+
+// The Box 1 grammar (Appendix C) in declarative form: the production rules
+// as data, and an Earley recognizer over them. The paper deliberately
+// inverts parsing — it generates all strings and searches — because
+// "deterministic parsing will almost always fail" on ASR output, so the
+// recognizer is not on the query path: it is the grammar's ground truth,
+// the membership oracle the tests above use to validate that everything
+// the generator emits (and everything structure determination returns)
+// actually derives from the productions.
+
+// Symbol is a grammar symbol: terminals are literal token strings
+// (uppercase keywords, special characters, or the literal symbol "x");
+// nonterminals start with '$'.
+type Symbol = string
+
+// Production is one rule: Lhs → Rhs.
+type Production struct {
+	Lhs Symbol
+	Rhs []Symbol
+}
+
+// Productions returns the grammar of Box 1 with this module's two
+// documented extensions (NATURAL JOIN chains; bare CLS/LMT tails without
+// WHERE; COUNT(*) in later select positions). Nonterminal names follow the
+// paper's.
+func Productions() []Production {
+	p := func(lhs string, rhs ...string) Production {
+		return Production{Lhs: lhs, Rhs: rhs}
+	}
+	var rules []Production
+	add := func(ps ...Production) { rules = append(rules, ps...) }
+
+	// Q → S F | S F W | S F TC            (TC: extension)
+	add(
+		p("$Q", "$S", "$F"),
+		p("$Q", "$S", "$F", "$W"),
+		p("$Q", "$S", "$F", "$TC"),
+	)
+	// S → SELECT (star | item list)
+	add(
+		p("$S", "SELECT", "*"),
+		p("$S", "SELECT", "$ITEM1"),
+		p("$S", "SELECT", "$ITEM1", "$C"),
+	)
+	// First item: L, aggregate, COUNT(*).
+	add(
+		p("$ITEM1", "x"),
+		p("$ITEM1", "$AGGF"),
+		p("$ITEM1", "COUNT", "(", "*", ")"),
+	)
+	for _, op := range aggOps {
+		add(p("$AGGF", op, "(", "x", ")"))
+	}
+	// C → , item | C , item                (COUNT(*) extension included)
+	add(
+		p("$C", ",", "$ITEMR"),
+		p("$C", "$C", ",", "$ITEMR"),
+		p("$ITEMR", "x"),
+		p("$ITEMR", "$AGGF"),
+		p("$ITEMR", "COUNT", "(", "*", ")"),
+	)
+	// F → FROM table (, table)* | FROM table (NATURAL JOIN table)*
+	add(
+		p("$F", "FROM", "x"),
+		p("$F", "FROM", "x", "$CF"),
+		p("$F", "FROM", "x", "$NJ"),
+		p("$CF", ",", "x"),
+		p("$CF", "$CF", ",", "x"),
+		p("$NJ", "NATURAL", "JOIN", "x"),
+		p("$NJ", "$NJ", "NATURAL", "JOIN", "x"),
+	)
+	// W → WHERE WD | WHERE AGG
+	add(
+		p("$W", "WHERE", "$WD"),
+		p("$W", "WHERE", "$AGG"),
+	)
+	// WD → EXP | EXP AND WD | EXP OR WD
+	add(
+		p("$WD", "$EXP"),
+		p("$WD", "$EXP", "AND", "$WD"),
+		p("$WD", "$EXP", "OR", "$WD"),
+	)
+	// EXP → operand OP operand; operands are L or WDD (x . x).
+	for _, op := range cmpOps {
+		add(
+			p("$EXP", "$OPND", op, "$OPND"),
+		)
+	}
+	add(
+		p("$OPND", "x"),
+		p("$OPND", "$WDD"),
+		p("$WDD", "x", ".", "x"),
+	)
+	// AGG → WD CLS target | WD LMT L | BETWEEN and IN forms.
+	add(
+		p("$AGG", "$WD", "$CLS", "$OPND"),
+		p("$AGG", "$WD", "LIMIT", "x"),
+		p("$AGG", "x", "BETWEEN", "x", "AND", "x"),
+		p("$AGG", "x", "NOT", "BETWEEN", "x", "AND", "x"),
+		p("$AGG", "x", "IN", "(", "x", ")"),
+		p("$AGG", "x", "IN", "(", "x", "$CS", ")"),
+		p("$CS", ",", "x"),
+		p("$CS", "$CS", ",", "x"),
+	)
+	// CLS → ORDER BY | GROUP BY
+	add(
+		p("$CLS", "ORDER", "BY"),
+		p("$CLS", "GROUP", "BY"),
+	)
+	// TC → CLS target | LIMIT L          (extension: tails without WHERE)
+	add(
+		p("$TC", "$CLS", "$OPND"),
+		p("$TC", "LIMIT", "x"),
+	)
+	return rules
+}
+
+// Derives reports whether the token sequence derives from $Q under
+// Productions(), using an Earley recognizer. Placeholder tokens (x, x1,
+// x2, …) all match the literal symbol.
+func Derives(tokens []string) bool {
+	return earley(Productions(), "$Q", normalizeForParse(tokens))
+}
+
+func normalizeForParse(tokens []string) []string {
+	out := make([]string, len(tokens))
+	for i, t := range tokens {
+		if isLitToken(t) {
+			out[i] = "x"
+		} else {
+			out[i] = canonUpper(t)
+		}
+	}
+	return out
+}
+
+func canonUpper(t string) string {
+	// Keywords are uppercased; splchars pass through.
+	if len(t) == 1 {
+		return t
+	}
+	b := []byte(t)
+	for i := range b {
+		if b[i] >= 'a' && b[i] <= 'z' {
+			b[i] -= 'a' - 'A'
+		}
+	}
+	return string(b)
+}
+
+// earley is a standard Earley recognizer (no parse-tree construction).
+type earleyItem struct {
+	prod   int // index into rules
+	dot    int
+	origin int
+}
+
+func earley(rules []Production, start Symbol, input []string) bool {
+	byLhs := map[Symbol][]int{}
+	for i, r := range rules {
+		byLhs[r.Lhs] = append(byLhs[r.Lhs], i)
+	}
+	n := len(input)
+	chart := make([][]earleyItem, n+1)
+	seen := make([]map[earleyItem]bool, n+1)
+	for i := range seen {
+		seen[i] = map[earleyItem]bool{}
+	}
+	push := func(k int, it earleyItem) {
+		if !seen[k][it] {
+			seen[k][it] = true
+			chart[k] = append(chart[k], it)
+		}
+	}
+	for _, pi := range byLhs[start] {
+		push(0, earleyItem{prod: pi})
+	}
+	for k := 0; k <= n; k++ {
+		for idx := 0; idx < len(chart[k]); idx++ {
+			it := chart[k][idx]
+			rule := rules[it.prod]
+			if it.dot < len(rule.Rhs) {
+				sym := rule.Rhs[it.dot]
+				if len(sym) > 0 && sym[0] == '$' {
+					// Predict.
+					for _, pi := range byLhs[sym] {
+						push(k, earleyItem{prod: pi, origin: k})
+					}
+				} else if k < n && input[k] == sym {
+					// Scan.
+					push(k+1, earleyItem{prod: it.prod, dot: it.dot + 1, origin: it.origin})
+				}
+				continue
+			}
+			// Complete.
+			lhs := rule.Lhs
+			for _, parent := range chart[it.origin] {
+				pr := rules[parent.prod]
+				if parent.dot < len(pr.Rhs) && pr.Rhs[parent.dot] == lhs {
+					push(k, earleyItem{prod: parent.prod, dot: parent.dot + 1, origin: parent.origin})
+				}
+			}
+		}
+	}
+	for _, it := range chart[n] {
+		rule := rules[it.prod]
+		if rule.Lhs == start && it.dot == len(rule.Rhs) && it.origin == 0 {
+			return true
+		}
+	}
+	return false
+}

@@ -134,14 +134,36 @@ func (s *Server) engineFor(tenant string) (*core.Engine, bool) {
 	return s.engine, true
 }
 
+// withSession runs fn on the session's entry under entry.mu, finding the
+// entry as lookupSession does; every mutating session handler goes through
+// it. ok=false means the session is gone fleet-wide (fn did not run):
+// answer with writeSessionMiss. resumedNs > 0 reports a restore or resync
+// this request performed. The lock is released by a defer, so a panicking
+// correction (fault injection, poisoned transcript) unlocks on its way to
+// the recovery middleware instead of wedging the session.
+func (s *Server) withSession(id string, fn func(entry *sessionEntry)) (resumedNs int64, ok bool) {
+	entry, resumedNs, ok := s.lookupSession(id)
+	if !ok {
+		return 0, false
+	}
+	entry.mu.Lock()
+	defer entry.mu.Unlock()
+	if resumedNs == 0 {
+		// An entry restored by this request is already the store's latest.
+		resumedNs = s.resyncLocked(id, entry)
+	}
+	fn(entry)
+	return resumedNs, true
+}
+
 // resyncLocked refreshes a locally live session from the fleet's snapshot
 // when the store holds a newer state of it (Snapshot.NewerThan). This
 // closes the stale-copy hole: a replica that once owned a session keeps its
 // in-memory entry even after the ring routes the session elsewhere, and if
 // routing later falls back here (the newer owner died), serving the stale
-// copy would silently drop the fragments, dictations or finalize applied in
-// between. Callers hold entry.mu. Returns the rebuild nanoseconds when a
-// resync happened, 0 otherwise.
+// copy would silently drop the fragments, dictations, edits or finalize
+// applied in between. Callers hold entry.mu. Returns the rebuild
+// nanoseconds when a resync happened, 0 otherwise.
 func (s *Server) resyncLocked(id string, entry *sessionEntry) int64 {
 	if s.store == nil {
 		return 0

@@ -267,3 +267,76 @@ func TestStaleCopyMissingFinalizeOpensNextDictation(t *testing.T) {
 		t.Fatalf("next dictation continued the finalized one: %q", tr)
 	}
 }
+
+// dictationsStored counts the dictation events of the session's stored
+// snapshot: what a replica taking the session over would restore.
+func dictationsStored(t *testing.T, st session.Store, id string) int {
+	t.Helper()
+	snap, found, err := st.Load(id)
+	if err != nil || !found {
+		t.Fatalf("load snapshot %q: found=%v err=%v", id, found, err)
+	}
+	n := 0
+	for _, e := range snap.Events {
+		if e.Kind == session.EventDictateFull || e.Kind == session.EventDictateClause {
+			n++
+		}
+	}
+	return n
+}
+
+// A stale copy must not answer /api/dictate from its own state: A
+// dictates, B restores the session and dictates, and A's next dictation
+// resyncs onto B's state instead of checkpointing over B's snapshot.
+func TestStaleCopyResyncsOnDictate(t *testing.T) {
+	st := session.NewMemStore()
+	_, a := replica(t, "da", st)
+	_, b := replica(t, "db", st)
+	_, created := post(t, a.URL+"/api/session", map[string]any{})
+	id := created["id"].(string)
+	post(t, a.URL+"/api/dictate", map[string]any{"id": id, "transcript": "select salary from employees"})
+	code, moved := post(t, b.URL+"/api/dictate", map[string]any{"id": id, "transcript": "select first name from employees"})
+	if code != http.StatusOK || moved["dictations"] != float64(2) {
+		t.Fatalf("dictate on B: %d %v", code, moved)
+	}
+	code, back := post(t, a.URL+"/api/dictate", map[string]any{"id": id, "transcript": "select title from titles"})
+	if code != http.StatusOK {
+		t.Fatalf("dictate on stale A: %d %v", code, back)
+	}
+	if back["dictations"] != float64(3) || back["resumed"] != true {
+		t.Fatalf("stale A dropped B's dictation: dictations = %v, resumed = %v", back["dictations"], back["resumed"])
+	}
+	if n := dictationsStored(t, st, id); n != 3 {
+		t.Fatalf("stored snapshot holds %d dictations, want 3", n)
+	}
+}
+
+// The same for keyboard edits: A edits, B restores and edits, and A's next
+// edit lands on top of B's.
+func TestStaleCopyResyncsOnEdit(t *testing.T) {
+	st := session.NewMemStore()
+	_, a := replica(t, "ea", st)
+	_, b := replica(t, "eb", st)
+	_, created := post(t, a.URL+"/api/session", map[string]any{})
+	id := created["id"].(string)
+	edit := func(url, tok string) map[string]any {
+		t.Helper()
+		code, out := post(t, url+"/api/edit", map[string]any{"id": id, "op": "insert", "pos": 99, "token": tok})
+		if code != http.StatusOK {
+			t.Fatalf("edit %q: %d %v", tok, code, out)
+		}
+		return out
+	}
+	edit(a.URL, "SELECT")
+	if moved := edit(b.URL, "Salary"); moved["resumed"] != true {
+		t.Fatalf("edit on B did not restore: %v", moved)
+	}
+	back := edit(a.URL, "FROM")
+	if got := fmt.Sprint(back["tokens"]); got != "[SELECT Salary FROM]" || back["resumed"] != true {
+		t.Fatalf("stale A dropped B's edit: tokens %s, resumed = %v", got, back["resumed"])
+	}
+	snap, _, _ := st.Load(id)
+	if got := strings.Join(snap.Tokens, " "); got != "SELECT Salary FROM" {
+		t.Fatalf("stored snapshot tokens %q", got)
+	}
+}

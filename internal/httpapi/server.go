@@ -709,26 +709,21 @@ func (s *Server) handleDictate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	entry, resumedNs, ok := s.lookupSession(req.ID)
-	if !ok {
-		s.writeSessionMiss(w, req.ID)
-		return
-	}
-	// The closure scopes the session lock so a panicking correction (fault
-	// injection, poisoned transcript) releases it on the way to the
-	// recovery middleware instead of wedging the session forever.
-	out, resp := func() (core.Output, map[string]any) {
-		entry.mu.Lock()
-		defer entry.mu.Unlock()
-		var out core.Output
+	var out core.Output
+	var resp map[string]any
+	resumedNs, ok := s.withSession(req.ID, func(entry *sessionEntry) {
 		if req.Clause {
 			out = entry.sess.DictateClauseContext(ctx, req.Transcript)
 		} else {
 			out = entry.sess.DictateFullContext(ctx, req.Transcript)
 		}
 		s.checkpointLocked(req.ID, entry)
-		return out, sessionState(entry.sess)
-	}()
+		resp = sessionState(entry.sess)
+	})
+	if !ok {
+		s.writeSessionMiss(w, req.ID)
+		return
+	}
 	if out.Err != nil {
 		writeJSON(w, http.StatusInternalServerError, map[string]any{
 			"error":       out.Err.Error(),
@@ -757,26 +752,29 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	entry, resumedNs, ok := s.lookupSession(req.ID)
-	if !ok {
-		s.writeSessionMiss(w, req.ID)
-		return
-	}
-	entry.mu.Lock()
-	defer entry.mu.Unlock()
 	switch req.Op {
-	case "insert":
-		entry.sess.InsertToken(req.Pos, req.Token)
-	case "delete":
-		entry.sess.DeleteToken(req.Pos)
-	case "replace":
-		entry.sess.ReplaceToken(req.Pos, req.Token)
+	case "insert", "delete", "replace":
 	default:
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown op %q", req.Op))
 		return
 	}
-	s.checkpointLocked(req.ID, entry)
-	resp := sessionState(entry.sess)
+	var resp map[string]any
+	resumedNs, ok := s.withSession(req.ID, func(entry *sessionEntry) {
+		switch req.Op {
+		case "insert":
+			entry.sess.InsertToken(req.Pos, req.Token)
+		case "delete":
+			entry.sess.DeleteToken(req.Pos)
+		case "replace":
+			entry.sess.ReplaceToken(req.Pos, req.Token)
+		}
+		s.checkpointLocked(req.ID, entry)
+		resp = sessionState(entry.sess)
+	})
+	if !ok {
+		s.writeSessionMiss(w, req.ID)
+		return
+	}
 	markResumed(w, resp, resumedNs)
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -815,8 +813,9 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("tenant %q has no executable database (execution is seed-tenant only)", t.ID))
 		return
 	}
-	// Client SQL runs under the request deadline: one uncorrelated IN
-	// subquery re-runs per outer row, so a short body can cost minutes.
+	// Client SQL runs under the request deadline: each subquery runs once,
+	// but a cross product whose every row scans a long IN list is still a
+	// short body that can cost minutes.
 	res, err := sqlengine.RunContext(r.Context(), s.db, req.SQL)
 	if errors.Is(err, context.DeadlineExceeded) {
 		writeJSON(w, http.StatusUnprocessableEntity, map[string]any{

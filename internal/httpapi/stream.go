@@ -96,53 +96,29 @@ func (s *Server) handleStreamDictate(w http.ResponseWriter, r *http.Request) {
 		req.ID = id
 	}
 	ctx := r.Context()
-	entry, resumedNs, ok := s.lookupSession(req.ID)
+	var out core.FragmentOutput
+	var err error
+	var duplicate map[string]any
+	resumedNs, ok := s.withSession(req.ID, func(entry *sessionEntry) {
+		if cur, finalized := entry.sess.StreamPosition(); req.Seq > 0 && !finalized && cur >= req.Seq {
+			// The fragment already landed via an attempt whose response was
+			// lost — acknowledge, don't re-apply.
+			s.reg.Add("stream.duplicate_acks", 1)
+			duplicate = map[string]any{
+				"id": req.ID, "seq": cur, "duplicate": true,
+				"sql": entry.sess.SQL(), "tokens": entry.sess.Tokens(),
+			}
+			return
+		}
+		out, err = entry.sess.StreamFragment(ctx, req.Fragment)
+		if err == nil {
+			s.checkpointLocked(req.ID, entry)
+		}
+	})
 	if !ok {
 		s.writeSessionMiss(w, req.ID)
 		return
 	}
-	// Scope the session lock so a panicking correction releases it on the
-	// way to the recovery middleware (see handleDictate).
-	var duplicate map[string]any
-	out, err := func() (core.FragmentOutput, error) {
-		entry.mu.Lock()
-		defer entry.mu.Unlock()
-		if req.Seq > 0 {
-			cur, finalized := entry.sess.StreamPosition()
-			open := cur // fragments of the open dictation; 0 once finalized
-			if finalized {
-				open = 0
-			}
-			if req.Seq != open+1 {
-				// Not the open dictation's next fragment. A gap means the
-				// client acknowledged fragments this copy never saw; an
-				// apparent duplicate is a retry, or a copy that missed a
-				// finalize or the next dictation. Either way the session may
-				// have advanced on another replica while this one held a
-				// stale entry (it owned the session before a ring remap), so
-				// resync from the fleet's snapshot before deciding.
-				if ns := s.resyncLocked(req.ID, entry); ns > 0 {
-					resumedNs = ns
-				}
-				cur, finalized = entry.sess.StreamPosition()
-			}
-			if !finalized && cur >= req.Seq {
-				// The fragment already landed via an attempt whose response
-				// was lost — acknowledge, don't re-apply.
-				s.reg.Add("stream.duplicate_acks", 1)
-				duplicate = map[string]any{
-					"id": req.ID, "seq": cur, "duplicate": true,
-					"sql": entry.sess.SQL(), "tokens": entry.sess.Tokens(),
-				}
-				return core.FragmentOutput{}, nil
-			}
-		}
-		out, err := entry.sess.StreamFragment(ctx, req.Fragment)
-		if err == nil {
-			s.checkpointLocked(req.ID, entry)
-		}
-		return out, err
-	}()
 	if duplicate != nil {
 		markResumed(w, duplicate, resumedNs)
 		writeJSON(w, http.StatusOK, duplicate)
@@ -179,27 +155,18 @@ func (s *Server) handleStreamFinalize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	entry, resumedNs, ok := s.lookupSession(req.ID)
+	var out core.FragmentOutput
+	var err error
+	resumedNs, ok := s.withSession(req.ID, func(entry *sessionEntry) {
+		out, err = entry.sess.FinalizeStream(ctx)
+		if err == nil {
+			s.checkpointLocked(req.ID, entry)
+		}
+	})
 	if !ok {
 		s.writeSessionMiss(w, req.ID)
 		return
 	}
-	out, err := func() (core.FragmentOutput, error) {
-		entry.mu.Lock()
-		defer entry.mu.Unlock()
-		// Finalize carries no idempotency seq, so staleness can't be inferred
-		// from the request itself: validate against the store once (finalize
-		// is the per-session slow path already) so a stale copy can never
-		// finalize a shorter stream than the one the client dictated.
-		if ns := s.resyncLocked(req.ID, entry); ns > 0 {
-			resumedNs = ns
-		}
-		out, err := entry.sess.FinalizeStream(ctx)
-		if err == nil {
-			s.checkpointLocked(req.ID, entry)
-		}
-		return out, err
-	}()
 	switch {
 	case errors.Is(err, session.ErrFinalized):
 		writeErr(w, http.StatusConflict, err)

@@ -161,9 +161,9 @@ func buildSet(names []string) catSet {
 }
 
 // buildCodeMap indexes the distinct phonetic codes by group position — the
-// batched vote kernel's exact-hit probe. Every catSet construction site
-// (buildSet, incremental updates, snapshot load) rebuilds it alongside the
-// BK-tree so the two views never diverge.
+// batched vote kernel's exact-hit probe. Both catSet construction sites
+// (buildSet and incremental updates) rebuild it alongside the BK-tree so
+// the two views never diverge.
 func buildCodeMap(groups []phoneGroup) map[string]int32 {
 	m := make(map[string]int32, len(groups))
 	for gi, g := range groups {
@@ -180,6 +180,16 @@ func (c *Catalog) Attributes() []string { return names(c.attrs.entries) }
 
 // Values returns the indexed string attribute values.
 func (c *Catalog) Values() []string { return names(c.values.entries) }
+
+// ColumnValues returns the per-attribute value domains, keyed by lowercased
+// attribute name; WithColumnValues over the result rebuilds them.
+func (c *Catalog) ColumnValues() map[string][]string {
+	out := make(map[string][]string, len(c.byAttr))
+	for attr, set := range c.byAttr {
+		out[attr] = names(set.entries)
+	}
+	return out
+}
 
 func names(es []entry) []string {
 	out := make([]string, len(es))

@@ -246,6 +246,75 @@ func TestApplyDeltaColumns(t *testing.T) {
 	}
 }
 
+// rebuildFromNames rebuilds c from the name lists it reports, the way the
+// tenant registry reloads a tenant from its file.
+func rebuildFromNames(c *Catalog) *Catalog {
+	return NewCatalog(c.Tables(), c.Attributes(), c.Values()).WithColumnValues(c.ColumnValues())
+}
+
+// requireSameVotes asserts got holds want's name lists and column domains
+// and votes bit-identically to it on every set.
+func requireSameVotes(t *testing.T, got, want *Catalog, rng *rand.Rand) {
+	t.Helper()
+	if !reflect.DeepEqual(got.ColumnValues(), want.ColumnValues()) {
+		t.Fatalf("column domains %v, want %v", got.ColumnValues(), want.ColumnValues())
+	}
+	sets := map[string][2]*catSet{
+		"tables": {&got.tables, &want.tables},
+		"attrs":  {&got.attrs, &want.attrs},
+		"values": {&got.values, &want.values},
+	}
+	for attr, set := range want.byAttr {
+		sets["column "+attr] = [2]*catSet{got.byAttr[attr], set}
+	}
+	for name, pair := range sets {
+		if !reflect.DeepEqual(names(pair[0].entries), names(pair[1].entries)) {
+			t.Fatalf("%s: names %v, want %v", name, names(pair[0].entries), names(pair[1].entries))
+		}
+		requireSetInvariants(t, pair[0])
+		sameRankings(t, pair[0], pair[1], rng)
+	}
+}
+
+// TestCatalogRoundTrip pins that a catalog rebuilt from its own name lists
+// (Tables, Attributes, Values and ColumnValues: what a tenant file holds)
+// is observably identical to the original, column domains included.
+func TestCatalogRoundTrip(t *testing.T) {
+	cat := NewCatalog(
+		[]string{"Employees", "Departments", "Salaries"},
+		[]string{"FirstName", "LastName", "Salary", "City"},
+		[]string{"John", "Jon", "Smith", "Phoenix", "d001", "d002"},
+	).WithColumnValues(map[string][]string{
+		"City":      {"Phoenix", "Tempe", "Mesa"},
+		"FirstName": {"John", "Jon", "Joan"},
+	})
+	if got := cat.ColumnValues()["city"]; !reflect.DeepEqual(got, []string{"Mesa", "Phoenix", "Tempe"}) {
+		t.Fatalf("ColumnValues()[city] = %v", got)
+	}
+	requireSameVotes(t, rebuildFromNames(cat), cat, rand.New(rand.NewSource(11)))
+	if got := NewCatalog(nil, nil, nil).ColumnValues(); len(got) != 0 {
+		t.Fatalf("catalog without domains reports %v", got)
+	}
+}
+
+// TestCatalogRoundTripAfterDelta pins the same for catalogs ApplyDelta
+// produced, whose group order and BK-tree shape differ from a rebuild's:
+// only the names carry over, and the votes still match.
+func TestCatalogRoundTripAfterDelta(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for round := 0; round < 20; round++ {
+		cat := NewCatalog(randomNames(rng, 4), randomNames(rng, 4), randomNames(rng, rng.Intn(12))).
+			WithColumnValues(map[string][]string{"City": randomNames(rng, 5), "Title": randomNames(rng, 3)})
+		updated, _ := cat.ApplyDelta(CatalogDelta{
+			AddValues:          randomNames(rng, rng.Intn(6)),
+			RemoveValues:       randomNames(rng, rng.Intn(6)),
+			AddColumnValues:    map[string][]string{"city": randomNames(rng, 3), "Stars": randomNames(rng, 2)},
+			RemoveColumnValues: map[string][]string{"Title": randomNames(rng, 4)},
+		})
+		requireSameVotes(t, rebuildFromNames(updated), updated, rng)
+	}
+}
+
 // TestApplyDeltaEmpty pins the no-op path.
 func TestApplyDeltaEmpty(t *testing.T) {
 	cat := NewCatalog([]string{"T"}, nil, nil)

@@ -1,30 +1,38 @@
 package registry
 
 import (
-	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
 	"speakql/internal/literal"
 )
 
-// Tenant file format ("SPQLTN", version 2 — the version is shared with the
-// embedded catalog blob's persist-v2 encoding):
-//
-//	magic "SPQLTN" | version byte | id length uvarint | id bytes | catalog blob
-//
-// The embedded ID lets a load cross-check that a file really belongs to
-// the tenant it is named for (a mis-renamed or copied file fails loudly
-// instead of serving another tenant's schema). Only the catalog persists;
-// the engine, sessions, and streams are rebuilt or recreated on demand —
-// they are exactly the state the LRU is licensed to throw away.
+// tenantFile is the JSON form of Dir/<id>.tenant: the names a tenant's
+// catalog holds, not the phonetic index derived from them. A load rebuilds
+// the index with literal.NewCatalog, so a reloaded tenant always votes with
+// the running build's Metaphone. The embedded ID lets a load cross-check
+// that a file really belongs to the tenant it is named for (a mis-renamed
+// or copied file fails loudly instead of serving another tenant's schema).
+// Only the catalog persists; the engine, sessions, and streams are rebuilt
+// or recreated on demand — they are exactly the state the LRU is licensed
+// to throw away.
+type tenantFile struct {
+	Version      int                 `json:"version"`
+	ID           string              `json:"id"`
+	Tables       []string            `json:"tables"`
+	Attributes   []string            `json:"attributes"`
+	Values       []string            `json:"values"`
+	ColumnValues map[string][]string `json:"column_values,omitempty"`
+}
 
 const (
-	tenantMagic   = "SPQLTN"
-	tenantVersion = 2
+	// tenantVersion 3 is the JSON name-list format; version 2 was a binary
+	// image of the phonetic index and no longer loads.
+	tenantVersion = 3
 	tenantExt     = ".tenant"
 	maxTenantID   = 64
 )
@@ -49,72 +57,53 @@ func ValidateID(id string) error {
 	return nil
 }
 
-// writeTenantFile serializes one tenant (header + catalog blob).
-func writeTenantFile(w io.Writer, id string, cat *literal.Catalog) error {
-	if _, err := w.Write([]byte(tenantMagic)); err != nil {
-		return err
+// decodeTenantFile parses the tenant file of tenant id and rebuilds its
+// catalog. Unknown fields, another format version, and an embedded id that
+// is invalid or differs from id are errors.
+func decodeTenantFile(data []byte, id string) (*literal.Catalog, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var f tenantFile
+	if err := dec.Decode(&f); err != nil {
+		return nil, err
 	}
-	if _, err := w.Write([]byte{tenantVersion, byte(len(id))}); err != nil {
-		return err
+	if f.Version != tenantVersion {
+		return nil, fmt.Errorf("unsupported tenant file version %d, want %d", f.Version, tenantVersion)
 	}
-	if _, err := io.WriteString(w, id); err != nil {
-		return err
+	if err := ValidateID(f.ID); err != nil {
+		return nil, err
 	}
-	return literal.WriteCatalog(w, cat)
+	if f.ID != id {
+		return nil, fmt.Errorf("tenant file for %q claims id %q", id, f.ID)
+	}
+	return literal.NewCatalog(f.Tables, f.Attributes, f.Values).WithColumnValues(f.ColumnValues), nil
 }
 
-// readTenantFile parses a tenant file, returning the embedded ID and
-// catalog. Hostile inputs error (the catalog blob is hardened by
-// literal.ReadCatalog).
-func readTenantFile(r io.Reader) (string, *literal.Catalog, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(tenantMagic)+2)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return "", nil, fmt.Errorf("tenant header: %w", err)
-	}
-	if string(head[:len(tenantMagic)]) != tenantMagic {
-		return "", nil, fmt.Errorf("bad tenant magic %q", head[:len(tenantMagic)])
-	}
-	if head[len(tenantMagic)] != tenantVersion {
-		return "", nil, fmt.Errorf("unsupported tenant file version %d", head[len(tenantMagic)])
-	}
-	n := int(head[len(tenantMagic)+1])
-	if n == 0 || n > maxTenantID {
-		return "", nil, fmt.Errorf("tenant id length %d out of range", n)
-	}
-	idb := make([]byte, n)
-	if _, err := io.ReadFull(br, idb); err != nil {
-		return "", nil, fmt.Errorf("tenant id: %w", err)
-	}
-	id := string(idb)
-	if err := ValidateID(id); err != nil {
-		return "", nil, err
-	}
-	cat, err := literal.ReadCatalog(br)
-	if err != nil {
-		return "", nil, err
-	}
-	return id, cat, nil
-}
-
-// persist writes the tenant's catalog to disk atomically (temp file +
+// persist writes the tenant's names to disk atomically (temp file +
 // rename), so readers never observe a torn file and a crash mid-write
 // leaves the previous version intact. No-op without a tenant dir.
 func (r *Registry) persist(t *Tenant) error {
 	if r.dir == "" {
 		return nil
 	}
+	cat := t.Catalog
+	data, err := json.Marshal(tenantFile{
+		Version:      tenantVersion,
+		ID:           t.ID,
+		Tables:       cat.Tables(),
+		Attributes:   cat.Attributes(),
+		Values:       cat.Values(),
+		ColumnValues: cat.ColumnValues(),
+	})
+	if err != nil {
+		return fmt.Errorf("registry: persist %q: %w", t.ID, err)
+	}
 	f, err := os.CreateTemp(r.dir, "."+t.ID+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("registry: persist %q: %w", t.ID, err)
 	}
 	tmp := f.Name()
-	bw := bufio.NewWriter(f)
-	if err := writeTenantFile(bw, t.ID, t.Catalog); err == nil {
-		err = bw.Flush()
-	} else {
-		bw.Flush()
-	}
+	_, err = f.Write(data)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

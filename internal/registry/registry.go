@@ -14,9 +14,10 @@
 // that request's lifetime no matter what the registry does next.
 //
 // Residency is a bounded LRU: tenants beyond MaxLive are evicted — their
-// arenas dropped — and lazily rebuilt from their persist-v2 catalog file on
-// next use. Loads are deduplicated singleflight-style so a thundering herd
-// of requests for a cold tenant builds its catalog exactly once. Every
+// arenas dropped — and lazily rebuilt on next use from their tenant file,
+// a JSON list of the names the catalog holds, through literal.NewCatalog.
+// Loads are deduplicated singleflight-style so a thundering herd of
+// requests for a cold tenant builds its catalog exactly once. Every
 // Put/Update writes through to disk before the tenant becomes visible, so
 // eviction never needs to write and a crash never loses an acknowledged
 // catalog. The seed tenant (the process's original database) is pinned: it
@@ -402,23 +403,21 @@ func (r *Registry) Delete(id string) error {
 	return nil
 }
 
-// load rebuilds one tenant from its persist-v2 file; the registry fault
-// stage fires here so chaos tests can rehearse failed lazy loads.
+// load rebuilds one tenant from its tenant file, re-encoding every name;
+// the registry fault stage fires here so chaos tests can rehearse failed
+// lazy loads.
 func (r *Registry) load(id string) (*Tenant, error) {
 	if err := faultinject.Fire(faultinject.StageRegistry); err != nil {
 		return nil, fmt.Errorf("registry: load %q: %w", id, err)
 	}
-	f, err := os.Open(r.path(id))
+	path := r.path(id)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("registry: load %q: %w", id, err)
 	}
-	defer f.Close()
-	fileID, cat, err := readTenantFile(f)
+	cat, err := decodeTenantFile(data, id)
 	if err != nil {
-		return nil, fmt.Errorf("registry: load %q: %w", id, err)
-	}
-	if fileID != id {
-		return nil, fmt.Errorf("registry: tenant file for %q claims id %q", id, fileID)
+		return nil, fmt.Errorf("registry: load %q from %s: %w", id, path, err)
 	}
 	return r.buildTenant(id, cat), nil
 }

@@ -1,13 +1,13 @@
 package registry
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -491,31 +491,61 @@ func TestValidateID(t *testing.T) {
 	}
 }
 
+// TestTenantFileHostileInput feeds the load path damaged and foreign tenant
+// files: each must fail with an error naming the file, never panic and
+// never make the tenant resident.
 func TestTenantFileHostileInput(t *testing.T) {
-	var valid bytes.Buffer
-	if err := writeTenantFile(&valid, "good", testCat(1)); err != nil {
+	src := newTestRegistry(t, 4)
+	if _, err := src.Put("good", testCat(1).WithColumnValues(map[string][]string{"FirstName": {"John"}})); err != nil {
 		t.Fatal(err)
 	}
-	vb := valid.Bytes()
-
-	id, _, err := readTenantFile(bytes.NewReader(vb))
-	if err != nil || id != "good" {
-		t.Fatalf("round trip = (%q, %v)", id, err)
+	valid, err := os.ReadFile(src.path("good"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy.tenant"))
+	if err != nil {
+		t.Fatal(err)
 	}
 	cases := map[string][]byte{
-		"empty":       {},
-		"bad magic":   []byte("NOTATENANT__"),
-		"bad version": append([]byte(tenantMagic), 0x63, 0x01, 'a'),
-		"zero id":     append([]byte(tenantMagic), tenantVersion, 0x00),
-		"bad id char": append([]byte(tenantMagic), tenantVersion, 0x01, '/'),
+		"empty":         {},
+		"unknown field": []byte(`{"version":3,"id":"good","tables":["T"],"rows":[]}`),
+		"wrong version": []byte(`{"version":2,"id":"good","tables":["T"]}`),
+		"no version":    []byte(`{"id":"good","tables":["T"]}`),
+		"bad id":        []byte(`{"version":3,"id":"../good","tables":["T"]}`),
+		"mismatched id": []byte(`{"version":3,"id":"other","tables":["T"]}`),
+		"null":          []byte(`null`),
+		"wrong type":    []byte(`{"version":3,"id":"good","tables":"T"}`),
+		// A tenant file from before the name-list format: a binary image of
+		// the phonetic index, written by the previous build.
+		"binary index image": legacy,
 	}
-	for i := 1; i < len(vb); i += 9 {
-		cases[fmt.Sprintf("truncated@%d", i)] = vb[:i]
+	for i := 1; i < len(valid); i += 9 {
+		cases[fmt.Sprintf("truncated@%d", i)] = valid[:i]
 	}
+	reg := newTestRegistry(t, 4)
+	path := reg.path("good")
 	for name, data := range cases {
-		if _, _, err := readTenantFile(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: hostile tenant file accepted", name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		_, err := reg.Acquire("good")
+		if err == nil {
+			t.Errorf("%s: hostile tenant file accepted", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: error %q does not name %s", name, err, path)
+		}
+	}
+	if st := reg.Stats(); st.Resident != 0 {
+		t.Fatalf("a rejected file made the tenant resident: %+v", st)
+	}
+	if err := os.WriteFile(path, valid, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Acquire("good"); err != nil {
+		t.Fatalf("valid file after the hostile ones: %v", err)
 	}
 }
 
@@ -629,6 +659,116 @@ func TestSingleTenantDifferential(t *testing.T) {
 		t.Fatal("expected a reload, got the original resident tenant")
 	}
 	compare(t, "reloaded", reloaded.Engine)
+}
+
+// sameCorrections asserts two engines give identical top-k corrections —
+// candidates, bindings with their votes, and ladder level — for every
+// transcript.
+func sameCorrections(t *testing.T, label string, want, got *core.Engine, transcripts []string, k int) {
+	t.Helper()
+	for _, tr := range transcripts {
+		w, g := want.CorrectTopK(tr, k), got.CorrectTopK(tr, k)
+		if w.Degradation != g.Degradation || !reflect.DeepEqual(w.Candidates, g.Candidates) {
+			t.Fatalf("%s: %q diverged:\n  want %s %+v\n  got  %s %+v",
+				label, tr, w.Degradation, w.Candidates, g.Degradation, g.Candidates)
+		}
+	}
+}
+
+// TestTenantReloadRebuildsFromNames pins the tenant file's contract: a
+// tenant that was Put with column domains, then updated incrementally,
+// evicted and reloaded, corrects exactly like the resident tenant before
+// eviction and like an engine built by NewCatalog over its final names.
+func TestTenantReloadRebuildsFromNames(t *testing.T) {
+	reg := newTestRegistry(t, 1)
+	cat := literal.NewCatalog(
+		[]string{"Employees", "Salaries", "Titles"},
+		[]string{"FirstName", "LastName", "Salary", "Gender", "Title"},
+		[]string{"John", "Jon", "Smith", "Engineer", "M", "F"},
+	).WithColumnValues(map[string][]string{
+		"FirstName": {"John", "Jon"},
+		"Gender":    {"M", "F"},
+	})
+	if _, err := reg.Put("names", cat); err != nil {
+		t.Fatal(err)
+	}
+	updated, _, err := reg.Update("names", literal.CatalogDelta{
+		AddValues:          []string{"Karsten", "Senior Engineer"},
+		RemoveValues:       []string{"Jon", "Smith"},
+		AddColumnValues:    map[string][]string{"FirstName": {"Karsten"}, "Title": {"Engineer", "Senior Engineer"}},
+		RemoveColumnValues: map[string][]string{"firstname": {"Jon"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Put("other", testCat(1)); err != nil { // evicts "names"
+		t.Fatal(err)
+	}
+	reloaded, err := reg.Acquire("names")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reloaded == updated {
+		t.Fatal("expected a reload, got the resident tenant")
+	}
+	rebuilt := core.NewEngineWithComponent(testComponent(t), literal.NewCatalog(
+		[]string{"Employees", "Salaries", "Titles"},
+		[]string{"FirstName", "LastName", "Salary", "Gender", "Title"},
+		[]string{"John", "Karsten", "Senior Engineer", "Engineer", "M", "F"},
+	).WithColumnValues(map[string][]string{
+		"FirstName": {"John", "Karsten"},
+		"Gender":    {"M", "F"},
+		"Title":     {"Engineer", "Senior Engineer"},
+	}), 5)
+	transcripts := []string{
+		"select salary from employees where first name equals karsten",
+		"select salary from employees where first name equals jon",
+		"select title from titles where title equals senior engineer",
+		"select first name from employees where gender equals M",
+		"select sales from employers wear last name equals smith",
+		"select star from employees",
+		"",
+	}
+	sameCorrections(t, "before eviction", updated.Engine, reloaded.Engine, transcripts, 5)
+	sameCorrections(t, "final names", rebuilt, reloaded.Engine, transcripts, 5)
+}
+
+// TestTenantFileReencodesNames pins that a tenant file carries names, not
+// phonetic codes: a hand-written file holding İsmail and a Kelvin-sign
+// Kate (names whose Metaphone codes changed when Encode learned to fold
+// their case) corrects exactly like a PUT of the same names.
+func TestTenantFileReencodesNames(t *testing.T) {
+	const kate = "\u212Aate" // U+212A KELVIN SIGN, not a K
+	reg := newTestRegistry(t, 4)
+	file := `{"version": 3, "id": "handmade",
+		"tables": ["Employees"], "attributes": ["FirstName", "Salary"],
+		"values": ["İsmail", "` + kate + `", "Smith"],
+		"column_values": {"firstname": ["İsmail", "` + kate + `"]}}`
+	if err := os.WriteFile(reg.path("handmade"), []byte(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := reg.Acquire("handmade")
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, err := reg.Put("put", literal.NewCatalog(
+		[]string{"Employees"}, []string{"FirstName", "Salary"},
+		[]string{"İsmail", kate, "Smith"},
+	).WithColumnValues(map[string][]string{"FirstName": {"İsmail", kate}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	transcripts := []string{
+		"select salary from employees where first name equals ismail",
+		"select salary from employees where first name equals kate",
+		"select salary from employees where first name equals smith",
+	}
+	sameCorrections(t, "hand-written file", put.Engine, fromFile.Engine, transcripts, 5)
+	for i, want := range []string{"İsmail", kate} {
+		if sql := fromFile.Engine.Correct(transcripts[i]).Best().SQL; !strings.Contains(sql, want) {
+			t.Errorf("%q corrected to %q, want the literal %q", transcripts[i], sql, want)
+		}
+	}
 }
 
 func TestTenantValidationBindsCatalogSchema(t *testing.T) {
