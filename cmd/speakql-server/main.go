@@ -19,7 +19,7 @@
 //	DELETE /api/tenants/{id}
 //
 // Usage: speakql-server [-addr :8080] [-db employees|yelp]
-// [-scale test|default|paper] [-timeout 10s] [-cachesize 1024]
+// [-scale test|default|paper] [-index-cache FILE] [-timeout 10s] [-cachesize 1024]
 // [-max-inflight n] [-max-queue n]
 // [-session-ttl d] [-drain-timeout d] [-faults SPEC] [-pprof]
 // [-max-tenants n] [-tenant-dir DIR] [-memo-size n]
@@ -92,7 +92,9 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -100,6 +102,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -296,27 +299,81 @@ func main() {
 	log.Printf("server stopped")
 }
 
-// loadOrBuildIndex reads a persisted structure index, or builds it from the
-// grammar config and writes it for next time.
+// loadOrBuildIndex serves the index cached at path if the file was built
+// from gcfg. The file is one JSON line holding the grammar.GenConfig it was
+// built from, then the index in trieindex's Save format. A missing,
+// unreadable, truncated or older-format file, or one built for another
+// config, is logged and replaced: the index is built, written to a temp
+// file beside path and renamed over it, so no reader ever sees a partial
+// file. A failed write is logged, and the built index is served anyway.
 func loadOrBuildIndex(path string, gcfg grammar.GenConfig) (*trieindex.Index, error) {
-	if f, err := os.Open(path); err == nil {
-		defer f.Close()
-		log.Printf("loading structure index from %s…", path)
-		return trieindex.ReadIndex(f, false)
+	ix, err := readIndexCache(path, gcfg)
+	if err == nil {
+		log.Printf("loaded structure index from %s (%d structures)", path, ix.Total())
+		return ix, nil
 	}
-	log.Printf("building structure index (cache miss)…")
-	ix, err := structure.BuildIndex(gcfg, false)
+	log.Printf("index cache %s not used (%v); building structure index…", path, err)
+	if ix, err = structure.BuildIndex(gcfg, false); err != nil {
+		return nil, err
+	}
+	if err := writeIndexCache(path, gcfg, ix); err != nil {
+		log.Printf("index cache not written: %v", err)
+	} else {
+		log.Printf("wrote index cache to %s (%d structures)", path, ix.Total())
+	}
+	return ix, nil
+}
+
+// readIndexCache reads the index cached at path, failing unless its header
+// names gcfg.
+func readIndexCache(path string, gcfg grammar.GenConfig) (*trieindex.Index, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("create index cache: %w", err)
-	}
 	defer f.Close()
-	if err := ix.Save(f); err != nil {
-		return nil, fmt.Errorf("write index cache: %w", err)
+	br := bufio.NewReader(f)
+	line, err := br.ReadSlice('\n') // bounded by the buffer, however long a headerless file is
+	if err != nil {
+		return nil, fmt.Errorf("read header: %w", err)
 	}
-	log.Printf("wrote index cache to %s (%d structures)", path, ix.Total())
-	return ix, nil
+	var built grammar.GenConfig
+	if err := json.Unmarshal(line, &built); err != nil {
+		return nil, fmt.Errorf("read header: %w", err)
+	}
+	if built != gcfg {
+		return nil, fmt.Errorf("built for grammar %+v, want %+v", built, gcfg)
+	}
+	return trieindex.ReadIndex(br, false)
+}
+
+// writeIndexCache writes the header and ix to a temp file of its own beside
+// path and renames it over path. It does not Sync: a file that a machine
+// crash leaves short fails to load and is rebuilt like any other.
+func writeIndexCache(path string, gcfg grammar.GenConfig, ix *trieindex.Index) error {
+	header, err := json.Marshal(gcfg)
+	if err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // fails harmlessly once renamed
+	// CreateTemp's mode is 0600; readers running as another user need the
+	// 0644 that os.Create gives under the usual umask.
+	err = tmp.Chmod(0o644)
+	if err == nil {
+		_, err = tmp.Write(append(header, '\n'))
+	}
+	if err == nil {
+		err = ix.Save(tmp)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }

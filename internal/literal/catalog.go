@@ -86,14 +86,20 @@ func NewCatalog(tables, attrs, values []string) *Catalog {
 }
 
 // WithColumnValues attaches per-attribute value domains, enabling
-// column-aware value voting. Keys are attribute names; the global value set
-// remains the fallback for unbound or unknown attributes. Returns the
-// catalog for chaining.
+// column-aware value voting. Keys are attribute names, matched without
+// case: keys differing only in case name one column, and their lists merge
+// (as ApplyDelta merges them). The global value set remains the fallback
+// for unbound or unknown attributes. Returns the catalog for chaining.
 func (c *Catalog) WithColumnValues(byAttr map[string][]string) *Catalog {
-	c.byAttr = make(map[string]*catSet, len(byAttr))
+	merged := make(map[string][]string, len(byAttr))
 	for attr, vals := range byAttr {
+		key := strings.ToLower(attr)
+		merged[key] = append(merged[key], vals...)
+	}
+	c.byAttr = make(map[string]*catSet, len(merged))
+	for attr, vals := range merged {
 		set := buildSet(vals)
-		c.byAttr[strings.ToLower(attr)] = &set
+		c.byAttr[attr] = &set
 	}
 	return c
 }

@@ -1,6 +1,7 @@
 package literal
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -326,6 +327,18 @@ func TestWithColumnValuesFallback(t *testing.T) {
 		fields("SELECT x1 FROM x2 WHERE x3 = x4"), cat, 1)
 	if bs[3].Best() != "Global" {
 		t.Errorf("fallback to global set failed: %q", bs[3].Best())
+	}
+}
+
+// TestWithColumnValuesMergesCaseVariants: a column named in two casings is
+// one column, so its domain holds both lists, whichever key map iteration
+// visits first.
+func TestWithColumnValuesMergesCaseVariants(t *testing.T) {
+	cat := NewCatalog(nil, []string{"City"}, nil).
+		WithColumnValues(map[string][]string{"City": {"Phoenix"}, "city": {"Tempe"}})
+	got := cat.ColumnValues()
+	if len(got) != 1 || !slices.Equal(got["city"], []string{"Phoenix", "Tempe"}) {
+		t.Fatalf("ColumnValues() = %v, want city: [Phoenix Tempe]", got)
 	}
 }
 

@@ -44,32 +44,30 @@ func lcsLen(a, b []string) int {
 // WeightedTokenEditDistance is the SQL-specific weighted edit distance of
 // Section 3.4: insert/delete only, with per-token weights W_K=1.2 (Keyword),
 // W_S=1.1 (SplChar), W_L=1.0 (Literal). It is the metric the structure
-// search engine minimizes.
+// search engine minimizes, summed the same way: in exact integer tenths
+// (sqltoken.Cost), converted once at the end.
 func WeightedTokenEditDistance(a, b []string) float64 {
 	n, m := len(a), len(b)
-	prev := make([]float64, m+1)
-	cur := make([]float64, m+1)
+	costB := make([]int32, m)
+	prev := make([]int32, m+1)
+	cur := make([]int32, m+1)
 	for j := 1; j <= m; j++ {
-		prev[j] = prev[j-1] + sqltoken.Weight(b[j-1])
+		costB[j-1] = sqltoken.Cost(b[j-1])
+		prev[j] = prev[j-1] + costB[j-1]
 	}
 	for i := 1; i <= n; i++ {
-		cur[0] = prev[0] + sqltoken.Weight(a[i-1])
+		costA := sqltoken.Cost(a[i-1])
+		cur[0] = prev[0] + costA
 		for j := 1; j <= m; j++ {
 			if a[i-1] == b[j-1] {
 				cur[j] = prev[j-1]
 			} else {
-				del := prev[j] + sqltoken.Weight(a[i-1])
-				ins := cur[j-1] + sqltoken.Weight(b[j-1])
-				if del < ins {
-					cur[j] = del
-				} else {
-					cur[j] = ins
-				}
+				cur[j] = min(prev[j]+costA, cur[j-1]+costB[j-1])
 			}
 		}
 		prev, cur = cur, prev
 	}
-	return prev[m]
+	return float64(prev[m]) / sqltoken.CostScale
 }
 
 // WordErrorRate is the ASR community's WER adapted to query tokens: the

@@ -97,24 +97,28 @@ func Canon(tok string) string {
 	return tok
 }
 
-// Weight constants of the SQL-specific weighted edit distance (Section 3.4).
-// ASR recognizes Keywords most reliably, SplChars next, Literals least; the
-// ordering (not the exact values) is what matters.
+// Edit costs of the SQL-specific weighted edit distance (Section 3.4), in
+// tenths of the paper's weights W_K = 1.2, W_S = 1.1, W_L = 1.0. ASR
+// recognizes Keywords most reliably, SplChars next, Literals least; the
+// ordering (not the exact values) is what matters. Integer costs sum
+// exactly, so two equal distances always compare equal; a summed cost d
+// is the distance d / CostScale.
 const (
-	WeightKeyword = 1.2
-	WeightSplChar = 1.1
-	WeightLiteral = 1.0
+	CostKeyword = 12
+	CostSplChar = 11
+	CostLiteral = 10
+	CostScale   = 10
 )
 
-// Weight returns the edit-distance weight of a token per its class.
-func Weight(tok string) float64 {
+// Cost returns the edit cost of a token per its class, in tenths.
+func Cost(tok string) int32 {
 	switch Classify(tok) {
 	case Keyword:
-		return WeightKeyword
+		return CostKeyword
 	case SplChar:
-		return WeightSplChar
+		return CostSplChar
 	default:
-		return WeightLiteral
+		return CostLiteral
 	}
 }
 

@@ -48,12 +48,12 @@ func TestClassify(t *testing.T) {
 
 func TestWeightOrdering(t *testing.T) {
 	// The paper's requirement is the ordering WK > WS > WL.
-	if !(WeightKeyword > WeightSplChar && WeightSplChar > WeightLiteral) {
-		t.Fatalf("weight ordering violated: WK=%v WS=%v WL=%v",
-			WeightKeyword, WeightSplChar, WeightLiteral)
+	if !(CostKeyword > CostSplChar && CostSplChar > CostLiteral) {
+		t.Fatalf("cost ordering violated: WK=%v WS=%v WL=%v",
+			CostKeyword, CostSplChar, CostLiteral)
 	}
-	if Weight("SELECT") != WeightKeyword || Weight("=") != WeightSplChar || Weight("Salary") != WeightLiteral {
-		t.Fatal("Weight does not dispatch on class")
+	if Cost("SELECT") != CostKeyword || Cost("=") != CostSplChar || Cost("Salary") != CostLiteral {
+		t.Fatal("Cost does not dispatch on class")
 	}
 }
 

@@ -78,14 +78,13 @@ func (ft *flatTrie) walkFrom(ni int32, path *[]tokenID, fn func(path []tokenID))
 // descendFlat explores node ni's children. col is the DP column at ni
 // (always s.cols[depth]); each child's column is advanced into the pooled
 // buffer for depth+1, which siblings overwrite in turn.
-func (s *searcher) descendFlat(ft *flatTrie, ni int32, col []float64, depth int) {
+func (s *searcher) descendFlat(ft *flatTrie, ni int32, col []int32, depth int) {
 	first, cnt := ft.first[ni], ft.num[ni]
 	rem := s.n - depth - 1 // structure tokens below each child
 	if !s.opts.DAP || cnt < 2 {
 		for ci := first; ci < first+cnt; ci++ {
 			child := s.column(depth + 1)
-			lo, bound := s.stepInto(col, child, ft.tok[ci], rem)
-			s.visitFlat(ft, ci, child, depth+1, lo, bound)
+			s.visitFlat(ft, ci, child, depth+1, s.stepInto(col, child, ft.tok[ci], rem))
 		}
 		return
 	}
@@ -96,7 +95,7 @@ func (s *searcher) descendFlat(ft *flatTrie, ni int32, col []float64, depth int)
 	// columns into the depth buffer and explores them, in group order —
 	// the reference kernel's exact visit order.
 	bestChild := [3]int32{-1, -1, -1}
-	var bestLast [3]float64
+	var bestLast [3]int32
 	for ci := first; ci < first+cnt; ci++ {
 		tok := ft.tok[ci]
 		if g := s.ix.prime[tok]; g >= 0 {
@@ -108,31 +107,20 @@ func (s *searcher) descendFlat(ft *flatTrie, ni int32, col []float64, depth int)
 			continue
 		}
 		child := s.column(depth + 1)
-		lo, bound := s.stepInto(col, child, tok, rem)
-		s.visitFlat(ft, ci, child, depth+1, lo, bound)
+		s.visitFlat(ft, ci, child, depth+1, s.stepInto(col, child, tok, rem))
 	}
 	for g := range bestChild {
 		if ci := bestChild[g]; ci >= 0 {
 			child := s.column(depth + 1)
-			lo, bound := s.stepInto(col, child, ft.tok[ci], rem)
-			s.visitFlat(ft, ci, child, depth+1, lo, bound)
+			s.visitFlat(ft, ci, child, depth+1, s.stepInto(col, child, ft.tok[ci], rem))
 		}
 	}
 }
 
-// nodeBoundSlack pads the node bound against floating-point rounding: the
-// one-shot sum cur[i] + k·W_L can exceed, by an ULP, the sequential sums a
-// descendant's DP cells accumulate. The padded bound only prunes less.
-const nodeBoundSlack = 1e-9
-
 // visitFlat counts node ci, offers it if it is a leaf, and descends unless
-// no descendant can be viable. lo and bound are stepInto's lower bounds for
-// col: every descendant's distance is at least lo = min(col) (DP cells
-// never decrease along a path), and at least bound up to rounding. The max
-// keeps every prune min(col) alone makes — on its own the padded bound
-// would let through a subtree whose minimum cell sits on the length
-// diagonal at exactly the threshold.
-func (s *searcher) visitFlat(ft *flatTrie, ci int32, col []float64, depth int, lo, bound float64) {
+// no descendant can be viable: every leaf below costs at least bound,
+// stepInto's node bound for col.
+func (s *searcher) visitFlat(ft *flatTrie, ci int32, col []int32, depth int, bound int32) {
 	s.st.NodesVisited++
 	s.path = append(s.path, ft.tok[ci])
 	if ft.leaf[ci] {
@@ -140,7 +128,7 @@ func (s *searcher) visitFlat(ft *flatTrie, ci int32, col []float64, depth int, l
 			s.offer(d, s.path)
 		}
 	}
-	if s.viable(max(lo, bound-nodeBoundSlack)) {
+	if s.viable(bound) {
 		s.descendFlat(ft, ci, col, depth)
 	}
 	s.path = s.path[:len(s.path)-1]

@@ -7,34 +7,27 @@ package trieindex
 // leaves, and seeds the sweep's pruning with the k-th smallest leaf
 // distance it recorded.
 //
-// The seed is sound. Each recorded value is the distance of a distinct
-// structure, computed by the same stepInto calls along the same path as the
-// sweep computes it, so it has the same bits; the k-th smallest of k such
-// values is at least the true k-th best. The seed prunes only d > seed
-// (viable keeps d <= seed), so every top-k member survives in enumeration
-// order and the (distance, seq) rule picks the identical list: only the
-// work falls.
+// The seed is sound. Each recorded value is the exact distance of a
+// distinct structure, so the k-th smallest of k such values is at least
+// the true k-th best. The seed prunes only d > seed (viable keeps
+// d <= seed), so every top-k member survives in enumeration order and the
+// (distance, seq) rule picks the identical list: only the work falls.
 //
 // DAP is excluded: its sweep never enters a losing prime-group child, but
 // the dive may, and a leaf found there can lie below DAP's own k-th best.
 
-import (
-	"context"
-	"math"
-
-	"speakql/internal/sqltoken"
-)
+import "context"
 
 // beamNode is one beam entry: a trie node, its node bound (Proposition 1 at
 // the node, see stepInto), and its DP column.
 type beamNode struct {
 	ni    int32
-	bound float64
-	col   []float64
+	bound int32
+	col   []int32
 }
 
 // dive runs the warm-start beam and sets s.seed to the k-th smallest leaf
-// distance it recorded, or +Inf when it recorded fewer than k. Tries are
+// distance it recorded, or unbounded when it recorded fewer than k. Tries are
 // taken in order of increasing length gap |m−n|: n = m, then m−1 and m+1,
 // and so on. The dive stops once it holds k leaves and the next gap's
 // gap·W_L is at least the k-th smallest of them: no leaf of a trie at that
@@ -43,7 +36,7 @@ func (s *searcher) dive(ctx context.Context) {
 	s.prepareDive()
 	m := len(s.q)
 	for g := 0; m-g >= 1 || m+g <= s.ix.maxLen; g++ {
-		if len(s.diveBest) >= s.k && float64(g)*sqltoken.WeightLiteral >= s.diveBest[s.k-1] {
+		if len(s.diveBest) >= s.k && lengthGap(m+g, m) >= s.diveBest[s.k-1] {
 			break
 		}
 		if ctx.Err() != nil {
@@ -54,7 +47,7 @@ func (s *searcher) dive(ctx context.Context) {
 			s.diveLen(m + g)
 		}
 	}
-	s.seed = math.Inf(1)
+	s.seed = unbounded
 	if len(s.diveBest) >= s.k {
 		s.seed = s.diveBest[s.k-1]
 	}
@@ -71,7 +64,7 @@ func (s *searcher) prepareDive() {
 	need := len(s.q) + 1
 	for i, col := range s.diveFree {
 		if cap(col) < need {
-			col = make([]float64, need)
+			col = make([]int32, need)
 		}
 		s.diveFree[i] = col[:need]
 	}
@@ -98,7 +91,7 @@ func (s *searcher) diveLen(n int) {
 		for _, p := range cur {
 			for ci := ft.first[p.ni]; ci < ft.first[p.ni]+ft.num[p.ni]; ci++ {
 				col := s.popColumn()
-				_, bound := s.stepInto(p.col, col, ft.tok[ci], rem)
+				bound := s.stepInto(p.col, col, ft.tok[ci], rem)
 				s.st.DiveSteps++
 				if rem > 0 {
 					next = s.keepBeam(next, beamNode{ni: ci, bound: bound, col: col})
@@ -119,7 +112,7 @@ func (s *searcher) diveLen(n int) {
 }
 
 // popColumn takes a DP column off the beam's free stack.
-func (s *searcher) popColumn() []float64 {
+func (s *searcher) popColumn() []int32 {
 	n := len(s.diveFree) - 1
 	col := s.diveFree[n]
 	s.diveFree = s.diveFree[:n]
@@ -150,7 +143,7 @@ func (s *searcher) keepBeam(next []beamNode, e beamNode) []beamNode {
 }
 
 // recordLeaf adds one leaf distance to the dive's k smallest, kept sorted.
-func (s *searcher) recordLeaf(d float64) {
+func (s *searcher) recordLeaf(d int32) {
 	best := s.diveBest
 	if len(best) >= s.k {
 		if d >= best[s.k-1] {

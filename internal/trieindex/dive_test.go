@@ -3,11 +3,11 @@ package trieindex
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
 	"speakql/internal/grammar"
+	"speakql/internal/sqltoken"
 )
 
 // sameResults fails the test unless a and b are identical result lists —
@@ -27,8 +27,8 @@ func sameResults(t *testing.T, label string, a, b []Result) {
 }
 
 // diveSeed runs the warm-start dive alone for one query and returns the
-// seed it leaves on the searcher.
-func (ix *Index) diveSeed(maskOut []string, k int, opts Options) float64 {
+// seed it leaves on the searcher, in tenths.
+func (ix *Index) diveSeed(maskOut []string, k int, opts Options) int32 {
 	var st Stats
 	s := ix.getSearcher(maskOut, k, opts, &st)
 	defer ix.putSearcher(s)
@@ -50,7 +50,7 @@ func (ix *Index) diveSeed(maskOut []string, k int, opts Options) float64 {
 // return a fresh index's answer.
 //
 // tiny: with fewer structures than k the dive cannot hold k leaves, so the
-// seed is +Inf and the search returns every structure.
+// seed is unbounded and the search returns every structure.
 func TestDiveSeed(t *testing.T) {
 	ix, roots := buildWithPointers(t, grammar.TestScale(), true)
 	t.Run("sound", func(t *testing.T) {
@@ -65,7 +65,7 @@ func TestDiveSeed(t *testing.T) {
 					}
 					label := fmt.Sprintf("%+v k=%d q#%d %v", opts, k, qi, q)
 					seed := ix.diveSeed(q, k, opts)
-					if len(want) == k && seed < want[k-1].Distance {
+					if len(want) == k && float64(seed)/sqltoken.CostScale < want[k-1].Distance {
 						t.Fatalf("%s: seed %v below the true k-th best %v", label, seed, want[k-1].Distance)
 					}
 					got, st := ix.SearchTopK(q, k, opts)
@@ -110,8 +110,8 @@ func TestDiveSeed(t *testing.T) {
 	t.Run("tiny", func(t *testing.T) {
 		tiny, tinyRoots := indexWithPointers(10, "SELECT x FROM x", "SELECT * FROM x")
 		q := strings.Fields("SELECT x FROM x")
-		if seed := tiny.diveSeed(q, 5, Options{}); !math.IsInf(seed, 1) {
-			t.Fatalf("2 structures, k=5: seed %v, want +Inf", seed)
+		if seed := tiny.diveSeed(q, 5, Options{}); seed != unbounded {
+			t.Fatalf("2 structures, k=5: seed %v, want unbounded", seed)
 		}
 		want, _ := tiny.searchPointer(tinyRoots, q, 5, Options{}, false, false)
 		got, _ := tiny.SearchTopK(q, 5, Options{})

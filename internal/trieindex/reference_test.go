@@ -2,12 +2,10 @@ package trieindex
 
 import (
 	"context"
-	"math"
 	"strings"
 	"testing"
 
 	"speakql/internal/grammar"
-	"speakql/internal/sqltoken"
 )
 
 // The pointer-trie DP kernel: the pre-arena search kernel, kept here as the
@@ -80,15 +78,12 @@ func (s *searcher) searchLenPointer(root *node, n int, nodeBound bool) {
 	if root == nil {
 		return
 	}
-	if !s.opts.DisableBDB {
-		lower := math.Abs(float64(len(s.q)-n)) * sqltoken.WeightLiteral
-		if !s.viable(lower) {
-			s.st.TriesSkipped++
-			return
-		}
+	if !s.opts.DisableBDB && !s.viable(lengthGap(len(s.q), n)) {
+		s.st.TriesSkipped++
+		return
 	}
 	s.st.TriesSearched++
-	col := make([]float64, len(s.q)+1)
+	col := make([]int32, len(s.q)+1)
 	for i := 1; i <= len(s.q); i++ {
 		col[i] = col[i-1] + s.qw[i-1]
 	}
@@ -99,7 +94,7 @@ func (s *searcher) searchLenPointer(root *node, n int, nodeBound bool) {
 // descend explores node's children, advancing the DP by one column per
 // child token, with min-column pruning and (optionally) DAP. n is the
 // trie's structure length.
-func (s *searcher) descend(nd *node, col []float64, n int, nodeBound bool) {
+func (s *searcher) descend(nd *node, col []int32, n int, nodeBound bool) {
 	if !s.opts.DAP || len(nd.children) < 2 {
 		for _, c := range nd.children {
 			childCol := s.step(col, c.tok)
@@ -111,7 +106,7 @@ func (s *searcher) descend(nd *node, col []float64, n int, nodeBound bool) {
 	// superset group only the child whose DP column ends lowest is
 	// explored further.
 	var bestChild [3]*node
-	var bestCol [3][]float64
+	var bestCol [3][]int32
 	for _, c := range nd.children {
 		g := s.ix.prime[c.tok]
 		if g < 0 {
@@ -131,7 +126,7 @@ func (s *searcher) descend(nd *node, col []float64, n int, nodeBound bool) {
 	}
 }
 
-func (s *searcher) visit(c *node, col []float64, n int, nodeBound bool) {
+func (s *searcher) visit(c *node, col []int32, n int, nodeBound bool) {
 	s.st.NodesVisited++
 	s.path = append(s.path, c.tok)
 	if c.leaf {
@@ -139,10 +134,11 @@ func (s *searcher) visit(c *node, col []float64, n int, nodeBound bool) {
 			s.offer(d, s.path)
 		}
 	}
-	// Min-column pruning: every descendant's distance is ≥ min(col).
+	// Min-column pruning: every descendant's distance is ≥ min(col), and
+	// at least the node bound, which is never below min(col).
 	lower := minOf(col)
 	if nodeBound && !s.opts.DisableBDB {
-		lower = max(lower, nodeBoundOf(col, n-len(s.path))-nodeBoundSlack)
+		lower = nodeBoundOf(col, n-len(s.path))
 	}
 	if s.viable(lower) {
 		s.descend(c, col, n, nodeBound)
@@ -151,37 +147,33 @@ func (s *searcher) visit(c *node, col []float64, n int, nodeBound bool) {
 }
 
 // step advances the DP one column for trie token tok into a fresh column
-// (the rem argument only feeds stepInto's bounds, which step discards).
-func (s *searcher) step(prev []float64, tok tokenID) []float64 {
-	cur := make([]float64, len(prev))
+// (the rem argument only feeds stepInto's bound, which step discards).
+func (s *searcher) step(prev []int32, tok tokenID) []int32 {
+	cur := make([]int32, len(prev))
 	s.stepInto(prev, cur, tok, 0)
 	return cur
 }
 
-func minOf(col []float64) float64 {
+func minOf(col []int32) int32 {
 	m := col[0]
 	for _, v := range col[1:] {
-		if v < m {
-			m = v
-		}
+		m = min(m, v)
 	}
 	return m
 }
 
 // nodeBoundOf is Proposition 1 at a node with rem structure tokens below
 // it: min over the column's cells of cell + |(m−i) − rem|·W_L.
-func nodeBoundOf(col []float64, rem int) float64 {
+func nodeBoundOf(col []int32, rem int) int32 {
 	m := len(col) - 1
-	b := math.Inf(1)
+	b := unbounded
 	for i, v := range col {
-		if x := v + math.Abs(float64((m-i)-rem))*sqltoken.WeightLiteral; x < b {
-			b = x
-		}
+		b = min(b, v+lengthGap(m-i, rem))
 	}
 	return b
 }
 
-func last(col []float64) float64 { return col[len(col)-1] }
+func last(col []int32) int32 { return col[len(col)-1] }
 
 // pointerStats counts one pointer trie's structures and nodes (the root
 // excluded), the figures Memory reports for its arena.

@@ -95,9 +95,9 @@ func (ix *Index) runSearcher(ctx context.Context, s *searcher) ([]Result, Stats)
 }
 
 // getSearcher takes a searcher from the index's pool and prepares it for
-// one query: per-query state is reset (the seed to +Inf), the masked
+// one query: per-query state is reset (the seed to unbounded), the masked
 // transcript is interned into the searcher's own scratch buffers, and the
-// weight vectors are bound.
+// cost vectors are bound.
 func (ix *Index) getSearcher(maskOut []string, k int, opts Options, st *Stats) *searcher {
 	s, _ := ix.pool.Get().(*searcher)
 	if s == nil {
@@ -108,7 +108,7 @@ func (ix *Index) getSearcher(maskOut []string, k int, opts Options, st *Stats) *
 	s.opts = opts
 	s.st = st
 	s.seq = 0
-	s.seed = math.Inf(1)
+	s.seed = unbounded
 	s.setQuery(maskOut)
 	return s
 }
@@ -142,16 +142,16 @@ func (s *searcher) recycle() {
 }
 
 // setQuery interns the masked transcript into the searcher's own buffers
-// (unknown tokens map to a never-matching id) and binds the weights.
+// (unknown tokens map to a never-matching id) and binds the costs.
 func (s *searcher) setQuery(maskOut []string) {
 	s.qbuf = s.qbuf[:0]
 	s.qwbuf = s.qwbuf[:0]
 	for _, t := range maskOut {
 		s.qbuf = append(s.qbuf, s.ix.in.lookup(t))
 		if s.opts.UniformWeights {
-			s.qwbuf = append(s.qwbuf, 1)
+			s.qwbuf = append(s.qwbuf, sqltoken.CostLiteral)
 		} else {
-			s.qwbuf = append(s.qwbuf, sqltoken.Weight(t))
+			s.qwbuf = append(s.qwbuf, sqltoken.Cost(t))
 		}
 	}
 	s.q, s.qw = s.qbuf, s.qwbuf
@@ -159,8 +159,8 @@ func (s *searcher) setQuery(maskOut []string) {
 	s.bindGap()
 }
 
-// bindWeights selects the insertion-weight vector: the index's SQL-specific
-// weights, or (under the ablation) an all-ones vector kept per searcher so
+// bindWeights selects the insertion-cost vector: the index's SQL-specific
+// costs, or (under the ablation) W_L for every id, kept per searcher so
 // concurrent searchers never share mutable slices.
 func (s *searcher) bindWeights() {
 	if !s.opts.UniformWeights {
@@ -168,7 +168,7 @@ func (s *searcher) bindWeights() {
 		return
 	}
 	for len(s.uw) < len(s.ix.weights) {
-		s.uw = append(s.uw, 1)
+		s.uw = append(s.uw, sqltoken.CostLiteral)
 	}
 	s.w = s.uw[:len(s.ix.weights)]
 }
@@ -177,28 +177,40 @@ func (s *searcher) bindWeights() {
 // stepInto): gap[j] = |j − m|·W_L for a query of m tokens, so the cell in
 // row i of a column with r structure tokens still below it sits
 // |(m−i) − r| unmatched tokens off the length diagonal, costing at least
-// gap[r+i]. Every token weight is at least W_L, uniform ones included.
+// gap[r+i]. Every token cost is at least W_L, uniform ones included.
 // DisableBDB zeroes the table, which collapses the node bound to min(col).
 func (s *searcher) bindGap() {
 	m := len(s.q)
 	s.gap = s.gap[:0]
 	for j := 0; j <= m+s.ix.maxLen; j++ {
-		d := 0.0
+		var d int32
 		if !s.opts.DisableBDB {
-			d = math.Abs(float64(j-m)) * sqltoken.WeightLiteral
+			d = lengthGap(j, m)
 		}
 		s.gap = append(s.gap, d)
 	}
 }
 
+// lengthGap is Proposition 1's bound |a − b|·W_L: the least cost, in
+// tenths, between token strings of lengths a and b.
+func lengthGap(a, b int) int32 {
+	return int32(max(a-b, b-a)) * sqltoken.CostLiteral
+}
+
+// unbounded is the threshold and seed before any distance is known.
+const unbounded int32 = math.MaxInt32
+
 // searcher carries the per-query search state. Searchers are pooled per
 // index: the buffers below the fold persist across queries, which is what
-// makes the steady-state search kernel allocation-free.
+// makes the steady-state search kernel allocation-free. Costs and DP cells
+// are int32 tenths with no overflow guard: a cell costs at most 12 per
+// token, so int32 overflows only past about 178M query tokens (2^31/12),
+// more than the memory of one DP column per trie depth allows.
 type searcher struct {
 	ix   *Index
 	q    []tokenID // MaskOut, interned
-	qw   []float64 // deletion weight of each MaskOut token
-	w    []float64 // insertion weight per interned id (uniform under ablation)
+	qw   []int32   // deletion cost of each MaskOut token
+	w    []int32   // insertion cost per interned id (uniform under ablation)
 	k    int
 	opts Options
 	st   *Stats
@@ -211,53 +223,53 @@ type searcher struct {
 	seq uint64
 
 	// seed is an upper bound on the final k-th-best distance known before
-	// the sweep starts: the warm-start dive's (dive.go), or +Inf.
-	seed float64
+	// the sweep starts: the warm-start dive's (dive.go), or unbounded.
+	seed int32
 
 	// n is the structure length of the trie being searched.
 	n int
 
 	// Owned scratch, reused across queries via the searcher pool.
-	qbuf   []tokenID   // interned query backing
-	qwbuf  []float64   // query deletion-weight backing
-	uw     []float64   // all-ones insertion weights (UniformWeights ablation)
-	gap    []float64   // node-bound table for the current query (bindGap)
-	cols   [][]float64 // DP column pool, one buffer per trie depth
-	dapCol []float64   // DAP pass-1 scratch column
-	fPrev  []float64   // flatDistance row buffers (INV path)
-	fCur   []float64
+	qbuf   []tokenID // interned query backing
+	qwbuf  []int32   // query deletion-cost backing
+	uw     []int32   // all-W_L insertion costs (UniformWeights ablation)
+	gap    []int32   // node-bound table for the current query (bindGap)
+	cols   [][]int32 // DP column pool, one buffer per trie depth
+	dapCol []int32   // DAP pass-1 scratch column
+	fPrev  []int32   // flatDistance row buffers (INV path)
+	fCur   []int32
 	free   [][]tokenID // recycled heap-entry token buffers
 	order  []int       // partition-order scratch
 
 	// Warm-start scratch (dive.go): the free stack of the beam's DP
 	// columns, the beam's two levels, and the k smallest leaf distances
 	// recorded.
-	diveFree [][]float64
+	diveFree [][]int32
 	beamCur  []beamNode
 	beamNext []beamNode
-	diveBest []float64
+	diveBest []int32
 }
 
 // column returns the pooled DP column for one trie depth, sized for the
 // current query. Buffers are created on first use at each depth and then
 // live for the searcher's lifetime.
-func (s *searcher) column(depth int) []float64 {
+func (s *searcher) column(depth int) []int32 {
 	for len(s.cols) <= depth {
 		s.cols = append(s.cols, nil)
 	}
 	need := len(s.q) + 1
 	if cap(s.cols[depth]) < need {
-		s.cols[depth] = make([]float64, need)
+		s.cols[depth] = make([]int32, need)
 	}
 	s.cols[depth] = s.cols[depth][:need]
 	return s.cols[depth]
 }
 
 // dapColumn returns the scratch column DAP's scoring pass writes through.
-func (s *searcher) dapColumn() []float64 {
+func (s *searcher) dapColumn() []int32 {
 	need := len(s.q) + 1
 	if cap(s.dapCol) < need {
-		s.dapCol = make([]float64, need)
+		s.dapCol = make([]int32, need)
 	}
 	s.dapCol = s.dapCol[:need]
 	return s.dapCol
@@ -288,9 +300,9 @@ func (s *searcher) partitionOrder(qlen int) []int {
 
 // threshold is the local pruning bound: the k-th best distance this
 // searcher has kept.
-func (s *searcher) threshold() float64 {
+func (s *searcher) threshold() int32 {
 	if len(s.heap) < s.k {
-		return math.Inf(1)
+		return unbounded
 	}
 	return s.heap[0].dist
 }
@@ -301,14 +313,14 @@ func (s *searcher) threshold() float64 {
 // the tie to the kept one. Against the seed the test is d <= seed: the seed
 // only bounds the final k-th best from above, so a candidate at exactly the
 // seed may still belong to the top k and must survive the prune.
-func (s *searcher) viable(d float64) bool {
+func (s *searcher) viable(d int32) bool {
 	return d < s.threshold() && d <= s.seed
 }
 
 // offer records a candidate leaf. Token buffers are recycled: an evicted
 // entry's buffer (or one from the freelist) carries the new candidate, so
 // steady-state offers allocate nothing.
-func (s *searcher) offer(dist float64, toks []tokenID) {
+func (s *searcher) offer(dist int32, toks []tokenID) {
 	var buf []tokenID
 	if len(s.heap) == s.k {
 		if dist >= s.heap[0].dist {
@@ -329,7 +341,7 @@ func (s *searcher) results() []Result {
 	sort.Slice(entries, func(i, j int) bool { return entries[j].worse(entries[i]) })
 	out := make([]Result, len(entries))
 	for i, e := range entries {
-		out[i] = Result{Tokens: s.ix.stringsOf(e.toks), Distance: e.dist}
+		out[i] = Result{Tokens: s.ix.stringsOf(e.toks), Distance: float64(e.dist) / sqltoken.CostScale}
 	}
 	return out
 }
@@ -353,12 +365,9 @@ func (s *searcher) searchLen(n int) {
 	if tr == nil {
 		return
 	}
-	if !s.opts.DisableBDB {
-		lower := math.Abs(float64(len(s.q)-n)) * sqltoken.WeightLiteral
-		if !s.viable(lower) {
-			s.st.TriesSkipped++
-			return
-		}
+	if !s.opts.DisableBDB && !s.viable(lengthGap(len(s.q), n)) {
+		s.st.TriesSkipped++
+		return
 	}
 	s.st.TriesSearched++
 	col := s.column(0)
@@ -370,8 +379,8 @@ func (s *searcher) searchLen(n int) {
 
 // rootColumn fills the DP column at a trie root: dp[i][0] = cost of
 // deleting the first i MaskOut tokens. The sweep and the dive both start
-// here, so a leaf's distance has the same bits on either path.
-func (s *searcher) rootColumn(col []float64) {
+// here.
+func (s *searcher) rootColumn(col []int32) {
 	col[0] = 0
 	for i := 1; i <= len(s.q); i++ {
 		col[i] = col[i-1] + s.qw[i-1]
@@ -384,41 +393,35 @@ func (s *searcher) rootColumn(col []float64) {
 // tok (cost W(tok)). rem is the number of structure tokens below the new
 // column's node.
 //
-// In the same pass it returns the two lower bounds visitFlat prunes on:
-// lo = min(cur), and bound = min_i(cur[i] + |(m−i) − rem|·W_L), Proposition
-// 1 applied at the node. Every leaf below sits exactly rem tokens deeper
-// (a trie holds structures of one length), and an alignment path through
-// cell i still has m−i query and rem structure tokens to consume; at least
-// |(m−i) − rem| of them go unmatched, at W_L or more each.
-func (s *searcher) stepInto(prev, cur []float64, tok tokenID, rem int) (lo, bound float64) {
+// In the same pass it returns the node bound visitFlat prunes on:
+// min_i(cur[i] + |(m−i) − rem|·W_L), Proposition 1 applied at the node.
+// Every leaf below sits exactly rem tokens deeper (a trie holds structures
+// of one length), and an alignment path through cell i still has m−i query
+// and rem structure tokens to consume; at least |(m−i) − rem| of them go
+// unmatched, at W_L or more each. The sums are exact and no gap entry is
+// negative, so the bound is never below min(cur).
+func (s *searcher) stepInto(prev, cur []int32, tok tokenID, rem int) int32 {
 	w := s.w[tok]
 	q, qw := s.q[:len(prev)-1], s.qw[:len(prev)-1]
 	cur = cur[:len(prev)]
 	gap := s.gap[rem : rem+len(prev)]
 	v := prev[0] + w
 	cur[0] = v
-	lo, bound = v, v+gap[0]
+	bound := v + gap[0]
 	for i := 1; i < len(cur); i++ {
 		if q[i-1] == tok {
 			v = prev[i-1]
 		} else {
-			ins := prev[i] + w  // insert the trie token (advance column only)
-			delQ := v + qw[i-1] // delete the query token (advance row only)
-			if ins < delQ {
-				v = ins
-			} else {
-				v = delQ
-			}
+			// Insert the trie token (advance column only) or delete the
+			// query token (advance row only).
+			v = min(prev[i]+w, v+qw[i-1])
 		}
 		cur[i] = v
-		if v < lo {
-			lo = v
-		}
 		if b := v + gap[i]; b < bound {
 			bound = b
 		}
 	}
-	return lo, bound
+	return bound
 }
 
 // primeGroup classifies a token into the prime superset groups of DAP:
@@ -514,11 +517,7 @@ func (s *searcher) searchINV() bool {
 // invScan scores one inverted-list structure, reporting false once the
 // Proposition 1 bound proves this scan direction exhausted.
 func (s *searcher) invScan(structIDs []tokenID) bool {
-	lower := float64(len(structIDs) - len(s.q))
-	if lower < 0 {
-		lower = -lower
-	}
-	if lower*sqltoken.WeightLiteral >= s.threshold() {
+	if lengthGap(len(structIDs), len(s.q)) >= s.threshold() {
 		return false
 	}
 	s.st.InvScanned++
@@ -533,11 +532,11 @@ func (s *searcher) invScan(structIDs []tokenID) bool {
 // flat structure (the INV path), abandoning early once every cell of a row
 // exceeds limit (the distance is then provably ≥ limit). Rows come from the
 // searcher's scratch, not the heap.
-func (s *searcher) flatDistance(b []tokenID, limit float64) float64 {
+func (s *searcher) flatDistance(b []tokenID, limit int32) int32 {
 	need := len(b) + 1
 	if cap(s.fPrev) < need {
-		s.fPrev = make([]float64, need)
-		s.fCur = make([]float64, need)
+		s.fPrev = make([]int32, need)
+		s.fCur = make([]int32, need)
 	}
 	prev, cur := s.fPrev[:need], s.fCur[:need]
 	prev[0] = 0
@@ -551,17 +550,9 @@ func (s *searcher) flatDistance(b []tokenID, limit float64) float64 {
 			if s.q[i-1] == b[j-1] {
 				cur[j] = prev[j-1]
 			} else {
-				del := prev[j] + s.qw[i-1]
-				ins := cur[j-1] + s.w[b[j-1]]
-				if del < ins {
-					cur[j] = del
-				} else {
-					cur[j] = ins
-				}
+				cur[j] = min(prev[j]+s.qw[i-1], cur[j-1]+s.w[b[j-1]])
 			}
-			if cur[j] < rowMin {
-				rowMin = cur[j]
-			}
+			rowMin = min(rowMin, cur[j])
 		}
 		if rowMin >= limit {
 			return rowMin // can only grow from here
@@ -575,7 +566,7 @@ func (s *searcher) flatDistance(b []tokenID, limit float64) float64 {
 // top-k maintenance. Entries are totally ordered by (distance, offer
 // sequence): distance ties resolve to the earliest-enumerated candidate.
 type heapEntry struct {
-	dist float64
+	dist int32
 	seq  uint64
 	toks []tokenID
 }

@@ -104,9 +104,9 @@ func TestResultHeapOrdering(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		var h resultHeap
 		k := 1 + rng.Intn(8)
-		var kept []float64
+		var kept []int32
 		for i := 0; i < 50; i++ {
-			d := float64(rng.Intn(20))
+			d := int32(rng.Intn(20))
 			if len(h) == k {
 				if d >= h[0].dist {
 					continue

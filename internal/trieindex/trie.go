@@ -3,7 +3,8 @@
 // into 50 disjoint tries, one per token length, and searched with a
 // SQL-specific weighted edit distance (insert/delete only; W_K=1.2,
 // W_S=1.1, W_L=1.0) computed by a column-passing dynamic program over trie
-// paths. Three optimizations are provided:
+// paths, summing the weights as exact int32 tenths (sqltoken.Cost) so
+// equal distances tie exactly. Three optimizations are provided:
 //
 //   - BDB — bidirectional bounds (Proposition 1) prune whole tries, and
 //     subtrees at every trie node, whose best possible distance already
@@ -114,7 +115,7 @@ type Index struct {
 	tries   []*trie // indexed by structure length
 	maxLen  int
 	total   int
-	weights []float64               // weight per interned token id
+	weights []int32                 // edit cost per interned token id, in tenths
 	prime   []int8                  // DAP prime-superset group per id (−1 none)
 	invKey  []bool                  // id is a non-universal keyword (INV-indexed)
 	inv     map[tokenID][][]tokenID // keyword → structures containing it
@@ -204,7 +205,7 @@ func (b *Builder) Build() *Index {
 }
 
 // bindToken records the per-id metadata the search kernel reads instead of
-// re-deriving it from strings on the hot path: edit weight, DAP prime
+// re-deriving it from strings on the hot path: edit cost, DAP prime
 // group, and whether the token is INV-indexable.
 func (ix *Index) bindToken(id tokenID, tok string) {
 	for int(id) >= len(ix.weights) {
@@ -212,7 +213,7 @@ func (ix *Index) bindToken(id tokenID, tok string) {
 		ix.prime = append(ix.prime, -1)
 		ix.invKey = append(ix.invKey, false)
 	}
-	ix.weights[id] = sqltoken.Weight(tok)
+	ix.weights[id] = sqltoken.Cost(tok)
 	ix.prime[id] = int8(primeGroup(tok))
 	ix.invKey[id] = sqltoken.IsKeyword(tok) && !invExcluded[tok]
 }

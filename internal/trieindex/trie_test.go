@@ -1,8 +1,9 @@
 package trieindex
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -74,20 +75,32 @@ func TestSearchRunningExample(t *testing.T) {
 	}
 }
 
-// The search must return exactly the minimum weighted edit distance over the
-// whole corpus — verified against a brute-force scan.
-func TestSearchMatchesBruteForce(t *testing.T) {
-	cfg := grammar.TestScale()
-	ix := buildIndex(t, cfg, false)
-	var corpus [][]string
-	err := grammar.Generate(cfg, func(toks []string) bool {
-		corpus = append(corpus, append([]string(nil), toks...))
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+// bruteTopK scores every indexed structure with
+// metrics.WeightedTokenEditDistance in the sweep's visit order — tries in
+// partitionOrder, depth-first within each — and stable-sorts them by
+// distance, so equal distances keep the order the sweep enumerates them in.
+func bruteTopK(ix *Index, q []string) []Result {
+	var st Stats
+	s := ix.getSearcher(q, 1, Options{}, &st)
+	order := append([]int(nil), s.partitionOrder(len(q))...)
+	ix.putSearcher(s)
+	var all []Result
+	path := make([]tokenID, 0, ix.maxLen)
+	for _, n := range order {
+		ix.tries[n].flat.walkLeaves(&path, func(p []tokenID) {
+			toks := ix.stringsOf(p)
+			all = append(all, Result{Tokens: toks, Distance: metrics.WeightedTokenEditDistance(q, toks)})
+		})
 	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Distance < all[j].Distance })
+	return all
+}
 
+// The search must return exactly the k best structures of the whole
+// corpus, ties in visit order, at the distances metrics computes —
+// verified against a brute-force scan, with BDB on and off.
+func TestSearchMatchesBruteForce(t *testing.T) {
+	ix := buildIndex(t, grammar.TestScale(), false)
 	rng := rand.New(rand.NewSource(11))
 	vocab := []string{"SELECT", "FROM", "WHERE", "x", "=", "<", ">", "(", ")",
 		",", "AND", "OR", "AVG", "COUNT", "ORDER", "BY", "LIMIT", "*", "."}
@@ -101,21 +114,34 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 		for i := range q {
 			q[i] = vocab[rng.Intn(len(vocab))]
 		}
-		want := math.Inf(1)
-		for _, s := range corpus {
-			if d := metrics.WeightedTokenEditDistance(q, s); d < want {
-				want = d
+		all := bruteTopK(ix, q)
+		for _, k := range []int{1, 3, 10} {
+			// BDB off must give the same list (it is accuracy-preserving).
+			for _, opts := range []Options{{}, {DisableBDB: true}} {
+				got, _ := ix.SearchTopK(q, k, opts)
+				sameResults(t, fmt.Sprintf("%+v k=%d %v vs brute force", opts, k, q), got, all[:min(k, len(all))])
 			}
 		}
-		res, _ := ix.Search(q, Options{})
-		if math.Abs(res.Distance-want) > 1e-9 {
-			t.Fatalf("query %v: search dist %v, brute force %v (got %v)",
-				q, res.Distance, want, res.Tokens)
+	}
+}
+
+// TestExactTies: ( x and x , are both exactly 4.7 from FROM FROM x AND
+// (three keyword deletions and one splchar insertion), so the structure
+// the sweep enumerates first — here the one inserted first — must rank
+// first, in either insertion order, with both distances exactly 4.7.
+func TestExactTies(t *testing.T) {
+	q := strings.Fields("FROM FROM x AND")
+	for _, structures := range [][]string{{"( x", "x ,"}, {"x ,", "( x"}} {
+		ix, _ := indexWithPointers(4, structures...)
+		rs, _ := ix.SearchTopK(q, 2, Options{})
+		if len(rs) != 2 {
+			t.Fatalf("inserted %q: %d results, want 2", structures, len(rs))
 		}
-		// BDB off must give the same distance (it is accuracy-preserving).
-		resNoBDB, _ := ix.Search(q, Options{DisableBDB: true})
-		if math.Abs(resNoBDB.Distance-want) > 1e-9 {
-			t.Fatalf("query %v: no-BDB dist %v, want %v", q, resNoBDB.Distance, want)
+		for i, r := range rs {
+			if got := strings.Join(r.Tokens, " "); got != structures[i] || r.Distance != 4.7 {
+				t.Errorf("inserted %q: result %d is %q at %v, want %q at 4.7",
+					structures, i, got, r.Distance, structures[i])
+			}
 		}
 	}
 }
@@ -161,7 +187,7 @@ func TestSearchEmptyIndexAndQuery(t *testing.T) {
 		t.Fatalf("empty index returned %v", rs)
 	}
 	res, _ := indexOf(10, "SELECT x FROM x").Search(nil, Options{})
-	if math.Abs(res.Distance-4.4) > 1e-9 {
+	if res.Distance != 4.4 {
 		// inserting SELECT(1.2) x(1.0) FROM(1.2) x(1.0) from nothing
 		t.Fatalf("empty query dist = %v, want 4.4", res.Distance)
 	}
@@ -207,7 +233,7 @@ func TestNodeBound(t *testing.T) {
 		// x x x x SELECT FROM sets the threshold to 2.4. The column at
 		// SELECT FROM is [2.4 3.4 4.4 5.4 6.4] with four tokens to come, so
 		// its minimum sits on the length diagonal: the bound equals min(col)
-		// equals the threshold, and the slack must not let the subtree
+		// equals the threshold, and the prune must not let the subtree
 		// through.
 		{"diagonal tie", []string{"x x x x SELECT FROM", "SELECT FROM x x x x"}, "x x x x SELECT FROM", 2.4, 8, 8},
 	}
@@ -238,7 +264,7 @@ func TestFigure10Example(t *testing.T) {
 	if got := strings.Join(res.Tokens, " "); got != "A B" {
 		t.Fatalf("Figure 10: got %q, want A B", got)
 	}
-	if math.Abs(res.Distance-1.0) > 1e-9 {
+	if res.Distance != 1.0 {
 		t.Fatalf("Figure 10: dist %v, want 1.0 (one literal delete)", res.Distance)
 	}
 	// Searched: length 3 (finds A B C at 2), length 2 (finds A B at 1),
@@ -329,8 +355,8 @@ func TestSearchDistanceBounds(t *testing.T) {
 		if res.Distance < 0 {
 			t.Fatalf("negative distance for %v", q)
 		}
-		ub := float64(len(q)+len(res.Tokens)) * 1.2
-		if res.Distance > ub+1e-9 {
+		ub := float64(len(q)+len(res.Tokens)) * 12 / 10
+		if res.Distance > ub {
 			t.Fatalf("distance %v above upper bound %v", res.Distance, ub)
 		}
 	}
