@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -158,16 +159,17 @@ func TestTenantLifecycleOverHTTP(t *testing.T) {
 		t.Errorf("keyboard via header = %v", kb["tables"])
 	}
 
-	// Incremental update: only the new value is encoded.
+	// Incremental update: one value added, its new code inserted into a
+	// copy of the values set's BK-tree.
 	code, out = doJSON(t, http.MethodPatch, ts.URL+"/api/tenants/acme", map[string]any{
 		"add_values": []string{"Mercury"},
 	})
 	if code != http.StatusOK {
 		t.Fatalf("PATCH = %d: %v", code, out)
 	}
-	up := out["update"].(map[string]any)
-	if up["added"].(float64) != 1 || up["encoded"].(float64) != 1 {
-		t.Fatalf("update stats = %v", up)
+	wantUp := map[string]any{"added": 1.0, "removed": 0.0, "bk_reused": 0.0, "bk_inserted": 1.0, "bk_rebuilt": 0.0}
+	if up := out["update"]; !reflect.DeepEqual(up, wantUp) {
+		t.Fatalf("update stats = %v, want %v", up, wantUp)
 	}
 	if out["values"].(float64) != 4 {
 		t.Fatalf("values after PATCH = %v", out["values"])

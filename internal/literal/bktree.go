@@ -6,10 +6,11 @@
 // descends into children whose edge lies within the current best radius of
 // dist(q, c), skipping entire subtrees the naive scan would visit.
 //
-// The tree is built once at catalog-construction time and laid out flat in
-// a slice (first-child/next-sibling links), so searches traverse with an
-// int32 stack and zero pointer chasing — the same arena discipline as the
-// trie index's frozen kernel (DESIGN.md §7).
+// The tree is grown by applySetDelta (update.go), inserting codes in group
+// order, and laid out flat in a slice (first-child/next-sibling links), so
+// searches traverse with an int32 stack and zero pointer chasing — the same
+// arena discipline as the trie index's frozen kernel (DESIGN.md §7). Node 0
+// is the root.
 
 package literal
 
@@ -27,29 +28,15 @@ type bkNode struct {
 	// nor any child subtree can hold a nearest code.
 }
 
-// buildBK indexes the groups' codes by inserting them in group order, which
-// fixes the tree shape — searches are deterministic regardless of shape.
-// buildSet sorts groups by code; incrementally-updated sets may carry a
-// sorted prefix plus appended new codes (see update.go), which is equally
-// valid. Node 0 is the root.
-func buildBK(groups []phoneGroup) []bkNode {
-	if len(groups) == 0 {
-		return nil
-	}
-	nodes := make([]bkNode, 0, len(groups))
-	for gi := range groups {
-		nodes = bkInsert(nodes, groups, int32(gi))
-	}
-	return nodes
-}
-
 // bkInsert hangs group gi's code off the tree: descend from the root, at
 // each node following the child whose edge equals the code's distance to the
-// node, until no such child exists, and append the new node there. Growing
-// an existing tree this way is exactly how buildBK built it in the first
-// place, so the incremental catalog update (update.go) can copy a set's
+// node, until no such child exists, and append the new node there. A fresh
+// tree is every group inserted in order, so an update can copy a set's
 // nodes and insert only the genuinely new codes — provided the indices of
-// the groups already in the tree have not moved.
+// the groups already in the tree have not moved. The distance is the
+// bounded kernel at a bound no Levenshtein distance exceeds (the longer
+// code's length), so it is exact, and an insert of a code of at most 64
+// bytes into an arena with room for the node does not allocate.
 func bkInsert(nodes []bkNode, groups []phoneGroup, gi int32) []bkNode {
 	if len(nodes) == 0 {
 		return append(nodes, bkNode{group: gi, firstChild: -1, nextSibling: -1})
@@ -57,7 +44,8 @@ func bkInsert(nodes []bkNode, groups []phoneGroup, gi int32) []bkNode {
 	code := groups[gi].code
 	cur := int32(0)
 	for {
-		d := int32(metrics.CharEditDistance(code, groups[nodes[cur].group].code))
+		other := groups[nodes[cur].group].code
+		d := int32(metrics.CharEditDistanceBounded(code, other, max(len(code), len(other))))
 		// Codes are distinct, so d ≥ 1 and the new node never collides
 		// with its parent.
 		next := int32(-1)

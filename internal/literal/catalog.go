@@ -17,12 +17,7 @@
 // bit-identical to it.
 package literal
 
-import (
-	"sort"
-	"strings"
-
-	"speakql/internal/phonetic"
-)
+import "strings"
 
 // entry is one catalog literal with its cached phonetic encoding and its
 // lowercased spelling (raw-distance tie-breaks and exact-match probes both
@@ -117,65 +112,12 @@ func (c *Catalog) columnValues(attr string) (*catSet, bool) {
 	return es, true
 }
 
-// buildSet deduplicates and sorts the names, caches lowered spellings and
-// phonetic encodings, groups entries by identical code, and indexes the
-// distinct codes in a BK-tree.
+// buildSet indexes a fresh category set: it is the delta that adds every
+// name to an empty set, so applySetDelta (update.go) is the one place a set
+// is grouped and its BK-tree grown, whether NewCatalog, WithColumnValues, a
+// tenant reload or a PATCH asks.
 func buildSet(names []string) catSet {
-	seen := make(map[string]bool, len(names))
-	entries := make([]entry, 0, len(names))
-	for _, n := range names {
-		if n == "" || seen[n] {
-			continue
-		}
-		seen[n] = true
-		entries = append(entries, entry{
-			Name:     n,
-			Lower:    strings.ToLower(n),
-			Phonetic: phonetic.Encode(n),
-		})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
-
-	set := catSet{entries: entries, byLower: make(map[string]int32, len(entries))}
-	byCode := make(map[string][]int32)
-	for i, e := range entries {
-		if _, ok := set.byLower[e.Lower]; !ok {
-			// First entry (in Name order) wins, matching what a linear
-			// EqualFold scan over the sorted slice would return.
-			set.byLower[e.Lower] = int32(i)
-		}
-		byCode[e.Phonetic] = append(byCode[e.Phonetic], int32(i))
-		if len(e.Phonetic) > set.maxCode {
-			set.maxCode = len(e.Phonetic)
-		}
-	}
-	codes := make([]string, 0, len(byCode))
-	for code := range byCode {
-		codes = append(codes, code)
-	}
-	sort.Strings(codes) // deterministic group order → deterministic BK shape
-	set.groups = make([]phoneGroup, len(codes))
-	set.members = make([]int32, 0, len(entries))
-	for gi, code := range codes {
-		ms := byCode[code]
-		set.groups[gi] = phoneGroup{code: code, first: int32(len(set.members)), num: int32(len(ms))}
-		set.members = append(set.members, ms...)
-	}
-	set.bk = buildBK(set.groups)
-	set.byCode = buildCodeMap(set.groups)
-	return set
-}
-
-// buildCodeMap indexes the distinct phonetic codes by group position — the
-// batched vote kernel's exact-hit probe. Both catSet construction sites
-// (buildSet and incremental updates) rebuild it alongside the BK-tree so
-// the two views never diverge.
-func buildCodeMap(groups []phoneGroup) map[string]int32 {
-	m := make(map[string]int32, len(groups))
-	for gi, g := range groups {
-		m[g.code] = int32(gi)
-	}
-	return m
+	return applySetDelta(&catSet{}, names, nil, new(UpdateStats))
 }
 
 // Tables returns the table names in the catalog.

@@ -11,6 +11,8 @@ import (
 // The voting references: the pre-index full scan and the per-token BK
 // walker that the shipped batched kernel (voteScratch.run) replaced. Both
 // stay frozen here as the differential oracles of votescratch_test.go.
+// The set-building reference: the fresh-set builder that applySetDelta
+// replaced, the oracle of TestBuildSetMatchesReference.
 
 // voteNaive is the full-scan reference implementation the BK-indexed
 // kernel is differentially tested against (TestVoteIndexMatchesNaive): it
@@ -152,4 +154,72 @@ func (s *voteScratch) runPerToken(window []string, base int, set *catSet, k int)
 	}
 
 	return s.rank(set, base, k)
+}
+
+// referenceBuildSet is the fresh-set builder from before buildSet became
+// the delta from an empty set: it deduplicates and sorts the names, caches
+// lowered spellings and phonetic encodings, groups entries by identical
+// code in sorted code order, and indexes the distinct codes in a BK-tree
+// by inserting them in group order.
+func referenceBuildSet(names []string) catSet {
+	seen := make(map[string]bool, len(names))
+	entries := make([]entry, 0, len(names))
+	for _, n := range names {
+		if n == "" || seen[n] {
+			continue
+		}
+		seen[n] = true
+		entries = append(entries, entry{
+			Name:     n,
+			Lower:    strings.ToLower(n),
+			Phonetic: phonetic.Encode(n),
+		})
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
+
+	set := catSet{entries: entries, byLower: make(map[string]int32, len(entries))}
+	byCode := make(map[string][]int32)
+	for i, e := range entries {
+		if _, ok := set.byLower[e.Lower]; !ok {
+			set.byLower[e.Lower] = int32(i)
+		}
+		byCode[e.Phonetic] = append(byCode[e.Phonetic], int32(i))
+		if len(e.Phonetic) > set.maxCode {
+			set.maxCode = len(e.Phonetic)
+		}
+	}
+	codes := make([]string, 0, len(byCode))
+	for code := range byCode {
+		codes = append(codes, code)
+	}
+	sort.Strings(codes)
+	set.groups = make([]phoneGroup, len(codes))
+	set.members = make([]int32, 0, len(entries))
+	for gi, code := range codes {
+		ms := byCode[code]
+		set.groups[gi] = phoneGroup{code: code, first: int32(len(set.members)), num: int32(len(ms))}
+		set.members = append(set.members, ms...)
+	}
+	set.bk = referenceBuildBK(set.groups)
+	set.byCode = referenceCodeMap(set.groups)
+	return set
+}
+
+func referenceCodeMap(groups []phoneGroup) map[string]int32 {
+	m := make(map[string]int32, len(groups))
+	for gi, g := range groups {
+		m[g.code] = int32(gi)
+	}
+	return m
+}
+
+func referenceBuildBK(groups []phoneGroup) []bkNode {
+	if len(groups) == 0 {
+		return nil
+	}
+	nodes := make([]bkNode, 0, len(groups))
+	for gi := range groups {
+		nodes = bkInsert(nodes, groups, int32(gi))
+	}
+	return nodes
 }

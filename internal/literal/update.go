@@ -2,11 +2,13 @@ package literal
 
 // update.go implements incremental catalog updates for the multi-tenant
 // registry: a tenant's schema drifts (a table added, a column's domain
-// extended) and the registry re-indexes only what changed instead of
-// rebuilding the whole catalog. The unit of reuse is the Metaphone group —
-// retained entries keep their cached Lower/Phonetic encodings, and a
-// category set whose distinct-code population only grew keeps its BK-tree
-// nodes verbatim, with just the new codes inserted.
+// extended) and the registry rebuilds only the category sets a delta
+// touches instead of the whole catalog. Within a touched set, retained
+// entries keep their cached Lower/Phonetic encodings and only added names
+// are Metaphone-encoded; the set's maps, groups and members are rebuilt,
+// and its BK-tree is shared (no new code), grown (codes only added) or
+// rebuilt (a code vanished). A fresh set is the same merge applied to an
+// empty set (buildSet), so there is one builder.
 //
 // ApplyDelta is copy-on-write: it returns a NEW catalog sharing every
 // untouched category set (and the BK-tree arenas of touched sets when
@@ -50,15 +52,10 @@ func (d CatalogDelta) Empty() bool {
 // surfaces it so operators can verify updates stay incremental.
 type UpdateStats struct {
 	// Added and Removed count entries that entered or left the catalog.
+	// Only added entries are Metaphone-encoded; retained entries reuse their
+	// cached encodings.
 	Added   int `json:"added"`
 	Removed int `json:"removed"`
-	// Encoded counts Metaphone encodings computed — added entries only;
-	// retained entries reuse their cached encodings.
-	Encoded int `json:"encoded"`
-	// GroupsTouched and GroupsReused count phonetic groups whose membership
-	// changed vs groups carried over untouched.
-	GroupsTouched int `json:"groups_touched"`
-	GroupsReused  int `json:"groups_reused"`
 	// BKReused counts category sets whose BK-tree was shared verbatim (no
 	// new distinct codes); BKInserted counts new codes inserted into copied
 	// trees; BKRebuilt counts sets that lost a code and needed a full
@@ -139,15 +136,17 @@ func columnNames(m map[string][]string, key string) []string {
 	return out
 }
 
-// applySetDelta produces the updated category set. Retained entries reuse
-// their cached encodings; only added names are Metaphone-encoded. The
-// group list keeps the old set's group order for surviving codes (so BK
-// node→group indices stay valid) and appends genuinely new codes sorted;
-// when no code disappears the old BK-tree is shared (nothing new) or
-// copied and grown (new codes only). A vanished code forces a full BK
-// rebuild: dropping a group would shift group indices, and keeping an
-// empty group is forbidden — an empty group winning a nearest-radius
-// search would contribute zero votes and diverge from the naive reference.
+// applySetDelta produces the updated category set; buildSet calls it on an
+// empty set. Retained entries reuse their cached encodings; only added
+// names are Metaphone-encoded. The group list keeps the old set's group
+// order for surviving codes (so BK node→group indices stay valid) and
+// appends genuinely new codes sorted, which for a fresh set is every code
+// in sorted order. The BK-tree is one insert loop over an arena that is
+// shared when no code is new, copied when codes were only added, and empty
+// when a code vanished: dropping a group would shift group indices, and
+// keeping an empty group is forbidden — an empty group winning a
+// nearest-radius search would contribute zero votes and diverge from the
+// naive reference.
 func applySetDelta(old *catSet, add, remove []string, st *UpdateStats) catSet {
 	rm := make(map[string]bool, len(remove))
 	for _, n := range remove {
@@ -175,23 +174,10 @@ func applySetDelta(old *catSet, add, remove []string, st *UpdateStats) catSet {
 			Lower:    strings.ToLower(n),
 			Phonetic: phonetic.Encode(n),
 		})
-		st.Encoded++
 	}
 	sort.Slice(added, func(i, j int) bool { return added[i].Name < added[j].Name })
 	st.Added += len(added)
 	st.Removed += removed
-
-	// Which codes changed membership (for the stats only — correctness does
-	// not depend on this bookkeeping).
-	dirtyCode := make(map[string]bool, removed+len(added))
-	for _, e := range old.entries {
-		if rm[e.Name] {
-			dirtyCode[e.Phonetic] = true
-		}
-	}
-	for _, e := range added {
-		dirtyCode[e.Phonetic] = true
-	}
 
 	// Sorted merge of retained + added entries: both inputs are in Name
 	// order, so the result is too, with no re-sort and no re-encoding.
@@ -211,71 +197,66 @@ func applySetDelta(old *catSet, add, remove []string, st *UpdateStats) catSet {
 	}
 
 	set := catSet{entries: entries, byLower: make(map[string]int32, len(entries))}
-	byCode := make(map[string][]int32, len(old.groups)+len(added))
+	codeMembers := make(map[string][]int32, len(old.groups)+len(added))
 	for idx, e := range entries {
 		if _, ok := set.byLower[e.Lower]; !ok {
+			// First entry (in Name order) wins, matching what a linear
+			// EqualFold scan over the sorted slice would return.
 			set.byLower[e.Lower] = int32(idx)
 		}
-		byCode[e.Phonetic] = append(byCode[e.Phonetic], int32(idx))
+		codeMembers[e.Phonetic] = append(codeMembers[e.Phonetic], int32(idx))
 		if len(e.Phonetic) > set.maxCode {
 			set.maxCode = len(e.Phonetic)
 		}
 	}
 
 	// Group order: surviving codes keep their old positions, new codes are
-	// appended sorted. Search never requires globally-sorted groups — only
-	// buildSet's initial construction sorts, for a canonical shape.
-	groups := make([]phoneGroup, 0, len(byCode))
-	members := make([]int32, 0, len(entries))
+	// appended sorted. Search never requires globally-sorted groups; the
+	// sorted order of a fresh set only makes its tree shape canonical.
+	set.groups = make([]phoneGroup, 0, len(codeMembers))
+	set.members = make([]int32, 0, len(entries))
+	set.byCode = make(map[string]int32, len(codeMembers))
+	group := func(code string) {
+		ms := codeMembers[code]
+		set.byCode[code] = int32(len(set.groups))
+		set.groups = append(set.groups, phoneGroup{code: code, first: int32(len(set.members)), num: int32(len(ms))})
+		set.members = append(set.members, ms...)
+	}
 	codeGone := false
 	for _, g := range old.groups {
-		ms, ok := byCode[g.code]
-		if !ok {
+		if _, ok := codeMembers[g.code]; !ok {
 			codeGone = true
 			continue
 		}
-		delete(byCode, g.code)
-		groups = append(groups, phoneGroup{code: g.code, first: int32(len(members)), num: int32(len(ms))})
-		members = append(members, ms...)
-		if dirtyCode[g.code] {
-			st.GroupsTouched++
-		} else {
-			st.GroupsReused++
-		}
+		group(g.code)
+		delete(codeMembers, g.code)
 	}
-	newCodes := make([]string, 0, len(byCode))
-	for code := range byCode {
+	newCodes := make([]string, 0, len(codeMembers))
+	for code := range codeMembers {
 		newCodes = append(newCodes, code)
 	}
 	sort.Strings(newCodes)
 	for _, code := range newCodes {
-		ms := byCode[code]
-		groups = append(groups, phoneGroup{code: code, first: int32(len(members)), num: int32(len(ms))})
-		members = append(members, ms...)
-		st.GroupsTouched++
+		group(code)
 	}
-	set.groups, set.members = groups, members
-	set.byCode = buildCodeMap(groups)
 
+	// The groups from first on are not in the tree yet. A shared tree is
+	// never written: its node→group indices are still exact, and BK-trees
+	// are immutable once built.
+	first := len(set.groups) - len(newCodes)
 	switch {
-	case len(groups) == 0:
-		set.bk = nil
 	case codeGone:
-		set.bk = buildBK(groups)
+		set.bk, first = make([]bkNode, 0, len(set.groups)), 0
 		st.BKRebuilt++
 	case len(newCodes) == 0:
-		// Same distinct codes, same order: the old tree's node→group indices
-		// are still exact, and BK-trees are immutable once built — share it.
 		set.bk = old.bk
 		st.BKReused++
 	default:
-		bk := make([]bkNode, len(old.bk), len(old.bk)+len(newCodes))
-		copy(bk, old.bk)
-		for gi := len(groups) - len(newCodes); gi < len(groups); gi++ {
-			bk = bkInsert(bk, groups, int32(gi))
-		}
-		set.bk = bk
+		set.bk = append(make([]bkNode, 0, len(set.groups)), old.bk...)
 		st.BKInserted += len(newCodes)
+	}
+	for gi := first; gi < len(set.groups); gi++ {
+		set.bk = bkInsert(set.bk, set.groups, int32(gi))
 	}
 	return set
 }

@@ -4,7 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
+
+	"speakql/internal/dataset"
+	"speakql/internal/phonetic"
+	"speakql/internal/sqlengine"
 )
 
 // randomNames draws n names from a small alphabet-ish pool so deltas
@@ -162,8 +168,8 @@ func TestApplyDeltaIsCopyOnWrite(t *testing.T) {
 	if want := []string{"Joan", "John"}; !reflect.DeepEqual(updated.Values(), want) {
 		t.Fatalf("updated values %v, want %v", updated.Values(), want)
 	}
-	if st.Added != 1 || st.Removed != 1 || st.Encoded != 1 {
-		t.Fatalf("stats %+v, want 1 added / 1 removed / 1 encoded", st)
+	if st.Added != 1 || st.Removed != 1 {
+		t.Fatalf("stats %+v, want 1 added / 1 removed", st)
 	}
 	// Untouched sets are shared with the receiver (same backing arrays).
 	if len(updated.tables.entries) > 0 && &updated.tables.entries[0] != &cat.tables.entries[0] {
@@ -188,8 +194,8 @@ func TestApplyDeltaBKReuse(t *testing.T) {
 	if &grown.values.bk[0] != &cat.values.bk[0] {
 		t.Fatalf("same-codes delta: tree not shared")
 	}
-	if st.Encoded != 1 {
-		t.Fatalf("same-codes delta: encoded %d names, want 1", st.Encoded)
+	if st.Added != 1 {
+		t.Fatalf("same-codes delta: added %d names, want 1", st.Added)
 	}
 
 	// Phoenix brings a brand-new code: the tree is copied and grown.
@@ -331,6 +337,109 @@ func TestApplyDeltaEmpty(t *testing.T) {
 	}
 }
 
+// yelpTenant builds the Yelp tenant the popular workload serves: 3,074
+// values, the catalog its PATCHes update.
+func yelpTenant() *sqlengine.Database {
+	return dataset.NewYelpDB(dataset.YelpConfig{Businesses: 12000, Users: 400, Reviews: 1500, Seed: 2})
+}
+
+// TestBuildSetMatchesReference pins the one builder to the fresh-set
+// builder it replaced: entries, maps, groups, members and BK-tree must be
+// deeply equal, so the vote hot path sees the same structures.
+func TestBuildSetMatchesReference(t *testing.T) {
+	check := func(label string, names []string) {
+		t.Helper()
+		if got, want := buildSet(names), referenceBuildSet(names); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: buildSet(%q) differs from the reference builder\n got: %+v\nwant: %+v",
+				label, names, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	check("empty", nil)
+	check("blank", []string{"", ""})
+	for i := 0; i < 400; i++ {
+		names := append(randWords(rng, 0, 60), randomNames(rng, rng.Intn(20))...)
+		for n := rng.Intn(4); n > 0; n-- {
+			// Long names give codes past the distance kernel's one-word
+			// limit; blanks and repeats must be dropped.
+			names = append(names, strings.Repeat(wordPool[rng.Intn(len(wordPool))], 1+rng.Intn(12)), "")
+		}
+		rng.Shuffle(len(names), func(a, b int) { names[a], names[b] = names[b], names[a] })
+		check(fmt.Sprintf("list %d", i), names)
+	}
+	yelp := yelpTenant()
+	check("yelp tables", yelp.TableNames())
+	check("yelp attributes", yelp.AttributeNames())
+	check("yelp values", yelp.StringValues(0))
+}
+
+// TestBKInsertZeroAllocs pins the BK build's distance to the bounded
+// kernel: growing a tree over codes of at most 64 bytes into an arena with
+// room for every node allocates nothing.
+func TestBKInsertZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	seen := map[string]bool{}
+	var groups []phoneGroup
+	for len(groups) < 200 {
+		b := make([]byte, 1+rng.Intn(64))
+		for i := range b {
+			b[i] = "0BFHJKLMNPRSTWXY"[rng.Intn(16)]
+		}
+		if code := string(b); !seen[code] {
+			seen[code] = true
+			groups = append(groups, phoneGroup{code: code})
+		}
+	}
+	nodes := make([]bkNode, 0, len(groups))
+	if n := testing.AllocsPerRun(10, func() {
+		nodes = nodes[:0]
+		for gi := range groups {
+			nodes = bkInsert(nodes, groups, int32(gi))
+		}
+	}); n != 0 {
+		t.Fatalf("growing a %d-node BK-tree allocated %.0f times, want 0", len(groups), n)
+	}
+}
+
+// FuzzApplyDelta drives ApplyDelta with PATCH-shaped deltas built from
+// untrusted input: comma-separated base, added and removed value lists.
+// The result must hold exactly the names finalNames predicts, keep the set
+// invariants, and vote like NewCatalog over those names.
+func FuzzApplyDelta(f *testing.F) {
+	f.Add("John,Jon,Smith", "Joan,Phoenix", "Jon")
+	f.Add("Smith,Smyth,Schmidt", "", "Smith,Smyth,Schmidt")
+	f.Add("", "fenix,Fenix,,fenix", "")
+	f.Add("d001,d002,Salary", "Celery,d001", "d002,d009,Salary")
+	f.Fuzz(func(t *testing.T, base, add, remove string) {
+		if len(base)+len(add)+len(remove) > 4096 {
+			t.Skip()
+		}
+		split := func(s string) []string {
+			if s == "" {
+				return nil
+			}
+			return strings.Split(s, ",")
+		}
+		b, a, r := split(base), split(add), split(remove)
+		cat := NewCatalog(nil, nil, b)
+		updated, st := cat.ApplyDelta(CatalogDelta{AddValues: a, RemoveValues: r})
+		final := finalNames(b, a, r)
+		if got := len(cat.Values()) - st.Removed + st.Added; got != len(final) {
+			t.Fatalf("stats %+v take %d values to %d, want %d", st, len(cat.Values()), got, len(final))
+		}
+		rebuilt := NewCatalog(nil, nil, final)
+		slices.Sort(final)
+		if got := updated.Values(); !slices.Equal(got, final) {
+			t.Fatalf("values %q, want %q", got, final)
+		}
+		requireSetInvariants(t, &updated.values)
+		sameRankings(t, &updated.values, &rebuilt.values, rand.New(rand.NewSource(1)))
+		if window := strings.Fields(strings.Join(append(a, r...), " ")); len(window) > 0 {
+			checkIndexMatchesNaive(t, &updated.values, window[:min(len(window), 8)], 0, 3)
+		}
+	})
+}
+
 // BenchmarkApplyDeltaIncremental vs BenchmarkRebuildFull documents the
 // point of the incremental path at a realistic catalog size.
 func BenchmarkApplyDeltaIncremental(b *testing.B) {
@@ -357,5 +466,38 @@ func BenchmarkRebuildFull(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NewCatalog(nil, nil, base)
+	}
+}
+
+// BenchmarkApplyDeltaRetire times the PATCH the popular workload sends: on
+// the Yelp tenant, add a value whose code no catalog value has and retire
+// the value the previous PATCH added. A code vanishes each time, so the
+// values set's BK-tree is rebuilt (BenchmarkApplyDeltaIncremental times
+// the grow branch).
+func BenchmarkApplyDeltaRetire(b *testing.B) {
+	yelp := yelpTenant()
+	cat := NewCatalog(yelp.TableNames(), yelp.AttributeNames(), yelp.StringValues(0))
+	codes := map[string]bool{}
+	for _, v := range cat.Values() {
+		codes[phonetic.Encode(v)] = true
+	}
+	var fresh []string // two names with distinct codes new to the catalog
+	for _, v := range []string{"Karsten", "Tomokazu", "Shimshon", "Narain", "Perla", "Zhivago", "Quixote"} {
+		if c := phonetic.Encode(v); !codes[c] {
+			codes[c] = true
+			fresh = append(fresh, v)
+		}
+	}
+	if len(fresh) < 2 {
+		b.Fatalf("only %d candidate names have codes new to the catalog", len(fresh))
+	}
+	cat, _ = cat.ApplyDelta(CatalogDelta{AddValues: fresh[:1]})
+	if _, st := cat.ApplyDelta(CatalogDelta{AddValues: fresh[1:2], RemoveValues: fresh[:1]}); st.BKRebuilt != 1 {
+		b.Fatalf("retire delta took stats %+v, want bk_rebuilt=1", st)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cat, _ = cat.ApplyDelta(CatalogDelta{AddValues: fresh[(i+1)%2 : (i+1)%2+1], RemoveValues: fresh[i%2 : i%2+1]})
 	}
 }

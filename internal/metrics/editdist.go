@@ -84,13 +84,12 @@ func WordErrorRate(ref, hyp []string) float64 {
 	return float64(TokenEditDistance(ref, hyp)) / float64(len(ref))
 }
 
-// CharEditDistanceBounded is CharEditDistance restricted to a band: it
-// returns the exact Levenshtein distance when that distance is at most
-// bound, and bound+1 as soon as the distance provably exceeds bound. The
-// contract literal determination's BK-tree search relies on is exactly
-// that: results ≤ bound are bit-identical to CharEditDistance; any larger
-// return value only asserts "greater than bound", never a specific
-// distance.
+// CharEditDistanceBounded is the Levenshtein distance restricted to a band:
+// it returns the exact distance when that distance is at most bound, and
+// bound+1 as soon as the distance provably exceeds bound. The contract
+// literal determination's BK-tree search relies on is exactly that: results
+// ≤ bound are the exact distance; any larger return value only asserts
+// "greater than bound", never a specific distance.
 //
 // The bound check auto-selects its kernel: operands where the shorter side
 // fits one machine word (≤64 bytes — every phonetic code and catalog
@@ -211,37 +210,9 @@ func BandedDistanceBounded[A ~string | ~[]byte, B ~string | ~[]byte](a A, b B, b
 
 // CharEditDistance is the Levenshtein distance (insert, delete, substitute)
 // between two strings, used for string- and phonetic-level literal
-// comparison (Section 4.3, Appendix F.7).
+// comparison (Section 4.3, Appendix F.7). It is the bounded kernel at a
+// bound no distance exceeds, the longer operand's length, so it is exact
+// and allocates nothing when either operand is at most 64 bytes.
 func CharEditDistance(a, b string) int {
-	m, n := len(a), len(b)
-	if m == 0 {
-		return n
-	}
-	if n == 0 {
-		return m
-	}
-	prev := make([]int, n+1)
-	cur := make([]int, n+1)
-	for j := 0; j <= n; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= m; i++ {
-		cur[0] = i
-		for j := 1; j <= n; j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			d := prev[j] + 1
-			if v := cur[j-1] + 1; v < d {
-				d = v
-			}
-			if v := prev[j-1] + cost; v < d {
-				d = v
-			}
-			cur[j] = d
-		}
-		prev, cur = cur, prev
-	}
-	return prev[n]
+	return CharEditDistanceBounded(a, b, max(len(a), len(b)))
 }

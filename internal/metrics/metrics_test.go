@@ -131,6 +131,9 @@ func TestCharEditDistance(t *testing.T) {
 		if got := CharEditDistance(c.a, c.b); got != c.want {
 			t.Errorf("CharEditDistance(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
 		}
+		if got := plainEditDistance(c.a, c.b); got != c.want {
+			t.Errorf("plainEditDistance(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
+		}
 	}
 }
 
@@ -336,7 +339,7 @@ func TestCharEditDistanceBounded(t *testing.T) {
 func TestCharEditDistanceBoundedMatchesFull(t *testing.T) {
 	f := func(a, b string, bound uint8) bool {
 		bd := int(bound % 12)
-		full := CharEditDistance(a, b)
+		full := plainEditDistance(a, b)
 		got := CharEditDistanceBounded(a, b, bd)
 		if full <= bd {
 			return got == full

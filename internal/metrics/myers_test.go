@@ -89,18 +89,63 @@ func TestMyersMatchesBandedBoundary(t *testing.T) {
 	}
 }
 
+// plainEditDistance is the unbounded two-row Levenshtein DP, the reference
+// the bounded kernels are checked against. It allocates its rows, which is
+// why shipped code calls CharEditDistance (the bounded kernel) instead.
+func plainEditDistance(a, b string) int {
+	m, n := len(a), len(b)
+	if m == 0 {
+		return n
+	}
+	if n == 0 {
+		return m
+	}
+	prev := make([]int, n+1)
+	cur := make([]int, n+1)
+	for j := 0; j <= n; j++ {
+		prev[j] = j
+	}
+	for i := 1; i <= m; i++ {
+		cur[0] = i
+		for j := 1; j <= n; j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			d := prev[j] + 1
+			if v := cur[j-1] + 1; v < d {
+				d = v
+			}
+			if v := prev[j-1] + cost; v < d {
+				d = v
+			}
+			cur[j] = d
+		}
+		prev, cur = cur, prev
+	}
+	return prev[n]
+}
+
 // TestMyersMatchesUnbounded cross-checks against the third implementation:
-// with a slack bound, both bounded kernels must equal the plain full-matrix
-// CharEditDistance.
+// with a slack bound, both bounded kernels, and CharEditDistance with its
+// own bound, must equal the plain DP — operands up to 150 bytes, so the
+// banded fallback for two operands over 64 bytes is covered too.
 func TestMyersMatchesUnbounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 2000; iter++ {
-		a := randString(rng, 16)
-		b := randString(rng, 16)
-		want := CharEditDistance(a, b)
+		maxLen := 16
+		if iter%10 == 0 {
+			maxLen = 150
+		}
+		a := randString(rng, maxLen)
+		b := randString(rng, maxLen)
+		want := plainEditDistance(a, b)
 		if got := MyersDistanceBounded(a, b, len(a)+len(b)+1); got != want {
-			t.Fatalf("MyersDistanceBounded(%q, %q, slack) = %d, CharEditDistance = %d",
+			t.Fatalf("MyersDistanceBounded(%q, %q, slack) = %d, plain DP = %d",
 				a, b, got, want)
+		}
+		if got := CharEditDistance(a, b); got != want {
+			t.Fatalf("CharEditDistance(%q, %q) = %d, plain DP = %d", a, b, got, want)
 		}
 	}
 }

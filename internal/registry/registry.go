@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -335,10 +336,10 @@ func (r *Registry) Acquire(id string) (*Tenant, error) {
 	return t, nil
 }
 
-// Update applies an incremental catalog delta: only the touched Metaphone
-// groups are re-indexed (literal.ApplyDelta), the result is persisted, and
-// a new immutable tenant replaces the old one. Requests holding the old
-// tenant keep their pre-update catalog.
+// Update applies an incremental catalog delta: literal.ApplyDelta rebuilds
+// only the category sets it touches, the result is persisted, and a new
+// immutable tenant replaces the old one. Requests holding the old tenant
+// keep their pre-update catalog.
 func (r *Registry) Update(id string, d literal.CatalogDelta) (*Tenant, literal.UpdateStats, error) {
 	if r.isSeed(id) {
 		return nil, literal.UpdateStats{}, ErrSeedImmutable
@@ -433,13 +434,15 @@ func (r *Registry) insertLocked(t *Tenant) []*liveEntry {
 	}
 	le := &liveEntry{id: t.ID, t: t}
 	r.live[t.ID] = le
-	r.order = append([]*liveEntry{le}, r.order...)
+	r.order = append(r.order, le)
+	r.touchLocked(le)
 	if r.max <= 0 || r.dir == "" {
 		return nil
 	}
 	var evicted []*liveEntry
 	for len(r.order) > r.max {
 		tail := r.order[len(r.order)-1]
+		r.order[len(r.order)-1] = nil // the backing array must not keep an evicted tenant alive
 		r.order = r.order[:len(r.order)-1]
 		delete(r.live, tail.id)
 		evicted = append(evicted, tail)
@@ -463,15 +466,22 @@ func (r *Registry) notifyEvicted(evicted []*liveEntry, hook func(string)) {
 	}
 }
 
+// touchLocked moves le to the front of the LRU order in place, so a warm
+// Acquire does not allocate.
 func (r *Registry) touchLocked(le *liveEntry) {
-	r.removeOrderLocked(le)
-	r.order = append([]*liveEntry{le}, r.order...)
+	for i, e := range r.order {
+		if e == le {
+			copy(r.order[1:i+1], r.order[:i])
+			r.order[0] = le
+			return
+		}
+	}
 }
 
 func (r *Registry) removeOrderLocked(le *liveEntry) {
 	for i, e := range r.order {
 		if e == le {
-			r.order = append(r.order[:i], r.order[i+1:]...)
+			r.order = slices.Delete(r.order, i, i+1) // zeroes the vacated tail slot
 			return
 		}
 	}

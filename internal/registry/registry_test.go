@@ -128,6 +128,51 @@ func TestRegistryPutAcquireEvict(t *testing.T) {
 	}
 }
 
+// TestWarmAcquireZeroAllocs pins a warm Acquire, which every tenant-scoped
+// request pays, at zero allocations: the LRU touch moves the entry to the
+// front in place. The order it leaves still decides which tenant goes next.
+func TestWarmAcquireZeroAllocs(t *testing.T) {
+	reg := newTestRegistry(t, 4)
+	ids := []string{"w0", "w1", "w2", "w3"}
+	for i, id := range ids {
+		if _, err := reg.Put(id, testCat(i)); err != nil {
+			t.Fatalf("Put %s: %v", id, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, id := range ids {
+			if _, err := reg.Acquire(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("four warm Acquires allocated %.0f times, want 0", n)
+	}
+	// Most recent first: w0 (touched last) w3 w2 w1, so w1 goes next.
+	if _, err := reg.Acquire("w0"); err != nil {
+		t.Fatal(err)
+	}
+	var evicted []string
+	reg.SetEvictHook(func(id string) { evicted = append(evicted, id) })
+	if _, err := reg.Put("w4", testCat(4)); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(evicted, []string{"w1"}) {
+		t.Fatalf("evicted %v, want [w1]", evicted)
+	}
+	// The order is rotated in place, so its backing array outlives entries:
+	// an evicted or deleted tenant's slot must be cleared, not left to pin
+	// its catalog.
+	if err := reg.Delete("w2"); err != nil {
+		t.Fatal(err)
+	}
+	for _, le := range reg.order[:cap(reg.order)] {
+		if le != nil && (le.id == "w1" || le.id == "w2") {
+			t.Fatalf("LRU order's backing array still holds %s", le.id)
+		}
+	}
+}
+
 func TestRegistryNoEvictionWithoutDir(t *testing.T) {
 	reg, err := New(Config{
 		Shared:  Shared{Structure: testComponent(t), TopKLiterals: 5},
@@ -448,8 +493,8 @@ func TestRegistryUpdateIsIncrementalAndCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	if stats.Added != 1 || stats.Encoded != 1 {
-		t.Fatalf("stats = %+v, want 1 added, 1 encoded (incremental)", stats)
+	if stats.Added != 1 || stats.BKInserted != 1 {
+		t.Fatalf("stats = %+v, want 1 added, 1 BK code inserted (incremental)", stats)
 	}
 	if got := updated.Catalog.Values(); len(got) != len(old.Catalog.Values())+1 {
 		t.Fatalf("values after update = %v", got)
