@@ -92,11 +92,11 @@ func (s *Server) lookupSession(id string) (entry *sessionEntry, resumedNs int64,
 	e := &sessionEntry{events: stream.NewBroadcaster(), tenant: snap.Tenant}
 	e.sess = session.Restore(eng, stream.Config{Events: e.events, Session: id}, snap)
 	e.touch()
-	winner, inserted := s.sessions.putIfAbsent(id, e)
-	if !inserted {
+	if v, loaded := s.sessions.LoadOrStore(id, e); loaded {
 		// A concurrent request restored (or re-created) the session first;
 		// converge on that entry and discard this restore.
 		e.events.Close()
+		winner := v.(*sessionEntry)
 		winner.touch()
 		return winner, 0, true
 	}
@@ -106,7 +106,7 @@ func (s *Server) lookupSession(id string) (entry *sessionEntry, resumedNs int64,
 	// — the restore unwinds and the caller gets the typed lost verdict
 	// instead of resurrecting a session the fleet already declared dead.
 	if _, still, _ := s.store.Load(id); !still {
-		s.sessions.removeExact(id, e)
+		s.sessions.CompareAndDelete(id, e)
 		e.events.Close()
 		return nil, 0, false
 	}
@@ -124,14 +124,14 @@ func (s *Server) lookupSession(id string) (entry *sessionEntry, resumedNs int64,
 // against (the shared engine for the empty tenant). ok=false means the
 // tenant no longer exists — any session labeled with it is dead.
 func (s *Server) engineFor(tenant string) (*core.Engine, bool) {
-	if s.tenants != nil && tenant != "" {
-		t, err := s.tenants.Acquire(tenant)
-		if err != nil {
-			return nil, false
-		}
-		return t.Engine, true
+	if tenant == "" {
+		return s.engine, true
 	}
-	return s.engine, true
+	t, err := s.tenants.Acquire(tenant)
+	if err != nil {
+		return nil, false
+	}
+	return t.Engine, true
 }
 
 // withSession runs fn on the session's entry under entry.mu, finding the

@@ -177,7 +177,7 @@ func TestSessionSweeperRuns(t *testing.T) {
 	post(t, ts.URL+"/api/session", map[string]any{})
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		n := api.sessions.len()
+		n := api.sessionCount()
 		if n == 0 {
 			return
 		}

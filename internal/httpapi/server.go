@@ -7,11 +7,17 @@
 // demo database, the schema lists the SQL Keyboard renders, and per-stage
 // pipeline statistics. cmd/speakql-server wires it to a listener.
 //
-// Concurrency: the engine is read-only and shared freely; each session has
-// its own lock, so dictations in unrelated sessions correct in parallel and
-// only same-session requests serialize. Correction-running endpoints
-// (/api/correct, /api/dictate, /api/stream/*) run under a per-request
-// deadline so one pathological transcript cannot pin a worker.
+// Tenants: every request resolves its tenant in a schema registry — the
+// one SetRegistry installs, or, without one, a registry whose only tenant
+// is the engine New was given.
+//
+// Concurrency: the engine is read-only and shared freely; sessions live in
+// a sync.Map, so a lookup never waits behind an eviction scan, and each
+// session has its own lock, so dictations in unrelated sessions correct in
+// parallel and only same-session requests serialize.
+// Correction-running endpoints (/api/correct, /api/dictate,
+// /api/stream/*) run under a per-request deadline so one pathological
+// transcript cannot pin a worker.
 //
 // Resilience: the correction endpoints sit behind an admission gate
 // (admission.go) that bounds in-flight work and sheds overload with 503 +
@@ -94,8 +100,8 @@ type Server struct {
 	pprof   bool
 	gate    *gate // nil = unbounded admission
 
-	// tenants is the multi-tenant schema registry; nil serves the single
-	// seed engine only (tenant headers naming anything else get 404).
+	// tenants is the schema registry every request resolves its tenant in:
+	// New pins the engine as its seed, and SetRegistry replaces it.
 	tenants *registry.Registry
 	seedID  string // tenant ID requests resolve to when they name none
 
@@ -106,10 +112,10 @@ type Server struct {
 	stopOnce    sync.Once
 	stop        chan struct{}
 
-	// sessions is the sharded session registry (shards.go): lookups and the
-	// TTL sweeper take one shard lock at a time, so unrelated sessions never
-	// contend on registration, lookup, or eviction.
-	sessions *sessionMap
+	// sessions maps a session id to its *sessionEntry. The eviction scan
+	// (evictSessions) holds no lock across its callback, so a stalled scan
+	// never delays a lookup.
+	sessions sync.Map
 	nextID   atomic.Int64
 
 	// memo is the server-level correction memo (memo.go); nil = disabled.
@@ -123,19 +129,33 @@ type Server struct {
 	store session.Store
 }
 
+// seedTenantID names the engine passed to New until SetRegistry installs a
+// registry with its own seed.
+const seedTenantID = "default"
+
 // New creates a Server over the given engine and database, reporting stats
-// from the default obs registry. The server starts ready (the engine —
-// including its structure index — must be built before New is called);
-// SetReady(false) flips /readyz for shutdown draining.
+// from the default obs registry. The engine is the seed tenant of a
+// registry holding nothing else until SetRegistry replaces it. The server
+// starts ready (the engine — including its structure index — must be built
+// before New is called); SetReady(false) flips /readyz for shutdown
+// draining.
 func New(engine *core.Engine, db *sqlengine.Database) *Server {
 	s := &Server{
-		engine:   engine,
-		db:       db,
-		timeout:  DefaultRequestTimeout,
-		reg:      obs.Default(),
-		stop:     make(chan struct{}),
-		sessions: newSessionMap(),
+		engine:  engine,
+		db:      db,
+		timeout: DefaultRequestTimeout,
+		reg:     obs.Default(),
+		stop:    make(chan struct{}),
 	}
+	reg, err := registry.New(registry.Config{Shared: registry.Shared{
+		Structure: engine.StructureComponent(),
+		Cache:     engine.SearchCache(),
+	}})
+	if err != nil {
+		panic(fmt.Sprintf("httpapi: %v", err)) // only an engine without a structure component fails
+	}
+	reg.SetSeed(seedTenantID, engine, engine.Catalog())
+	s.SetRegistry(reg)
 	s.ready.Store(true)
 	return s
 }
@@ -188,71 +208,80 @@ func (s *Server) Close() {
 		close(s.stop)
 		// Broadcasters have their own lock; closing them never waits on a
 		// session's mu, so shutdown cannot wedge behind a correction.
-		for _, e := range s.sessions.all() {
-			e.events.Close()
-		}
+		s.sessions.Range(func(_, v any) bool {
+			v.(*sessionEntry).events.Close()
+			return true
+		})
 	})
 }
 
-// SetRegistry installs the multi-tenant schema registry: every endpoint
-// becomes tenant-scoped (X-SpeakQL-Tenant header or ?tenant= param,
-// defaulting to the registry's seed tenant), the tenant lifecycle routes
-// under /api/tenants go live, and evicting or deleting a tenant closes its
-// sessions' event feeds. Call before Handler.
+// SetRegistry installs the multi-tenant schema registry in place of the
+// seed-only one New made: every endpoint resolves its tenant there
+// (X-SpeakQL-Tenant header or ?tenant= param, defaulting to the registry's
+// seed tenant), and evicting or deleting a tenant closes its sessions'
+// event feeds. Call before Handler.
 func (s *Server) SetRegistry(reg *registry.Registry) {
 	s.tenants = reg
 	s.seedID = reg.SeedID()
 	reg.SetEvictHook(s.closeTenantSessions)
 }
 
-// closeTenantSessions drops every session owned by a tenant and closes
-// their event broadcasters, ending their SSE feeds — an evicted tenant
-// must not keep feeding a display that can no longer dictate to it. The
-// broadcasters close outside s.mu (each has its own lock), so an in-flight
-// correction cannot wedge an eviction.
+// closeTenantSessions evicts every session owned by a tenant — an evicted
+// tenant must not keep feeding a display that can no longer dictate to it.
 func (s *Server) closeTenantSessions(tenant string) {
-	var closingIDs []string
-	closing := s.sessions.removeIf(func(id string, e *sessionEntry) bool {
-		if e.tenant == tenant {
-			closingIDs = append(closingIDs, id)
+	s.evictSessions(func(e *sessionEntry) bool { return e.tenant == tenant })
+}
+
+// evictSessions evicts every session remove selects and returns their ids:
+// each is unregistered, its event broadcaster closed (ending its SSE feeds)
+// and its snapshot deleted, so it dies fleet-wide, and each counts under
+// sessions_evicted. Range holds no lock across its callback, so a stalled
+// scan never delays a lookup (TestShardIndependence), and CompareAndDelete
+// drops only the entry remove saw, never one a concurrent restore put in
+// its place. Broadcasters have their own lock, so an in-flight correction
+// holding a session's mu never wedges an eviction
+// (TestEvictionShardIsolation).
+func (s *Server) evictSessions(remove func(e *sessionEntry) bool) []string {
+	var ids []string
+	s.sessions.Range(func(k, v any) bool {
+		e := v.(*sessionEntry)
+		if !remove(e) || !s.sessions.CompareAndDelete(k, v) {
 			return true
 		}
-		return false
-	})
-	for _, e := range closing {
+		id := k.(string)
 		e.events.Close()
-	}
-	// An evicted tenant's sessions die fleet-wide with it.
-	if s.store != nil {
-		for _, id := range closingIDs {
+		// A restore racing this delete re-checks the store after registering
+		// (handoff.go) and unwinds if the delete won.
+		if s.store != nil {
 			_ = s.store.Delete(id)
 		}
+		ids = append(ids, id)
+		return true
+	})
+	if len(ids) > 0 {
+		s.reg.Add("sessions_evicted", int64(len(ids)))
 	}
-	if n := len(closing); n > 0 {
-		s.reg.Add("sessions_evicted", int64(n))
-	}
+	return ids
+}
+
+// sessionCount counts live sessions (approximate under concurrent
+// mutation, exact when quiescent).
+func (s *Server) sessionCount() int {
+	n := 0
+	s.sessions.Range(func(_, _ any) bool {
+		n++
+		return true
+	})
+	return n
 }
 
 // tenantFor resolves the request's tenant: the ?tenant= query parameter
-// wins, then the X-SpeakQL-Tenant header, then the seed tenant. Without a
-// registry only the seed (or an empty/default name) resolves, preserving
-// the single-tenant behavior. Each resolution bumps the per-tenant request
-// counter (tenant.<id>.requests).
+// wins, then the X-SpeakQL-Tenant header, then the seed tenant. Each
+// resolution bumps the per-tenant request counter (tenant.<id>.requests).
 func (s *Server) tenantFor(r *http.Request) (*registry.Tenant, error) {
 	id := r.URL.Query().Get("tenant")
 	if id == "" {
 		id = r.Header.Get("X-SpeakQL-Tenant")
-	}
-	if s.tenants == nil {
-		seed := s.seedID
-		if seed == "" {
-			seed = "default"
-		}
-		if id != "" && id != seed {
-			return nil, fmt.Errorf("%w: %q", registry.ErrUnknownTenant, id)
-		}
-		s.reg.Add("tenant."+seed+".requests", 1)
-		return &registry.Tenant{ID: seed, Engine: s.engine, Catalog: s.engine.Catalog()}, nil
 	}
 	if id == "" {
 		id = s.seedID
@@ -440,44 +469,15 @@ func (s *Server) startSweeper() {
 	})
 }
 
-// evictIdleSessions removes sessions idle past the TTL and returns how
-// many were evicted (counter sessions_evicted). The walk is shard-at-a-time
-// (sessionMap.removeIf): collecting candidates on one shard holds only that
-// shard's lock, so eviction never delays lookups — or dictations — on any
-// other shard (TestEvictionShardIsolation).
+// evictIdleSessions evicts sessions idle past the TTL and returns how many
+// went (counter sessions_evicted). TTL eviction is fleet-wide death: no
+// other replica restores a session this one declared idle.
 func (s *Server) evictIdleSessions(now time.Time) int {
 	if s.sessionTTL <= 0 {
 		return 0
 	}
 	cutoff := now.Add(-s.sessionTTL).UnixNano()
-	var evictedIDs []string
-	evicted := s.sessions.removeIf(func(id string, e *sessionEntry) bool {
-		if e.lastUsed.Load() < cutoff {
-			evictedIDs = append(evictedIDs, id)
-			return true
-		}
-		return false
-	})
-	// Close the evicted sessions' broadcasters outside all locks: each
-	// broadcaster has its own mutex, so SSE subscribers end promptly even if
-	// the session's own lock is held by an in-flight correction.
-	for _, e := range evicted {
-		e.events.Close()
-	}
-	// TTL eviction is fleet-wide death: delete the snapshots too, so no
-	// other replica restores a session this one declared idle. A restore
-	// racing this delete re-checks the store after registering (handoff.go)
-	// and unwinds if the delete won.
-	if s.store != nil {
-		for _, id := range evictedIDs {
-			_ = s.store.Delete(id)
-		}
-	}
-	if n := len(evicted); n > 0 {
-		s.reg.Add("sessions_evicted", int64(n))
-		return n
-	}
-	return 0
+	return len(s.evictSessions(func(e *sessionEntry) bool { return e.lastUsed.Load() < cutoff }))
 }
 
 // writeJSON renders v through a pooled buffer+encoder and sends it in one
@@ -663,15 +663,15 @@ func (s *Server) newSession(t *registry.Tenant) (string, error) {
 	// Checkpoint the empty session before it becomes visible: a session
 	// created moments before its replica dies is still restorable elsewhere.
 	s.checkpointLocked(id, entry)
-	s.sessions.put(id, entry)
+	s.sessions.Store(id, entry)
 	// Double-check against a racing DELETE, which unregisters the tenant
 	// before its evict hook closes the tenant's sessions: an entry registered
 	// after the hook ran would keep its feed open with nothing left to close
 	// it. Checking *after* registering means a Delete that wins this race is
 	// always observed here (the same register-then-recheck as
 	// lookupSession's restore), and one that loses it finds the entry.
-	if s.tenants != nil && !s.tenants.Known(t.ID) {
-		s.sessions.removeExact(id, entry)
+	if !s.tenants.Known(t.ID) {
+		s.sessions.CompareAndDelete(id, entry)
 		entry.events.Close()
 		if s.store != nil {
 			_ = s.store.Delete(id) // a leftover snapshot never restores: its tenant is gone
@@ -684,14 +684,16 @@ func (s *Server) newSession(t *registry.Tenant) (string, error) {
 // session looks up a session entry, refreshing its idle timestamp and
 // bumping the owning tenant's request counter.
 func (s *Server) session(id string) (*sessionEntry, bool) {
-	entry, ok := s.sessions.get(id)
-	if ok {
-		entry.touch()
-		if entry.tenant != "" {
-			s.reg.Add("tenant."+entry.tenant+".requests", 1)
-		}
+	v, ok := s.sessions.Load(id)
+	if !ok {
+		return nil, false
 	}
-	return entry, ok
+	entry := v.(*sessionEntry)
+	entry.touch()
+	if entry.tenant != "" {
+		s.reg.Add("tenant."+entry.tenant+".requests", 1)
+	}
+	return entry, true
 }
 
 type dictateReq struct {
@@ -808,7 +810,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	// Only the seed tenant has a demo database behind it; other tenants
 	// register schemas, not data.
-	if t.ID != s.seedID && !(s.seedID == "" && s.tenants == nil) {
+	if t.ID != s.seedID {
 		writeErr(w, http.StatusBadRequest,
 			fmt.Errorf("tenant %q has no executable database (execution is seed-tenant only)", t.ID))
 		return
@@ -848,7 +850,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	// The seed tenant fronts the demo database and reports typed columns;
 	// registered tenants have only their catalog — table and attribute
 	// names — which is exactly what the SQL Keyboard needs.
-	if t.ID == s.seedID || s.tenants == nil {
+	if t.ID == s.seedID {
 		tables := map[string][]string{}
 		for _, tb := range s.db.Tables() {
 			var cols []string
@@ -925,7 +927,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := map[string]any{
 		"stages":   stages,
 		"counters": snap.Counters,
-		"sessions": s.sessions.len(),
+		"sessions": s.sessionCount(),
 		"latency":  latency,
 		// The runtime block reads the Go runtime's own health signals via
 		// runtime/metrics: heap residency, GC pause tail, goroutine count.
@@ -944,8 +946,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"counters": snap.CountersWithPrefix("literal."),
 		},
 		// The stream block groups the clause-streaming counters: fragments
-		// corrected, dictations finalized/closed, events dropped on slow SSE
-		// subscribers, and feed connections.
+		// corrected, dictations finalized, duplicate acks, events dropped on
+		// slow SSE subscribers, feed connections, injected faults, and
+		// handoff resumes and losses.
 		"stream": snap.CountersWithPrefix("stream."),
 		// The resilience block groups the overload/failure story: per-level
 		// degradation counts, recovered panics, shed requests, evicted
@@ -1001,18 +1004,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// The registry block groups multi-tenancy: residency against the LRU
 	// bound, lifecycle counters (cold loads, warm hits, evictions, dedup'd
 	// loads), and the per-tenant request labels.
-	if s.tenants != nil {
-		rs := s.tenants.Stats()
-		resp["registry"] = map[string]any{
-			"resident":   rs.Resident,
-			"capacity":   rs.Capacity,
-			"known":      rs.Known,
-			"loading":    rs.Loading,
-			"persistent": rs.Persistent,
-			"seed":       s.seedID,
-			"counters":   snap.CountersWithPrefix("registry."),
-			"tenants":    snap.CountersWithPrefix("tenant."),
-		}
+	rs := s.tenants.Stats()
+	resp["registry"] = map[string]any{
+		"resident":   rs.Resident,
+		"capacity":   rs.Capacity,
+		"known":      rs.Known,
+		"loading":    rs.Loading,
+		"persistent": rs.Persistent,
+		"seed":       s.seedID,
+		"counters":   snap.CountersWithPrefix("registry."),
+		"tenants":    snap.CountersWithPrefix("tenant."),
 	}
 	if c := s.engine.SearchCache(); c != nil {
 		cs := c.Stats()

@@ -44,23 +44,9 @@ func writeTenantErr(w http.ResponseWriter, err error) {
 	}
 }
 
-// requireRegistry answers 503 when no registry is configured (the server
-// is running in single-tenant mode).
-func (s *Server) requireRegistry(w http.ResponseWriter) bool {
-	if s.tenants == nil {
-		writeErr(w, http.StatusServiceUnavailable,
-			errors.New("no tenant registry configured (single-tenant mode)"))
-		return false
-	}
-	return true
-}
-
 func (s *Server) handleTenantPut(w http.ResponseWriter, r *http.Request) {
 	span := s.reg.StartSpan("http.tenant_put")
 	defer span.End()
-	if !s.requireRegistry(w) {
-		return
-	}
 	id := r.PathValue("id")
 	var req tenantPutReq
 	if err := decode(w, r, &req); err != nil {
@@ -92,9 +78,6 @@ func (s *Server) invalidateMemo(tenant string) {
 }
 
 func (s *Server) handleTenantGet(w http.ResponseWriter, r *http.Request) {
-	if !s.requireRegistry(w) {
-		return
-	}
 	t, err := s.tenants.Acquire(r.PathValue("id"))
 	if err != nil {
 		writeTenantErr(w, err)
@@ -106,9 +89,6 @@ func (s *Server) handleTenantGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTenantPatch(w http.ResponseWriter, r *http.Request) {
 	span := s.reg.StartSpan("http.tenant_patch")
 	defer span.End()
-	if !s.requireRegistry(w) {
-		return
-	}
 	id := r.PathValue("id")
 	var delta literal.CatalogDelta
 	if err := decode(w, r, &delta); err != nil {
@@ -131,9 +111,6 @@ func (s *Server) handleTenantPatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTenantDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.requireRegistry(w) {
-		return
-	}
 	id := r.PathValue("id")
 	if err := s.tenants.Delete(id); err != nil {
 		writeTenantErr(w, err)
@@ -144,9 +121,6 @@ func (s *Server) handleTenantDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTenantList(w http.ResponseWriter, r *http.Request) {
-	if !s.requireRegistry(w) {
-		return
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"seed":    s.seedID,
 		"tenants": s.tenants.List(),

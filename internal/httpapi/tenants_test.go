@@ -93,9 +93,9 @@ func TestSessionForDeletedTenantUnwinds(t *testing.T) {
 	if err := reg.Delete("gone"); err != nil { // …a DELETE runs the hook…
 		t.Fatal(err)
 	}
-	before := api.sessions.len()
+	before := api.sessionCount()
 	api.newSession(tn) // …and the handler creates the session.
-	if n := api.sessions.len() - before; n != 0 {
+	if n := api.sessionCount() - before; n != 0 {
 		t.Fatalf("%d session(s) left registered for a deleted tenant", n)
 	}
 	if code, _ := doJSON(t, http.MethodDelete, ts.URL+"/api/tenants/gone", nil); code != http.StatusNotFound {
@@ -252,14 +252,11 @@ func TestTenantErrorsOverHTTP(t *testing.T) {
 	}
 }
 
+// A server given no registry serves its engine as the seed tenant of the
+// one New made: unscoped requests work, and explicitly naming another
+// tenant is a clean 404.
 func TestTenantRoutesWithoutRegistry(t *testing.T) {
-	s := srv(t) // package server: no registry configured
-	code, out := doJSON(t, http.MethodGet, s.URL+"/api/tenants", nil)
-	if code != http.StatusServiceUnavailable || out["error"] == nil {
-		t.Errorf("tenant route without registry = %d %v", code, out)
-	}
-	// The legacy single-tenant shape is preserved: unscoped requests work,
-	// explicitly naming another tenant is a clean 404.
+	s := srv(t) // package server: no SetRegistry call
 	if code, _ := post(t, s.URL+"/api/correct", map[string]any{"transcript": "select salary from employees"}); code != http.StatusOK {
 		t.Errorf("unscoped correct without registry = %d", code)
 	}

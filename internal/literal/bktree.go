@@ -7,18 +7,17 @@
 // dist(q, c), skipping entire subtrees the naive scan would visit.
 //
 // The tree is grown by applySetDelta (update.go), inserting codes in group
-// order, and laid out flat in a slice (first-child/next-sibling links), so
-// searches traverse with an int32 stack and zero pointer chasing — the same
-// arena discipline as the trie index's frozen kernel (DESIGN.md §7). Node 0
-// is the root.
+// order, so node i covers group i, and laid out flat in a slice
+// (first-child/next-sibling links), so searches traverse with an int32
+// stack and zero pointer chasing — the same arena discipline as the trie
+// index's frozen kernel (DESIGN.md §7). Node 0 is the root.
 
 package literal
 
 import "speakql/internal/metrics"
 
-// bkNode is one BK-tree node covering one phonetic group.
+// bkNode is one BK-tree node; node i covers catSet.groups[i].
 type bkNode struct {
-	group       int32 // index into catSet.groups
 	firstChild  int32 // index of first child, -1 when leaf
 	nextSibling int32 // next node sharing this node's parent, -1 at end
 	edge        int32 // edit distance to the parent's code
@@ -28,23 +27,24 @@ type bkNode struct {
 	// nor any child subtree can hold a nearest code.
 }
 
-// bkInsert hangs group gi's code off the tree: descend from the root, at
-// each node following the child whose edge equals the code's distance to the
-// node, until no such child exists, and append the new node there. A fresh
-// tree is every group inserted in order, so an update can copy a set's
-// nodes and insert only the genuinely new codes — provided the indices of
-// the groups already in the tree have not moved. The distance is the
-// bounded kernel at a bound no Levenshtein distance exceeds (the longer
-// code's length), so it is exact, and an insert of a code of at most 64
-// bytes into an arena with room for the node does not allocate.
-func bkInsert(nodes []bkNode, groups []phoneGroup, gi int32) []bkNode {
+// bkInsert hangs the next group's code, groups[len(nodes)], off the tree:
+// descend from the root, at each node following the child whose edge equals
+// the code's distance to the node, until no such child exists, and append
+// the new node there. A fresh tree is every group inserted in order, so an
+// update can copy a set's nodes and insert only the genuinely new codes —
+// provided the indices of the groups already in the tree have not moved.
+// The distance is the bounded kernel at a bound no Levenshtein distance
+// exceeds (the longer code's length), so it is exact, and an insert of a
+// code of at most 64 bytes into an arena with room for the node does not
+// allocate.
+func bkInsert(nodes []bkNode, groups []phoneGroup) []bkNode {
 	if len(nodes) == 0 {
-		return append(nodes, bkNode{group: gi, firstChild: -1, nextSibling: -1})
+		return append(nodes, bkNode{firstChild: -1, nextSibling: -1})
 	}
-	code := groups[gi].code
+	code := groups[len(nodes)].code
 	cur := int32(0)
 	for {
-		other := groups[nodes[cur].group].code
+		other := groups[cur].code
 		d := int32(metrics.CharEditDistanceBounded(code, other, max(len(code), len(other))))
 		// Codes are distinct, so d ≥ 1 and the new node never collides
 		// with its parent.
@@ -57,7 +57,6 @@ func bkInsert(nodes []bkNode, groups []phoneGroup, gi int32) []bkNode {
 		}
 		if next == -1 {
 			nodes = append(nodes, bkNode{
-				group:       gi,
 				firstChild:  -1,
 				nextSibling: nodes[cur].firstChild,
 				edge:        d,

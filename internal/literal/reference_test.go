@@ -9,8 +9,9 @@ import (
 )
 
 // The voting references: the pre-index full scan and the per-token BK
-// walker that the shipped batched kernel (voteScratch.run) replaced. Both
-// stay frozen here as the differential oracles of votescratch_test.go.
+// walker that the shipped kernel (voteScratch.run, one walk per distinct
+// encoding) replaced. Both stay frozen here as the differential oracles of
+// votescratch_test.go.
 // The set-building reference: the fresh-set builder that applySetDelta
 // replaced, the oracle of TestBuildSetMatchesReference.
 
@@ -108,9 +109,9 @@ func voteNaive(window []string, base int, entries []entry, k int) ([]string, int
 }
 
 // runPerToken is the original candidate-at-a-time walker, kept as the
-// frozen differential reference for the batched run
-// (TestVoteBatchMatchesPerToken). Each candidate re-walks the BK-tree with
-// its own stack and bound.
+// frozen differential reference for run (TestVoteBatchMatchesPerToken).
+// Each candidate re-walks the BK-tree with its own stack and bound, with no
+// encoding dedup and no exact-code probe.
 func (s *voteScratch) runPerToken(window []string, base int, set *catSet, k int) ([]string, int) {
 	s.enumerate(window, base)
 	s.resetCounters(set)
@@ -133,14 +134,14 @@ func (s *voteScratch) runPerToken(window []string, base int, set *catSet, k int)
 			ni := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			node := &set.bk[ni]
-			g := &set.groups[node.group]
+			g := &set.groups[ni] // node i covers group i
 			d := int32(metrics.CharEditDistanceBounded(enc, g.code, int(best)+int(node.maxChild)))
 			if d < best {
 				best = d
 				winners = winners[:0]
-				winners = append(winners, node.group)
+				winners = append(winners, ni)
 			} else if d == best {
-				winners = append(winners, node.group)
+				winners = append(winners, ni)
 			}
 			lo, hi := d-best, d+best
 			for ni := node.firstChild; ni != -1; ni = set.bk[ni].nextSibling {
@@ -218,8 +219,8 @@ func referenceBuildBK(groups []phoneGroup) []bkNode {
 		return nil
 	}
 	nodes := make([]bkNode, 0, len(groups))
-	for gi := range groups {
-		nodes = bkInsert(nodes, groups, int32(gi))
+	for range groups {
+		nodes = bkInsert(nodes, groups)
 	}
 	return nodes
 }

@@ -139,7 +139,7 @@ func columnNames(m map[string][]string, key string) []string {
 // applySetDelta produces the updated category set; buildSet calls it on an
 // empty set. Retained entries reuse their cached encodings; only added
 // names are Metaphone-encoded. The group list keeps the old set's group
-// order for surviving codes (so BK node→group indices stay valid) and
+// order for surviving codes (so tree node i still covers group i) and
 // appends genuinely new codes sorted, which for a fresh set is every code
 // in sorted order. The BK-tree is one insert loop over an arena that is
 // shared when no code is new, copied when codes were only added, and empty
@@ -197,14 +197,14 @@ func applySetDelta(old *catSet, add, remove []string, st *UpdateStats) catSet {
 	}
 
 	set := catSet{entries: entries, byLower: make(map[string]int32, len(entries))}
-	codeMembers := make(map[string][]int32, len(old.groups)+len(added))
+	counts := make(map[string]int32, len(old.groups)+len(added))
 	for idx, e := range entries {
 		if _, ok := set.byLower[e.Lower]; !ok {
 			// First entry (in Name order) wins, matching what a linear
 			// EqualFold scan over the sorted slice would return.
 			set.byLower[e.Lower] = int32(idx)
 		}
-		codeMembers[e.Phonetic] = append(codeMembers[e.Phonetic], int32(idx))
+		counts[e.Phonetic]++
 		if len(e.Phonetic) > set.maxCode {
 			set.maxCode = len(e.Phonetic)
 		}
@@ -212,41 +212,48 @@ func applySetDelta(old *catSet, add, remove []string, st *UpdateStats) catSet {
 
 	// Group order: surviving codes keep their old positions, new codes are
 	// appended sorted. Search never requires globally-sorted groups; the
-	// sorted order of a fresh set only makes its tree shape canonical.
-	set.groups = make([]phoneGroup, 0, len(codeMembers))
-	set.members = make([]int32, 0, len(entries))
-	set.byCode = make(map[string]int32, len(codeMembers))
+	// sorted order of a fresh set only makes its tree shape canonical. Each
+	// group's slice of the members arena is laid out from the counts, then
+	// filled in entry order.
+	set.groups = make([]phoneGroup, 0, len(counts))
+	set.byCode = make(map[string]int32, len(counts))
+	next := int32(0)
 	group := func(code string) {
-		ms := codeMembers[code]
 		set.byCode[code] = int32(len(set.groups))
-		set.groups = append(set.groups, phoneGroup{code: code, first: int32(len(set.members)), num: int32(len(ms))})
-		set.members = append(set.members, ms...)
+		set.groups = append(set.groups, phoneGroup{code: code, first: next})
+		next += counts[code]
 	}
 	codeGone := false
 	for _, g := range old.groups {
-		if _, ok := codeMembers[g.code]; !ok {
+		if counts[g.code] == 0 {
 			codeGone = true
 			continue
 		}
 		group(g.code)
-		delete(codeMembers, g.code)
 	}
-	newCodes := make([]string, 0, len(codeMembers))
-	for code := range codeMembers {
-		newCodes = append(newCodes, code)
+	newCodes := make([]string, 0, len(counts)-len(set.groups))
+	for code := range counts {
+		if _, ok := set.byCode[code]; !ok {
+			newCodes = append(newCodes, code)
+		}
 	}
 	sort.Strings(newCodes)
 	for _, code := range newCodes {
 		group(code)
 	}
+	set.members = make([]int32, len(entries))
+	for idx, e := range entries {
+		g := &set.groups[set.byCode[e.Phonetic]]
+		set.members[g.first+g.num] = int32(idx)
+		g.num++
+	}
 
-	// The groups from first on are not in the tree yet. A shared tree is
-	// never written: its node→group indices are still exact, and BK-trees
-	// are immutable once built.
-	first := len(set.groups) - len(newCodes)
+	// Group gi is node gi of the tree, so the groups not yet in it are
+	// those from len(set.bk) on. A shared tree is never written: its nodes
+	// still cover their groups, and BK-trees are immutable once built.
 	switch {
 	case codeGone:
-		set.bk, first = make([]bkNode, 0, len(set.groups)), 0
+		set.bk = make([]bkNode, 0, len(set.groups))
 		st.BKRebuilt++
 	case len(newCodes) == 0:
 		set.bk = old.bk
@@ -255,8 +262,8 @@ func applySetDelta(old *catSet, add, remove []string, st *UpdateStats) catSet {
 		set.bk = append(make([]bkNode, 0, len(set.groups)), old.bk...)
 		st.BKInserted += len(newCodes)
 	}
-	for gi := first; gi < len(set.groups); gi++ {
-		set.bk = bkInsert(set.bk, set.groups, int32(gi))
+	for len(set.bk) < len(set.groups) {
+		set.bk = bkInsert(set.bk, set.groups)
 	}
 	return set
 }

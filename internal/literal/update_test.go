@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"speakql/internal/dataset"
+	"speakql/internal/metrics"
 	"speakql/internal/phonetic"
 	"speakql/internal/sqlengine"
 )
@@ -101,6 +102,35 @@ func requireSetInvariants(t *testing.T, set *catSet) {
 	}
 	if len(set.groups) > 0 && len(set.bk) != len(set.groups) {
 		t.Fatalf("bk has %d nodes for %d groups", len(set.bk), len(set.groups))
+	}
+	// Node i of the tree covers group i: below an ancestor's child at edge
+	// e, every node's code lies at distance e from the ancestor's code, each
+	// maxChild is its node's largest child edge, and the walk from the root
+	// reaches every node once.
+	type hop struct{ node, edge int32 } // an ancestor and the edge taken below it
+	var walk func(ni int32, path []hop) int
+	walk = func(ni int32, path []hop) int {
+		for _, h := range path {
+			a, x := set.groups[h.node].code, set.groups[ni].code
+			if d := int32(metrics.CharEditDistance(a, x)); d != h.edge {
+				t.Fatalf("bk node %d (%q) lies %d from ancestor %d (%q), below its edge %d",
+					ni, x, d, h.node, a, h.edge)
+			}
+		}
+		n, maxChild := 1, int32(0)
+		for ch := set.bk[ni].firstChild; ch != -1; ch = set.bk[ch].nextSibling {
+			maxChild = max(maxChild, set.bk[ch].edge)
+			n += walk(ch, append(path, hop{ni, set.bk[ch].edge}))
+		}
+		if set.bk[ni].maxChild != maxChild {
+			t.Fatalf("bk node %d maxChild %d, want %d", ni, set.bk[ni].maxChild, maxChild)
+		}
+		return n
+	}
+	if len(set.bk) > 0 {
+		if n := walk(0, nil); n != len(set.bk) {
+			t.Fatalf("walk from the root reached %d of %d bk nodes", n, len(set.bk))
+		}
 	}
 }
 
@@ -393,8 +423,8 @@ func TestBKInsertZeroAllocs(t *testing.T) {
 	nodes := make([]bkNode, 0, len(groups))
 	if n := testing.AllocsPerRun(10, func() {
 		nodes = nodes[:0]
-		for gi := range groups {
-			nodes = bkInsert(nodes, groups, int32(gi))
+		for range groups {
+			nodes = bkInsert(nodes, groups)
 		}
 	}); n != 0 {
 		t.Fatalf("growing a %d-node BK-tree allocated %.0f times, want 0", len(groups), n)

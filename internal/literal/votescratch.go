@@ -1,17 +1,17 @@
 // The indexed voting kernel and its pooled scratch. One voteScratch owns
 // every piece of per-call working memory — the candidate text/encoding
-// arenas, the sparse per-entry counters, the BK traversal frames, and the
+// arenas, the sparse per-entry counters, the BK traversal stack, and the
 // ranking permutation — so a steady-state vote() performs zero heap
 // allocations (pinned by TestVoteSteadyStateAllocs, the same discipline as
 // the structure search kernel's pooled searcher, DESIGN.md §7).
 //
-// run is the batched pass of DESIGN.md §12: all candidate substrings of one
-// determination are enumerated into shared arenas, deduplicated by phonetic
-// encoding, resolved through the exact-code map or one shared BK-tree
-// traversal, and only then voted in enumeration order. The tests keep the
-// original candidate-at-a-time walker (TestVoteBatchMatchesPerToken) and
-// the naive full scan (TestVoteIndexMatchesNaive) as frozen differential
-// references.
+// run is the pass of DESIGN.md §12: all candidate substrings of one
+// determination are enumerated into shared arenas and deduplicated by
+// phonetic encoding; each distinct encoding is resolved through the
+// exact-code map or its own BK-tree walk from the root, and only then are
+// votes applied in enumeration order. The tests keep the original
+// candidate-at-a-time walker (TestVoteBatchMatchesPerToken) and the naive
+// full scan (TestVoteIndexMatchesNaive) as frozen differential references.
 
 package literal
 
@@ -39,14 +39,6 @@ type voteCand struct {
 	pos            int32
 }
 
-// voteFrame is one node of the shared BK traversal: the node index plus the
-// span [off, off+num) of voteScratch.alive holding the representatives whose
-// search radius still reaches this node.
-type voteFrame struct {
-	node     int32
-	off, num int32
-}
-
 // voteScratch is the reusable state of one indexed vote.
 type voteScratch struct {
 	rawBuf []byte // lowered candidate text arena
@@ -68,17 +60,13 @@ type voteScratch struct {
 	topBuf []string
 	ranker voteRanker
 
-	// Batched-pass state. Candidates with identical encodings collapse into
-	// one representative each; representatives without an exact-code hit
-	// ("open") walk the BK-tree together, framed by spans of the alive arena.
+	// Per-encoding state. Candidates with identical encodings collapse into
+	// one representative each, resolved once.
 	repOf   []int32   // candidate index → representative index
 	repCand []int32   // representative index → owning candidate index
-	repBest []int32   // representative index → best distance so far
-	repDist []int32   // representative index → distance at the expanded node
-	repWins [][]int32 // representative index → winning groups at repBest
-	open    []int32   // representatives pending BK traversal
-	frames  []voteFrame
-	alive   []int32 // rep-index arena, spans owned by frames
+	repBest []int32   // representative index → nearest-code distance
+	repWins [][]int32 // representative index → groups at repBest
+	stack   []int32   // BK walk stack of node (= group) indices
 }
 
 var votePool = sync.Pool{New: func() any { return new(voteScratch) }}
@@ -87,15 +75,14 @@ func getVoteScratch() *voteScratch { return votePool.Get().(*voteScratch) }
 
 func putVoteScratch(s *voteScratch) { votePool.Put(s) }
 
-// run votes the window against one indexed category set in one batched
-// pass. The returned top-k slice is scratch-backed — callers must copy it
-// before the scratch is recycled. Rankings, tie-breaks, and the consumed
-// transcript position are bit-identical to the per-token walker and the
-// naive scan the tests keep as references (TestVoteBatchMatchesPerToken,
+// run votes the window against one indexed category set. The returned
+// top-k slice is scratch-backed — callers must copy it before the scratch
+// is recycled. Rankings, tie-breaks, and the consumed transcript position
+// are bit-identical to the per-token walker and the naive scan the tests
+// keep as references (TestVoteBatchMatchesPerToken,
 // TestVoteIndexMatchesNaive): nearest-code search depends only on a
-// candidate's encoding, winner membership is the order-independent set of
-// groups at the final best radius, and votes are applied in the original
-// enumeration order.
+// candidate's encoding, and votes are applied in the original enumeration
+// order.
 func (s *voteScratch) run(window []string, base int, set *catSet, k int) ([]string, int) {
 	s.enumerate(window, base)
 
@@ -121,93 +108,58 @@ func (s *voteScratch) run(window []string, base int, set *catSet, k int) ([]stri
 		s.repOf = append(s.repOf, rep)
 	}
 
-	// Resolve representatives whose encoding IS a catalog code: codes are
-	// distinct, so the matching group is the unique winner at distance 0 and
-	// the radius search is skipped entirely. (The per-token walker reaches
-	// the same answer the long way: best tightens to 0 at that node and
-	// |d−e| ≤ 0 prunes everything else.) The rest go to the shared
-	// traversal. The string(enc) map probe does not allocate.
-	var exactHits int64
-	s.repBest, s.open = s.repBest[:0], s.open[:0]
+	var exactHits, bkNodes, entriesSeen int64
+	s.repBest = s.repBest[:0]
 	for len(s.repWins) < len(s.repCand) {
 		s.repWins = append(s.repWins, nil)
-	}
-	for len(s.repDist) < len(s.repCand) {
-		s.repDist = append(s.repDist, 0)
 	}
 	for ri, ci := range s.repCand {
 		c := &s.cands[ci]
 		enc := s.encBuf[c.encOff:c.encEnd]
-		s.repWins[ri] = s.repWins[ri][:0]
+		wins := s.repWins[ri][:0]
+		// An encoding that IS a catalog code: codes are distinct, so the
+		// matching group is the unique winner at distance 0 and the radius
+		// search is skipped. (The walk reaches the same answer the long way:
+		// best tightens to 0 at that node and |d−e| ≤ 0 prunes everything
+		// else.) The string(enc) map probe does not allocate.
 		if gi, ok := set.byCode[string(enc)]; ok {
 			exactHits++
 			s.repBest = append(s.repBest, 0)
-			s.repWins[ri] = append(s.repWins[ri], gi)
+			s.repWins[ri] = append(wins, gi)
 			continue
 		}
-		// A-priori upper bound on the distance to any code: Levenshtein
-		// never exceeds the longer string.
-		best := int32(len(enc))
-		if int32(set.maxCode) > best {
-			best = int32(set.maxCode)
+		// Nearest-code radius search from the root. best starts at an
+		// a-priori upper bound on the distance to any code (Levenshtein
+		// never exceeds the longer string), so the root already tightens it.
+		// Node i of the tree is group i (applySetDelta inserts groups in
+		// order).
+		best := max(int32(len(enc)), int32(set.maxCode))
+		s.stack = append(s.stack[:0], 0)
+		for len(s.stack) > 0 {
+			ni := s.stack[len(s.stack)-1]
+			s.stack = s.stack[:len(s.stack)-1]
+			node := &set.bk[ni]
+			g := &set.groups[ni]
+			bkNodes++
+			entriesSeen += int64(g.num)
+			// Beyond best+maxChild the exact distance is irrelevant: the node
+			// is no winner and every child edge e ≤ maxChild fails
+			// |d − e| ≤ best, so the kernel may exit early.
+			d := int32(metrics.CharEditDistanceBounded(enc, g.code, int(best)+int(node.maxChild)))
+			if d < best {
+				best = d
+				wins = append(wins[:0], ni)
+			} else if d == best {
+				wins = append(wins, ni)
+			}
+			for ch := node.firstChild; ch != -1; ch = set.bk[ch].nextSibling {
+				if e := set.bk[ch].edge; e >= d-best && e <= d+best {
+					s.stack = append(s.stack, ch)
+				}
+			}
 		}
 		s.repBest = append(s.repBest, best)
-		s.open = append(s.open, int32(ri))
-	}
-
-	// Shared BK traversal: every frame carries the representatives still in
-	// radius at its node, so the node walk and group loads are paid once per
-	// node, not once per candidate. Each rep's distances, bounds, and
-	// pruning decisions are its own — the visited set per rep is exactly the
-	// solo walker's up to visit order, and winner membership is
-	// order-independent (DESIGN.md §12).
-	var bkNodes, entriesSeen int64
-	if len(s.open) > 0 {
-		s.alive = append(s.alive[:0], s.open...)
-		s.frames = append(s.frames[:0], voteFrame{node: 0, off: 0, num: int32(len(s.open))})
-		for len(s.frames) > 0 {
-			f := s.frames[len(s.frames)-1]
-			s.frames = s.frames[:len(s.frames)-1]
-			// LIFO reclaim: when a frame is popped, every span above its own
-			// belongs to an already-finished subtree, so the arena stays
-			// bounded by one root-to-leaf path of live spans.
-			s.alive = s.alive[:f.off+f.num]
-			node := &set.bk[f.node]
-			g := &set.groups[node.group]
-			bkNodes++
-			entriesSeen += int64(g.num) * int64(f.num)
-			for idx := f.off; idx < f.off+f.num; idx++ {
-				ri := s.alive[idx]
-				c := &s.cands[s.repCand[ri]]
-				enc := s.encBuf[c.encOff:c.encEnd]
-				best := s.repBest[ri]
-				// Beyond best+maxChild the exact distance is irrelevant: the
-				// node is no winner and every child edge e ≤ maxChild fails
-				// |d − e| ≤ best, so the subtree is provably outside this
-				// rep's radius and the kernel may exit early.
-				d := int32(metrics.CharEditDistanceBounded(enc, g.code, int(best)+int(node.maxChild)))
-				if d < best {
-					s.repBest[ri] = d
-					s.repWins[ri] = append(s.repWins[ri][:0], node.group)
-				} else if d == best {
-					s.repWins[ri] = append(s.repWins[ri], node.group)
-				}
-				s.repDist[ri] = d
-			}
-			for ci := node.firstChild; ci != -1; ci = set.bk[ci].nextSibling {
-				e := int32(set.bk[ci].edge)
-				off := int32(len(s.alive))
-				for idx := f.off; idx < f.off+f.num; idx++ {
-					ri := s.alive[idx]
-					if d, best := s.repDist[ri], s.repBest[ri]; e >= d-best && e <= d+best {
-						s.alive = append(s.alive, ri)
-					}
-				}
-				if num := int32(len(s.alive)) - off; num > 0 {
-					s.frames = append(s.frames, voteFrame{node: ci, off: off, num: num})
-				}
-			}
-		}
+		s.repWins[ri] = wins
 	}
 
 	obs.Add("literal.vote_calls", 1)

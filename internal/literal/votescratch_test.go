@@ -125,8 +125,9 @@ func TestVoteSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestVoteBatchMatchesPerToken pins the batched pass (encoding dedup,
-// exact-code fast path, shared BK traversal) to the frozen per-token walker:
+// TestVoteBatchMatchesPerToken pins the shipped pass (encoding dedup,
+// exact-code fast path, one BK walk per distinct encoding) to the frozen
+// per-token walker:
 // ranked top-k and consumed position must agree exactly over random
 // catalogs and windows — including windows with repeated tokens, which
 // exercise the dedup path, and in-catalog tokens, which exercise the
