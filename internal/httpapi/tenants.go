@@ -130,11 +130,12 @@ func (s *Server) handleTenantList(w http.ResponseWriter, r *http.Request) {
 // tenantSummary shapes one tenant for the lifecycle responses: schema
 // sizes, not full contents — GET /api/keyboard?tenant= serves the lists.
 func tenantSummary(t *registry.Tenant, resident bool) map[string]any {
+	tables, attributes, values := t.Catalog.Sizes()
 	return map[string]any{
 		"id":         t.ID,
 		"resident":   resident,
-		"tables":     len(t.Catalog.Tables()),
-		"attributes": len(t.Catalog.Attributes()),
-		"values":     len(t.Catalog.Values()),
+		"tables":     tables,
+		"attributes": attributes,
+		"values":     values,
 	}
 }

@@ -31,7 +31,8 @@ type entry struct {
 // phoneGroup is one distinct Metaphone code and the slice [first, first+num)
 // of catSet.members holding the indices of every entry that encodes to it.
 // Many catalog values collapse to one code ("Jon"/"John" → JN), so the
-// BK-tree searches groups, not entries.
+// BK-tree searches groups, not entries. A group with num 0 is a tombstone
+// (update.go).
 type phoneGroup struct {
 	code       string
 	first, num int32
@@ -43,14 +44,18 @@ type phoneGroup struct {
 type catSet struct {
 	entries []entry          // sorted by Name, deduplicated
 	byLower map[string]int32 // lowered name → index of first entry spelling it
-	groups  []phoneGroup     // distinct phonetic codes, sorted by code
+	groups  []phoneGroup     // distinct phonetic codes, dead ones included;
+	// sorted by code in a fresh set, and a delta appends new codes
 	members []int32          // entry indices, grouped per groups[i]
 	bk      []bkNode         // BK-tree over groups; nil when the set is empty
-	byCode  map[string]int32 // phonetic code → its group index (exact-hit fast
-	// path: a candidate encoding equal to a code makes that group the unique
-	// distance-0 winner, skipping the BK radius search entirely)
-	maxCode int // longest code length (an upper bound seed for
-	// nearest-code search: dist(a,b) ≤ max(len(a), len(b)))
+	byCode  map[string]int32 // phonetic code → its group index, dead groups
+	// included (exact-hit fast path: a candidate encoding equal to a live
+	// code makes that group the unique distance-0 winner, skipping the BK
+	// radius search entirely)
+	maxCode int // at least the longest live code's length (an upper bound
+	// seed for nearest-code search: dist(a,b) ≤ max(len(a), len(b)))
+	dead int // groups with no member left: tombstones whose node still
+	// routes the BK search but never wins it (update.go)
 }
 
 // Catalog is the phonetic representation of a database's literals
@@ -115,9 +120,10 @@ func (c *Catalog) columnValues(attr string) (*catSet, bool) {
 // buildSet indexes a fresh category set: it is the delta that adds every
 // name to an empty set, so applySetDelta (update.go) is the one place a set
 // is grouped and its BK-tree grown, whether NewCatalog, WithColumnValues, a
-// tenant reload or a PATCH asks.
+// tenant reload, a PATCH or a compaction asks. A fresh set holds no
+// tombstone.
 func buildSet(names []string) catSet {
-	return applySetDelta(&catSet{}, names, nil, new(UpdateStats))
+	return updateSet(&catSet{}, names, nil, new(UpdateStats))
 }
 
 // Tables returns the table names in the catalog.
@@ -128,6 +134,12 @@ func (c *Catalog) Attributes() []string { return names(c.attrs.entries) }
 
 // Values returns the indexed string attribute values.
 func (c *Catalog) Values() []string { return names(c.values.entries) }
+
+// Sizes returns how many tables, attributes and values the catalog holds,
+// without copying the name lists Tables, Attributes and Values return.
+func (c *Catalog) Sizes() (tables, attributes, values int) {
+	return len(c.tables.entries), len(c.attrs.entries), len(c.values.entries)
+}
 
 // ColumnValues returns the per-attribute value domains, keyed by lowercased
 // attribute name; WithColumnValues over the result rebuilds them.

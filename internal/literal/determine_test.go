@@ -31,6 +31,11 @@ func TestCatalogBasics(t *testing.T) {
 	if !c.HasAttribute("salary") {
 		t.Error("HasAttribute wrong")
 	}
+	if tables, attrs, values := c.Sizes(); tables != len(c.Tables()) ||
+		attrs != len(c.Attributes()) || values != len(c.Values()) {
+		t.Errorf("Sizes = %d, %d, %d, want %d, %d, %d", tables, attrs, values,
+			len(c.Tables()), len(c.Attributes()), len(c.Values()))
+	}
 	// Duplicates collapse.
 	d := NewCatalog([]string{"A", "A", ""}, nil, nil)
 	if len(d.Tables()) != 1 {

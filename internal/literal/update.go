@@ -5,9 +5,15 @@ package literal
 // extended) and the registry rebuilds only the category sets a delta
 // touches instead of the whole catalog. Within a touched set, retained
 // entries keep their cached Lower/Phonetic encodings and only added names
-// are Metaphone-encoded; the set's maps, groups and members are rebuilt,
-// and its BK-tree is shared (no new code), grown (codes only added) or
-// rebuilt (a code vanished). A fresh set is the same merge applied to an
+// are Metaphone-encoded. Group indices are stable: a code that loses its
+// last member stays as a tombstone group whose BK node still routes the
+// search but never wins it, and re-adding the code revives it. So the
+// set's BK-tree is shared (no new code) or copied and grown (a new code),
+// never rebuilt by a delta; a set whose dead groups outnumber one in
+// compactShare live ones is compacted, rebuilt from its live entries. A
+// delta finds removed and re-added names by binary search and adjusts the
+// old group counts, so it builds no map over the retained entries except
+// byLower. A fresh set and a compaction are the same merge applied to an
 // empty set (buildSet), so there is one builder.
 //
 // ApplyDelta is copy-on-write: it returns a NEW catalog sharing every
@@ -18,7 +24,8 @@ package literal
 // never invalidated by an update).
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"speakql/internal/phonetic"
@@ -57,9 +64,11 @@ type UpdateStats struct {
 	Added   int `json:"added"`
 	Removed int `json:"removed"`
 	// BKReused counts category sets whose BK-tree was shared verbatim (no
-	// new distinct codes); BKInserted counts new codes inserted into copied
-	// trees; BKRebuilt counts sets that lost a code and needed a full
-	// rebuild.
+	// new distinct code; codes that lost their last member stay in it as
+	// tombstones); BKInserted counts new codes inserted into copied trees;
+	// BKRebuilt counts compactions: sets rebuilt from their live entries
+	// because dead codes passed one in compactShare live ones, which also
+	// empties a set whose last entry left.
 	BKReused   int `json:"bk_reused"`
 	BKInserted int `json:"bk_inserted"`
 	BKRebuilt  int `json:"bk_rebuilt"`
@@ -79,13 +88,13 @@ func (c *Catalog) ApplyDelta(d CatalogDelta) (*Catalog, UpdateStats) {
 	}
 	var st UpdateStats
 	if len(d.AddTables)+len(d.RemoveTables) > 0 {
-		out.tables = applySetDelta(&c.tables, d.AddTables, d.RemoveTables, &st)
+		out.tables = updateSet(&c.tables, d.AddTables, d.RemoveTables, &st)
 	}
 	if len(d.AddAttributes)+len(d.RemoveAttrs) > 0 {
-		out.attrs = applySetDelta(&c.attrs, d.AddAttributes, d.RemoveAttrs, &st)
+		out.attrs = updateSet(&c.attrs, d.AddAttributes, d.RemoveAttrs, &st)
 	}
 	if len(d.AddValues)+len(d.RemoveValues) > 0 {
-		out.values = applySetDelta(&c.values, d.AddValues, d.RemoveValues, &st)
+		out.values = updateSet(&c.values, d.AddValues, d.RemoveValues, &st)
 	}
 	if len(d.AddColumnValues)+len(d.RemoveColumnValues) > 0 {
 		out.byAttr = applyColumnDeltas(c.byAttr, d, &st)
@@ -112,7 +121,7 @@ func applyColumnDeltas(old map[string]*catSet, d CatalogDelta, st *UpdateStats) 
 		if prev == nil {
 			prev = &catSet{}
 		}
-		ns := applySetDelta(prev, columnNames(d.AddColumnValues, key),
+		ns := updateSet(prev, columnNames(d.AddColumnValues, key),
 			columnNames(d.RemoveColumnValues, key), st)
 		if len(ns.entries) == 0 {
 			delete(out, key)
@@ -136,131 +145,213 @@ func columnNames(m map[string][]string, key string) []string {
 	return out
 }
 
-// applySetDelta produces the updated category set; buildSet calls it on an
-// empty set. Retained entries reuse their cached encodings; only added
-// names are Metaphone-encoded. The group list keeps the old set's group
-// order for surviving codes (so tree node i still covers group i) and
-// appends genuinely new codes sorted, which for a fresh set is every code
-// in sorted order. The BK-tree is one insert loop over an arena that is
-// shared when no code is new, copied when codes were only added, and empty
-// when a code vanished: dropping a group would shift group indices, and
-// keeping an empty group is forbidden — an empty group winning a
-// nearest-radius search would contribute zero votes and diverge from the
-// naive reference.
-func applySetDelta(old *catSet, add, remove []string, st *UpdateStats) catSet {
-	rm := make(map[string]bool, len(remove))
-	for _, n := range remove {
-		if n != "" {
-			rm[n] = true
-		}
-	}
-	have := make(map[string]bool, len(old.entries)+len(add))
-	removed := 0
-	for _, e := range old.entries {
-		if rm[e.Name] {
-			removed++
-			continue
-		}
-		have[e.Name] = true
-	}
-	added := make([]entry, 0, len(add))
-	for _, n := range add {
-		if n == "" || have[n] {
-			continue
-		}
-		have[n] = true
-		added = append(added, entry{
-			Name:     n,
-			Lower:    strings.ToLower(n),
-			Phonetic: phonetic.Encode(n),
-		})
-	}
-	sort.Slice(added, func(i, j int) bool { return added[i].Name < added[j].Name })
-	st.Added += len(added)
-	st.Removed += removed
+// compactShare bounds the memory a set's tombstones hold: a delta that
+// leaves more than one dead group per compactShare live ones compacts the
+// set.
+const compactShare = 4
 
-	// Sorted merge of retained + added entries: both inputs are in Name
+// updateSet applies one category's adds and removes: it encodes the added
+// names and hands them to the one builder.
+func updateSet(old *catSet, add, remove []string, st *UpdateStats) catSet {
+	return applySetDelta(old, encodeNames(old, add), remove, st)
+}
+
+// encodeNames turns names into entries sorted by Name, blanks and repeats
+// dropped. A name old already holds reuses its cached encodings, so only
+// names new to the set are Metaphone-encoded.
+func encodeNames(old *catSet, names []string) []entry {
+	sorted := slices.Clone(names)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
+	out := make([]entry, 0, len(sorted))
+	for _, n := range sorted {
+		if n == "" {
+			continue
+		}
+		if i, ok := old.find(n); ok {
+			out = append(out, old.entries[i])
+			continue
+		}
+		out = append(out, entry{Name: n, Lower: strings.ToLower(n), Phonetic: phonetic.Encode(n)})
+	}
+	return out
+}
+
+// find returns the index of the entry named name.
+func (set *catSet) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(set.entries, name, func(e entry, n string) int {
+		return strings.Compare(e.Name, n)
+	})
+}
+
+// applySetDelta produces the updated category set. add holds encoded
+// entries sorted by Name without repeats (encodeNames); remove holds names.
+// buildSet calls it on an empty set, and so does a compaction, with the
+// live entries, so it is the one place a set is grouped and its BK-tree
+// grown.
+//
+// Group indices are stable across deltas, and group i is node i of the
+// tree: surviving and dead groups keep their positions, and new codes are
+// appended in sorted order (for a fresh set, every code in sorted order).
+// A group that loses its last member stays as a tombstone: its node still
+// routes the radius search and its code stays in byCode, but it has no
+// member, so it never wins a vote (votescratch.go), and re-adding the code
+// revives it. The tree and byCode are shared with old when no code is new,
+// and copied and grown when one is; nothing shared with old is written.
+// Once dead groups outnumber one in compactShare live ones, the set is
+// rebuilt from its live entries, which drops every tombstone and leaves an
+// emptied set empty.
+//
+// No map is built or probed per retained entry: removed and re-added names
+// are found by binary search in old's Name-sorted entries, group counts are
+// old's adjusted by the delta, and members is laid out from each entry's
+// group index. What stays O(n) is flat work: copying entries and members,
+// and rebuilding byLower.
+func applySetDelta(old *catSet, add []entry, remove []string, st *UpdateStats) catSet {
+	var gone []int32 // old entries the delta removes, as sorted indices
+	for _, n := range remove {
+		if i, ok := old.find(n); ok {
+			gone = append(gone, int32(i))
+		}
+	}
+	slices.Sort(gone)
+	gone = slices.Compact(gone)
+	isGone := func(i int) bool {
+		_, ok := slices.BinarySearch(gone, int32(i))
+		return ok
+	}
+
+	// Each added entry's group: an old one, live or dead, or newCode for a
+	// code new to the set; kept marks a name the set already keeps.
+	const newCode, kept = -1, -2
+	addGroup := make([]int32, len(add))
+	newCodes := make([]string, 0, len(add))
+	added := 0
+	for k, e := range add {
+		if i, ok := old.find(e.Name); ok && !isGone(i) {
+			addGroup[k] = kept
+			continue
+		}
+		added++
+		gi, ok := old.byCode[e.Phonetic]
+		if !ok {
+			gi = newCode
+			newCodes = append(newCodes, e.Phonetic)
+		}
+		addGroup[k] = gi
+	}
+	slices.Sort(newCodes)
+	newCodes = slices.Compact(newCodes)
+	st.Added += added
+	st.Removed += len(gone)
+
+	groups := make([]phoneGroup, len(old.groups), len(old.groups)+len(newCodes))
+	copy(groups, old.groups)
+	for _, code := range newCodes {
+		groups = append(groups, phoneGroup{code: code})
+	}
+	oldGroup := make([]int32, len(old.entries)) // old entry → its group
+	for gi, g := range old.groups {
+		for _, m := range old.members[g.first : g.first+g.num] {
+			oldGroup[m] = int32(gi)
+		}
+	}
+	dead := old.dead
+	for _, i := range gone {
+		g := &groups[oldGroup[i]]
+		if g.num--; g.num == 0 {
+			dead++
+		}
+	}
+	maxCode := old.maxCode
+	for k, e := range add {
+		switch addGroup[k] {
+		case kept:
+			continue
+		case newCode:
+			j, _ := slices.BinarySearch(newCodes, e.Phonetic)
+			addGroup[k] = int32(len(old.groups) + j)
+		}
+		g := &groups[addGroup[k]]
+		if g.num == 0 && int(addGroup[k]) < len(old.groups) {
+			dead-- // a tombstone revived
+		}
+		g.num++
+		maxCode = max(maxCode, len(e.Phonetic))
+	}
+
+	// Sorted merge of retained and added entries: both inputs are in Name
 	// order, so the result is too, with no re-sort and no re-encoding.
-	entries := make([]entry, 0, len(old.entries)-removed+len(added))
-	i, j := 0, 0
-	for i < len(old.entries) || j < len(added) {
+	entries := make([]entry, 0, len(old.entries)-len(gone)+added)
+	groupOf := make([]int32, 0, cap(entries))
+	i, j, r := 0, 0, 0
+	for i < len(old.entries) || j < len(add) {
 		switch {
-		case i < len(old.entries) && rm[old.entries[i].Name]:
+		case r < len(gone) && int(gone[r]) == i:
+			r++
 			i++
-		case j == len(added) || (i < len(old.entries) && old.entries[i].Name < added[j].Name):
+		case j < len(add) && addGroup[j] == kept:
+			j++
+		case j == len(add) || (i < len(old.entries) && old.entries[i].Name < add[j].Name):
 			entries = append(entries, old.entries[i])
+			groupOf = append(groupOf, oldGroup[i])
 			i++
 		default:
-			entries = append(entries, added[j])
+			entries = append(entries, add[j])
+			groupOf = append(groupOf, addGroup[j])
 			j++
 		}
 	}
 
-	set := catSet{entries: entries, byLower: make(map[string]int32, len(entries))}
-	counts := make(map[string]int32, len(old.groups)+len(added))
+	if dead*compactShare > len(groups)-dead {
+		st.BKRebuilt++
+		return applySetDelta(&catSet{}, entries, nil, new(UpdateStats))
+	}
+
+	// Each group's slice of the members arena is laid out from the counts,
+	// then filled in entry order.
+	set := catSet{
+		entries: entries,
+		byLower: make(map[string]int32, len(entries)),
+		groups:  groups,
+		members: make([]int32, len(entries)),
+		maxCode: maxCode,
+		dead:    dead,
+	}
+	next := int32(0)
+	for gi := range groups {
+		groups[gi].first = next
+		next += groups[gi].num
+		groups[gi].num = 0
+	}
+	for idx, gi := range groupOf {
+		g := &groups[gi]
+		set.members[g.first+g.num] = int32(idx)
+		g.num++
+	}
 	for idx, e := range entries {
 		if _, ok := set.byLower[e.Lower]; !ok {
 			// First entry (in Name order) wins, matching what a linear
 			// EqualFold scan over the sorted slice would return.
 			set.byLower[e.Lower] = int32(idx)
 		}
-		counts[e.Phonetic]++
-		if len(e.Phonetic) > set.maxCode {
-			set.maxCode = len(e.Phonetic)
-		}
 	}
 
-	// Group order: surviving codes keep their old positions, new codes are
-	// appended sorted. Search never requires globally-sorted groups; the
-	// sorted order of a fresh set only makes its tree shape canonical. Each
-	// group's slice of the members arena is laid out from the counts, then
-	// filled in entry order.
-	set.groups = make([]phoneGroup, 0, len(counts))
-	set.byCode = make(map[string]int32, len(counts))
-	next := int32(0)
-	group := func(code string) {
-		set.byCode[code] = int32(len(set.groups))
-		set.groups = append(set.groups, phoneGroup{code: code, first: next})
-		next += counts[code]
-	}
-	codeGone := false
-	for _, g := range old.groups {
-		if counts[g.code] == 0 {
-			codeGone = true
-			continue
-		}
-		group(g.code)
-	}
-	newCodes := make([]string, 0, len(counts)-len(set.groups))
-	for code := range counts {
-		if _, ok := set.byCode[code]; !ok {
-			newCodes = append(newCodes, code)
-		}
-	}
-	sort.Strings(newCodes)
-	for _, code := range newCodes {
-		group(code)
-	}
-	set.members = make([]int32, len(entries))
-	for idx, e := range entries {
-		g := &set.groups[set.byCode[e.Phonetic]]
-		set.members[g.first+g.num] = int32(idx)
-		g.num++
-	}
-
-	// Group gi is node gi of the tree, so the groups not yet in it are
-	// those from len(set.bk) on. A shared tree is never written: its nodes
-	// still cover their groups, and BK-trees are immutable once built.
-	switch {
-	case codeGone:
-		set.bk = make([]bkNode, 0, len(set.groups))
-		st.BKRebuilt++
-	case len(newCodes) == 0:
-		set.bk = old.bk
-		st.BKReused++
-	default:
-		set.bk = append(make([]bkNode, 0, len(set.groups)), old.bk...)
+	// The groups not yet in the tree are those from len(set.bk) on. A
+	// fresh set gets a code map of its own even when it is empty.
+	set.bk, set.byCode = old.bk, old.byCode
+	if len(newCodes) > 0 {
+		set.bk = append(make([]bkNode, 0, len(groups)), old.bk...)
 		st.BKInserted += len(newCodes)
+	} else {
+		st.BKReused++
+	}
+	if len(newCodes) > 0 || old.byCode == nil {
+		set.byCode = make(map[string]int32, len(groups))
+		maps.Copy(set.byCode, old.byCode)
+		for gi := len(old.groups); gi < len(groups); gi++ {
+			set.byCode[groups[gi].code] = int32(gi)
+		}
 	}
 	for len(set.bk) < len(set.groups) {
 		set.bk = bkInsert(set.bk, set.groups)

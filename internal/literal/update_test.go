@@ -15,8 +15,8 @@ import (
 )
 
 // randomNames draws n names from a small alphabet-ish pool so deltas
-// collide with existing entries, share phonetic codes, and empty groups
-// would be created if the implementation allowed them.
+// collide with existing entries, share phonetic codes, and take codes'
+// last members, leaving tombstone groups.
 func randomNames(rng *rand.Rand, n int) []string {
 	pool := []string{
 		"John", "Jon", "Joan", "Jane", "Smith", "Smyth", "Schmidt",
@@ -60,6 +60,10 @@ func finalNames(base, add, remove []string) []string {
 }
 
 // requireSetInvariants checks the structural invariants voting depends on.
+// A group with no member is a tombstone: it must be counted as dead, stay
+// mapped by byCode, never be returned by the exact-code probe, and keep its
+// node in the tree; after every delta the dead share is within
+// compactShare, and an empty set has no tree.
 func requireSetInvariants(t *testing.T, set *catSet) {
 	t.Helper()
 	for i := 1; i < len(set.entries); i++ {
@@ -71,12 +75,27 @@ func requireSetInvariants(t *testing.T, set *catSet) {
 	if len(set.members) != len(set.entries) {
 		t.Fatalf("members arena has %d slots for %d entries", len(set.members), len(set.entries))
 	}
+	if len(set.entries) == 0 && len(set.bk) != 0 {
+		t.Fatalf("empty set keeps a %d-node tree", len(set.bk))
+	}
+	if len(set.byCode) != len(set.groups) {
+		t.Fatalf("byCode maps %d codes for %d groups", len(set.byCode), len(set.groups))
+	}
 	seen := make([]bool, len(set.entries))
 	codes := map[string]bool{}
 	total := int32(0)
-	for _, g := range set.groups {
+	dead := 0
+	for gi, g := range set.groups {
+		if gj, ok := set.byCode[g.code]; !ok || gj != int32(gi) {
+			t.Fatalf("group %d (%q) mapped by byCode to %d (present %v)", gi, g.code, gj, ok)
+		}
+		if _, live := set.liveGroup([]byte(g.code)); live != (g.num > 0) {
+			t.Fatalf("group %d (%q) with %d members: exact-code probe says live=%v", gi, g.code, g.num, live)
+		}
 		if g.num == 0 {
-			t.Fatalf("empty group %q", g.code)
+			dead++
+		} else if len(g.code) > set.maxCode {
+			t.Fatalf("live code %q longer than maxCode %d", g.code, set.maxCode)
 		}
 		if codes[g.code] {
 			t.Fatalf("duplicate group code %q", g.code)
@@ -99,6 +118,13 @@ func requireSetInvariants(t *testing.T, set *catSet) {
 	}
 	if int(total) != len(set.entries) {
 		t.Fatalf("groups cover %d of %d entries", total, len(set.entries))
+	}
+	if dead != set.dead {
+		t.Fatalf("%d groups have no member, set counts %d dead", dead, set.dead)
+	}
+	if dead*compactShare > len(set.groups)-dead {
+		t.Fatalf("%d dead groups beside %d live ones: past the compaction share 1/%d",
+			dead, len(set.groups)-dead, compactShare)
 	}
 	if len(set.groups) > 0 && len(set.bk) != len(set.groups) {
 		t.Fatalf("bk has %d nodes for %d groups", len(set.bk), len(set.groups))
@@ -137,15 +163,16 @@ func requireSetInvariants(t *testing.T, set *catSet) {
 // sameRankings asserts indexed voting over two sets returns identical
 // top-k lists for a spread of windows — the differential acceptance check:
 // rankings depend only on the entry population, so an incrementally
-// updated set must match a from-scratch rebuild exactly.
-func sameRankings(t *testing.T, got, want *catSet, rng *rand.Rand) {
+// updated set must match a from-scratch rebuild exactly. Extra windows
+// join the fixed ones.
+func sameRankings(t *testing.T, got, want *catSet, rng *rand.Rand, extra ...[]string) {
 	t.Helper()
 	windows := [][]string{
 		{"jon"}, {"smith"}, {"celery"}, {"fee", "nix"}, {"d", "zero", "zero", "two"},
 		{"employ", "ease"}, {"star"}, {"gen", "der"}, {"total"}, {"sit", "tee"},
 		randomNames(rng, 3), randomNames(rng, 2),
 	}
-	for _, w := range windows {
+	for _, w := range append(windows, extra...) {
 		for _, k := range []int{1, 3, 5} {
 			gotTop, gotPos := vote(w, 0, got, k)
 			wantTop, wantPos := vote(w, 0, want, k)
@@ -186,6 +213,123 @@ func TestApplyDeltaMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaChainMatchesRebuild applies deltas to the result of
+// earlier deltas, so tombstones build up, revive and are compacted away,
+// and pins every checked step against a fresh build over the same names.
+func TestApplyDeltaChainMatchesRebuild(t *testing.T) {
+	check := func(t *testing.T, label string, got *Catalog, names []string, rng *rand.Rand, extra ...[]string) {
+		t.Helper()
+		want := NewCatalog(got.Tables(), got.Attributes(), names)
+		if !slices.Equal(got.Values(), want.Values()) {
+			t.Fatalf("%s: values %q, want %q", label, got.Values(), want.Values())
+		}
+		requireSetInvariants(t, &got.values)
+		sameRankings(t, &got.values, &want.values, rng, extra...)
+	}
+
+	t.Run("small pool", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(29))
+		var tombstoned, revived, compacted, refilled int
+		for chain := 0; chain < 40; chain++ {
+			names := finalNames(randomNames(rng, rng.Intn(20)), nil, nil)
+			cat := NewCatalog(nil, nil, names)
+			for step := 0; step < 30; step++ {
+				add, remove := randomNames(rng, rng.Intn(4)), randomNames(rng, rng.Intn(5))
+				if step == 20 { // empty the set; the steps after refill it
+					add, remove = nil, names
+				}
+				next, st := cat.ApplyDelta(CatalogDelta{AddValues: add, RemoveValues: remove})
+				names = finalNames(names, add, remove)
+				label := fmt.Sprintf("chain %d step %d (add %q, remove %q)", chain, step, add, remove)
+				check(t, label, next, names, rng, add, remove)
+				if len(names) == 0 && !reflect.DeepEqual(next.values, buildSet(nil)) {
+					t.Fatalf("%s: emptied set is not the empty set: %+v", label, next.values)
+				}
+				if len(cat.values.entries) == 0 && len(names) > 0 {
+					refilled++
+				}
+				if st.BKRebuilt > 0 {
+					compacted++
+				} else {
+					if next.values.dead > cat.values.dead {
+						tombstoned++
+					}
+					for gi, g := range cat.values.groups {
+						if g.num == 0 && next.values.groups[gi].num > 0 {
+							revived++
+						}
+					}
+				}
+				cat = next
+			}
+		}
+		if tombstoned == 0 || revived == 0 || compacted == 0 || refilled == 0 {
+			t.Fatalf("chains tombstoned %d, revived %d, compacted %d and refilled %d times; want each at least once",
+				tombstoned, revived, compacted, refilled)
+		}
+	})
+
+	t.Run("yelp retire chain", func(t *testing.T) {
+		// Shaped like popular's PATCH: add a value and retire the value the
+		// previous PATCH added. Unlike popular, whose added names share 66
+		// codes, every step adds a code new to the set, so each one grows
+		// the tree and leaves a tombstone; 820 steps cross a compaction on
+		// the 3,017 value codes.
+		const steps = 820
+		yelp := yelpTenant()
+		cat := NewCatalog(yelp.TableNames(), yelp.AttributeNames(), yelp.StringValues(0))
+		codes := map[string]bool{}
+		for _, v := range cat.Values() {
+			codes[phonetic.Encode(v)] = true
+		}
+		rng := rand.New(rand.NewSource(31))
+		var fresh []string
+		for len(fresh) < steps {
+			b := []byte{"BDFGKLMNPRSTVZ"[rng.Intn(14)]}
+			for n := 4 + rng.Intn(5); len(b) < n; {
+				b = append(b, "aeiou"[rng.Intn(5)], "bdfgklmnprstvz"[rng.Intn(14)])
+			}
+			if name := string(b); !codes[phonetic.Encode(name)] {
+				codes[phonetic.Encode(name)] = true
+				fresh = append(fresh, name)
+			}
+		}
+		names := cat.Values()
+		compactions := 0
+		for step := 1; step <= steps; step++ {
+			d := CatalogDelta{AddValues: fresh[step-1 : step]}
+			if step > 1 {
+				d.RemoveValues = fresh[step-2 : step-1]
+			}
+			next, st := cat.ApplyDelta(d)
+			before := names
+			names = finalNames(names, d.AddValues, d.RemoveValues)
+			label := fmt.Sprintf("step %d (add %q, remove %q)", step, d.AddValues, d.RemoveValues)
+			// Windows: the name just added (live), the one just retired
+			// (dead) and an older one (dead until a compaction drops it).
+			windows := [][]string{{strings.ToLower(fresh[step-1])}, {strings.ToLower(fresh[max(step-2, 0)])},
+				{strings.ToLower(fresh[step/2])}}
+			switch {
+			case st.BKRebuilt > 0:
+				compactions++
+				if next.values.dead != 0 || cat.values.dead == 0 {
+					t.Fatalf("%s: compaction took %d dead groups to %d", label, cat.values.dead, next.values.dead)
+				}
+				check(t, label+", before the compaction", cat, before, rng, windows...)
+				check(t, label+", after the compaction", next, names, rng, windows...)
+			case st.BKInserted != 1 || st.Added != 1 || st.Removed != len(d.RemoveValues):
+				t.Fatalf("%s: stats %+v, want 1 code inserted into a copied tree", label, st)
+			case step%100 == 0:
+				check(t, label, next, names, rng, windows...)
+			}
+			cat = next
+		}
+		if compactions == 0 {
+			t.Fatalf("%d retire deltas never compacted; %d dead groups left", steps, cat.values.dead)
+		}
+	})
+}
+
 // TestApplyDeltaIsCopyOnWrite pins that the old catalog is untouched and
 // that untouched category sets are shared, not copied.
 func TestApplyDeltaIsCopyOnWrite(t *testing.T) {
@@ -210,13 +354,15 @@ func TestApplyDeltaIsCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaBKReuse pins the three BK-tree regimes: membership-only
-// change shares the tree, growth copies and inserts, shrinkage rebuilds.
+// TestApplyDeltaBKReuse pins the BK-tree regimes: a membership-only change
+// shares the tree, a new code copies it and grows it, a lost code
+// tombstones its node in a shared tree, re-adding that code revives it, and
+// a delta that leaves too many tombstones compacts the set.
 func TestApplyDeltaBKReuse(t *testing.T) {
 	// John and Jon share one Metaphone code; adding Jon touches only that
 	// group's membership, so the distinct-code set (and the tree) is
 	// unchanged.
-	cat := NewCatalog(nil, nil, []string{"John", "Smith"})
+	cat := NewCatalog(nil, nil, []string{"John", "Smith", "Salary", "Title", "Gender"})
 	grown, st := cat.ApplyDelta(CatalogDelta{AddValues: []string{"Jon"}})
 	if st.BKReused != 1 || st.BKInserted != 0 || st.BKRebuilt != 0 {
 		t.Fatalf("same-codes delta: stats %+v, want bk_reused=1", st)
@@ -238,15 +384,43 @@ func TestApplyDeltaBKReuse(t *testing.T) {
 	}
 	requireSetInvariants(t, &bigger.values)
 
-	// Removing the last member of a code shrinks the distinct-code set:
-	// full rebuild (an empty group must never survive).
+	// Removing the last member of a code tombstones its group: the tree and
+	// the code map are shared, and the dead node stays in the tree.
+	rng := rand.New(rand.NewSource(3))
 	smaller, st := bigger.ApplyDelta(CatalogDelta{RemoveValues: []string{"Smith"}})
-	if st.BKRebuilt != 1 {
-		t.Fatalf("code-loss delta: stats %+v, want bk_rebuilt=1", st)
+	if st.BKReused != 1 || st.BKInserted != 0 || st.BKRebuilt != 0 {
+		t.Fatalf("code-loss delta: stats %+v, want bk_reused=1 (a tombstone)", st)
+	}
+	if &smaller.values.bk[0] != &bigger.values.bk[0] || smaller.values.dead != 1 {
+		t.Fatalf("code-loss delta: tree shared %v, %d dead groups, want shared and 1",
+			&smaller.values.bk[0] == &bigger.values.bk[0], smaller.values.dead)
 	}
 	requireSetInvariants(t, &smaller.values)
-	rng := rand.New(rand.NewSource(3))
-	sameRankings(t, &smaller.values, &NewCatalog(nil, nil, []string{"John", "Jon", "Phoenix"}).values, rng)
+	sameRankings(t, &smaller.values,
+		&NewCatalog(nil, nil, []string{"John", "Jon", "Salary", "Title", "Gender", "Phoenix"}).values, rng)
+
+	// Smyth brings Smith's code back: the tombstone revives in place.
+	revived, st := smaller.ApplyDelta(CatalogDelta{AddValues: []string{"Smyth"}})
+	if st.BKReused != 1 || st.BKInserted != 0 || st.BKRebuilt != 0 ||
+		&revived.values.bk[0] != &bigger.values.bk[0] || revived.values.dead != 0 {
+		t.Fatalf("revival delta: stats %+v, %d dead groups, want bk_reused=1 and none dead", st, revived.values.dead)
+	}
+	requireSetInvariants(t, &revived.values)
+	sameRankings(t, &revived.values,
+		&NewCatalog(nil, nil, []string{"John", "Jon", "Salary", "Title", "Gender", "Phoenix", "Smyth"}).values, rng)
+
+	// A second lost code leaves 2 dead groups beside 4 live ones, past one
+	// in compactShare: the set is rebuilt from its live entries, exactly as
+	// a fresh build of them.
+	compacted, st := smaller.ApplyDelta(CatalogDelta{RemoveValues: []string{"Title"}})
+	if st.BKRebuilt != 1 || st.BKReused != 0 || st.BKInserted != 0 || st.Removed != 1 {
+		t.Fatalf("compacting delta: stats %+v, want bk_rebuilt=1", st)
+	}
+	fresh := NewCatalog(nil, nil, []string{"John", "Jon", "Salary", "Gender", "Phoenix"})
+	if !reflect.DeepEqual(compacted.values, fresh.values) {
+		t.Fatalf("compacted set differs from a fresh build\n got: %+v\nwant: %+v", compacted.values, fresh.values)
+	}
+	requireSetInvariants(t, &smaller.values) // the receiver is untouched
 }
 
 // TestApplyDeltaColumns covers the per-column domains: touched columns are
@@ -451,21 +625,28 @@ func FuzzApplyDelta(f *testing.F) {
 			return strings.Split(s, ",")
 		}
 		b, a, r := split(base), split(add), split(remove)
+		// The second delta swaps the lists: it puts back what the first
+		// removed and removes what it added, reviving its tombstones and
+		// leaving new ones, on a set that may already hold some.
 		cat := NewCatalog(nil, nil, b)
-		updated, st := cat.ApplyDelta(CatalogDelta{AddValues: a, RemoveValues: r})
-		final := finalNames(b, a, r)
-		if got := len(cat.Values()) - st.Removed + st.Added; got != len(final) {
-			t.Fatalf("stats %+v take %d values to %d, want %d", st, len(cat.Values()), got, len(final))
-		}
-		rebuilt := NewCatalog(nil, nil, final)
-		slices.Sort(final)
-		if got := updated.Values(); !slices.Equal(got, final) {
-			t.Fatalf("values %q, want %q", got, final)
-		}
-		requireSetInvariants(t, &updated.values)
-		sameRankings(t, &updated.values, &rebuilt.values, rand.New(rand.NewSource(1)))
-		if window := strings.Fields(strings.Join(append(a, r...), " ")); len(window) > 0 {
-			checkIndexMatchesNaive(t, &updated.values, window[:min(len(window), 8)], 0, 3)
+		names := b
+		for _, d := range []CatalogDelta{{AddValues: a, RemoveValues: r}, {AddValues: r, RemoveValues: a}} {
+			updated, st := cat.ApplyDelta(d)
+			final := finalNames(names, d.AddValues, d.RemoveValues)
+			if got := len(cat.Values()) - st.Removed + st.Added; got != len(final) {
+				t.Fatalf("stats %+v take %d values to %d, want %d", st, len(cat.Values()), got, len(final))
+			}
+			rebuilt := NewCatalog(nil, nil, final)
+			slices.Sort(final)
+			if got := updated.Values(); !slices.Equal(got, final) {
+				t.Fatalf("values %q, want %q", got, final)
+			}
+			requireSetInvariants(t, &updated.values)
+			sameRankings(t, &updated.values, &rebuilt.values, rand.New(rand.NewSource(1)))
+			if window := strings.Fields(strings.Join(append(a, r...), " ")); len(window) > 0 {
+				checkIndexMatchesNaive(t, &updated.values, window[:min(len(window), 8)], 0, 3)
+			}
+			cat, names = updated, final
 		}
 	})
 }
@@ -500,10 +681,11 @@ func BenchmarkRebuildFull(b *testing.B) {
 }
 
 // BenchmarkApplyDeltaRetire times the PATCH the popular workload sends: on
-// the Yelp tenant, add a value whose code no catalog value has and retire
-// the value the previous PATCH added. A code vanishes each time, so the
-// values set's BK-tree is rebuilt (BenchmarkApplyDeltaIncremental times
-// the grow branch).
+// the Yelp tenant, add a value whose code no live catalog value has and
+// retire the value the previous PATCH added. The retired code tombstones
+// its node and the added one revives the tombstone the PATCH before left,
+// so the values set's BK-tree is shared (BenchmarkApplyDeltaIncremental
+// times the grow branch).
 func BenchmarkApplyDeltaRetire(b *testing.B) {
 	yelp := yelpTenant()
 	cat := NewCatalog(yelp.TableNames(), yelp.AttributeNames(), yelp.StringValues(0))
@@ -521,9 +703,12 @@ func BenchmarkApplyDeltaRetire(b *testing.B) {
 	if len(fresh) < 2 {
 		b.Fatalf("only %d candidate names have codes new to the catalog", len(fresh))
 	}
-	cat, _ = cat.ApplyDelta(CatalogDelta{AddValues: fresh[:1]})
-	if _, st := cat.ApplyDelta(CatalogDelta{AddValues: fresh[1:2], RemoveValues: fresh[:1]}); st.BKRebuilt != 1 {
-		b.Fatalf("retire delta took stats %+v, want bk_rebuilt=1", st)
+	cat, _ = cat.ApplyDelta(CatalogDelta{AddValues: fresh[:2]})
+	cat, _ = cat.ApplyDelta(CatalogDelta{RemoveValues: fresh[1:2]})
+	if next, st := cat.ApplyDelta(CatalogDelta{AddValues: fresh[1:2], RemoveValues: fresh[:1]}); st.BKReused != 1 ||
+		st.BKInserted != 0 || st.BKRebuilt != 0 || next.values.dead != 1 || &next.values.bk[0] != &cat.values.bk[0] {
+		b.Fatalf("retire delta took stats %+v and left %d dead groups, want a tombstone in a shared tree",
+			st, next.values.dead)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -117,22 +117,28 @@ func (s *voteScratch) run(window []string, base int, set *catSet, k int) ([]stri
 		c := &s.cands[ci]
 		enc := s.encBuf[c.encOff:c.encEnd]
 		wins := s.repWins[ri][:0]
-		// An encoding that IS a catalog code: codes are distinct, so the
-		// matching group is the unique winner at distance 0 and the radius
-		// search is skipped. (The walk reaches the same answer the long way:
-		// best tightens to 0 at that node and |d−e| ≤ 0 prunes everything
-		// else.) The string(enc) map probe does not allocate.
-		if gi, ok := set.byCode[string(enc)]; ok {
+		// An encoding that IS a live catalog code: codes are distinct, so
+		// the matching group is the unique winner at distance 0 and the
+		// radius search is skipped. (The walk reaches the same answer the
+		// long way: best tightens to 0 at that node and |d−e| ≤ 0 prunes
+		// everything else.) A dead code is a miss and takes the walk.
+		if gi, ok := set.liveGroup(enc); ok {
 			exactHits++
 			s.repBest = append(s.repBest, 0)
 			s.repWins[ri] = append(wins, gi)
 			continue
 		}
 		// Nearest-code radius search from the root. best starts at an
-		// a-priori upper bound on the distance to any code (Levenshtein
-		// never exceeds the longer string), so the root already tightens it.
-		// Node i of the tree is group i (applySetDelta inserts groups in
-		// order).
+		// a-priori upper bound on the distance to any live code
+		// (Levenshtein never exceeds the longer string), so the first live
+		// node visited enters wins or tightens best. Node i of the tree is
+		// group i (applySetDelta inserts groups in order).
+		//
+		// A dead node (a tombstone, update.go) routes the walk but never
+		// wins it: its code is still a point of the metric space, so its
+		// distance prunes its children soundly, but it never enters wins
+		// and never tightens best. On a set without tombstones the walk is
+		// the plain BK nearest-code search.
 		best := max(int32(len(enc)), int32(set.maxCode))
 		s.stack = append(s.stack[:0], 0)
 		for len(s.stack) > 0 {
@@ -146,11 +152,13 @@ func (s *voteScratch) run(window []string, base int, set *catSet, k int) ([]stri
 			// is no winner and every child edge e ≤ maxChild fails
 			// |d − e| ≤ best, so the kernel may exit early.
 			d := int32(metrics.CharEditDistanceBounded(enc, g.code, int(best)+int(node.maxChild)))
-			if d < best {
-				best = d
-				wins = append(wins[:0], ni)
-			} else if d == best {
-				wins = append(wins, ni)
+			if g.num > 0 {
+				if d < best {
+					best = d
+					wins = append(wins[:0], ni)
+				} else if d == best {
+					wins = append(wins, ni)
+				}
 			}
 			for ch := node.firstChild; ch != -1; ch = set.bk[ch].nextSibling {
 				if e := set.bk[ch].edge; e >= d-best && e <= d+best {
@@ -180,6 +188,13 @@ func (s *voteScratch) run(window []string, base int, set *catSet, k int) ([]stri
 	}
 
 	return s.rank(set, base, k)
+}
+
+// liveGroup returns the group whose code is enc, ok=false when no live
+// group has it. The string(enc) map probe does not allocate.
+func (set *catSet) liveGroup(enc []byte) (int32, bool) {
+	gi, ok := set.byCode[string(enc)]
+	return gi, ok && set.groups[gi].num > 0
 }
 
 // enumerate fills the candidate arenas with every window substring, exactly
