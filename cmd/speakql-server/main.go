@@ -344,7 +344,7 @@ func readIndexCache(path string, gcfg grammar.GenConfig) (*trieindex.Index, erro
 	if built != gcfg {
 		return nil, fmt.Errorf("built for grammar %+v, want %+v", built, gcfg)
 	}
-	return trieindex.ReadIndex(br, false)
+	return trieindex.ReadIndex(br)
 }
 
 // writeIndexCache writes the header and ix to a temp file of its own beside

@@ -72,15 +72,25 @@ func TestIndexCacheMismatch(t *testing.T) {
 }
 
 // TestIndexCacheCorrupt: a truncated cache (what a write killed midway
-// used to leave) and a headerless one in the bare trieindex format are
-// rebuilt and replaced instead of failing the server's start.
+// used to leave), a headerless one in the bare trieindex format, and one
+// whose index is in the retired version-2 format (every cache written
+// before version 3) fail to load and are rebuilt and replaced instead of
+// failing the server's start; the next load serves the rewritten file.
 func TestIndexCacheCorrupt(t *testing.T) {
 	cfg := grammar.TestScale()
 	ix, err := structure.BuildIndex(cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	header, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, corrupt := range map[string]func(path string) error{
+		"version 2": func(path string) error {
+			// The magic, then uvarint 2.
+			return os.WriteFile(path, append(append(header, '\n'), "SPQLIX\x02"...), 0o644)
+		},
 		"truncated": func(path string) error {
 			st, err := os.Stat(path)
 			if err != nil {
@@ -103,9 +113,15 @@ func TestIndexCacheCorrupt(t *testing.T) {
 			if err := corrupt(path); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := readIndexCache(path, cfg); err == nil {
+				t.Fatal("corrupted cache loads")
+			}
 			mustLoad(t, path, cfg, ix.Total())
 			if got := cachedConfig(t, path); got != cfg {
 				t.Fatalf("rewritten cache names %+v, want %+v", got, cfg)
+			}
+			if _, err := readIndexCache(path, cfg); err != nil {
+				t.Fatalf("rewritten cache does not load: %v", err)
 			}
 		})
 	}

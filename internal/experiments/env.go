@@ -31,7 +31,7 @@ type Scale string
 const (
 	// ScaleTest keeps everything tiny for unit tests (seconds).
 	ScaleTest Scale = "test"
-	// ScaleDefault is the harness default (~0.45M structures, full corpus
+	// ScaleDefault is the harness default (516,705 structures, full corpus
 	// sizes; minutes).
 	ScaleDefault Scale = "default"
 	// ScalePaper pushes the structure corpus to the paper's order of

@@ -60,9 +60,9 @@ func TestScale() GenConfig {
 	}
 }
 
-// DefaultScale is the configuration the experiment harness uses: a few
-// hundred thousand structures (≈0.4M), enough to exhibit the paper's
-// latency/accuracy behaviour while building in seconds.
+// DefaultScale is the configuration the experiment harness uses: 516,705
+// structures, enough to exhibit the paper's latency/accuracy behaviour
+// while building in seconds.
 func DefaultScale() GenConfig {
 	return GenConfig{
 		MaxTokens:      40,

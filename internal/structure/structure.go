@@ -102,28 +102,17 @@ type Result struct {
 
 // Determine returns the best structure for a raw ASR transcript.
 func (c *Component) Determine(transcript string) Result {
-	return c.DetermineContext(context.Background(), transcript)
-}
-
-// DetermineContext is Determine with cancellation (see
-// DetermineTopKContext).
-func (c *Component) DetermineContext(ctx context.Context, transcript string) Result {
-	rs := c.DetermineTopKContext(ctx, transcript, 1)
+	rs := c.DetermineTopKContext(context.Background(), transcript, 1)
 	if len(rs) == 0 {
 		return Result{}
 	}
 	return rs[0]
 }
 
-// DetermineTopK returns the k best structures, closest first.
-func (c *Component) DetermineTopK(transcript string, k int) []Result {
-	return c.DetermineTopKContext(context.Background(), transcript, k)
-}
-
-// DetermineTopKContext is DetermineTopK under a context: the trie search
-// checks ctx at partition boundaries, so an expired deadline returns the
-// best structures found so far (possibly none) rather than completing the
-// sweep.
+// DetermineTopKContext returns the k best structures, closest first. The
+// trie search checks ctx at partition boundaries, so an expired deadline
+// returns the best structures found so far (possibly none) rather than
+// completing the sweep.
 func (c *Component) DetermineTopKContext(ctx context.Context, transcript string, k int) []Result {
 	rs, _ := c.DetermineTopKErr(ctx, transcript, k)
 	return rs

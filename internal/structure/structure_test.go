@@ -1,6 +1,7 @@
 package structure
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -96,7 +97,7 @@ func TestDetermineAvgLiteralNote(t *testing.T) {
 }
 
 func TestDetermineTopK(t *testing.T) {
-	rs := comp(t).DetermineTopK("select name from employees where id equals 5", 5)
+	rs := comp(t).DetermineTopKContext(context.Background(), "select name from employees where id equals 5", 5)
 	if len(rs) != 5 {
 		t.Fatalf("got %d results", len(rs))
 	}

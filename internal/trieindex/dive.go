@@ -81,7 +81,7 @@ func (s *searcher) diveLen(n int) {
 	if n < 1 || n > s.ix.maxLen || s.ix.tries[n] == nil {
 		return
 	}
-	ft := s.ix.tries[n].flat
+	tr := s.ix.tries[n]
 	root := s.popColumn()
 	s.rootColumn(root)
 	cur := append(s.beamCur[:0], beamNode{col: root})
@@ -89,17 +89,15 @@ func (s *searcher) diveLen(n int) {
 	for depth := 0; depth < n && len(cur) > 0; depth++ {
 		rem := n - depth - 1 // structure tokens below each child
 		for _, p := range cur {
-			for ci := ft.first[p.ni]; ci < ft.first[p.ni]+ft.num[p.ni]; ci++ {
+			for ci := tr.first[p.ni]; ci < tr.first[p.ni+1]; ci++ {
 				col := s.popColumn()
-				bound := s.stepInto(p.col, col, ft.tok[ci], rem)
+				bound := s.stepInto(p.col, col, tr.tok[ci], rem)
 				s.st.DiveSteps++
 				if rem > 0 {
 					next = s.keepBeam(next, beamNode{ni: ci, bound: bound, col: col})
 					continue
 				}
-				if ft.leaf[ci] {
-					s.recordLeaf(col[len(col)-1])
-				}
+				s.recordLeaf(col[len(col)-1])
 				s.diveFree = append(s.diveFree, col)
 			}
 		}

@@ -50,7 +50,9 @@ func (ix *Index) diveSeed(maskOut []string, k int, opts Options) int32 {
 // return a fresh index's answer.
 //
 // tiny: with fewer structures than k the dive cannot hold k leaves, so the
-// seed is unbounded and the search returns every structure.
+// seed is unbounded and the search returns every structure; with k equal
+// to the structure count the beam holds the whole trie, records every
+// leaf, and the seed is the true k-th best.
 func TestDiveSeed(t *testing.T) {
 	ix, roots := buildWithPointers(t, grammar.TestScale(), true)
 	t.Run("sound", func(t *testing.T) {
@@ -119,5 +121,8 @@ func TestDiveSeed(t *testing.T) {
 			t.Fatalf("2 structures, k=5: %d results", len(got))
 		}
 		sameResults(t, "tiny", got, want)
+		if seed := float64(tiny.diveSeed(q, 2, Options{})) / sqltoken.CostScale; seed != want[1].Distance {
+			t.Fatalf("2 structures, k=2: seed %v, want the second-best distance %v", seed, want[1].Distance)
+		}
 	})
 }

@@ -10,17 +10,17 @@ import (
 
 // smallIndexBytes serializes a tiny index in the current format and in the
 // retired version 1, for seeds, mutation bases, and rejection cases.
-func smallIndexBytes(t testing.TB) (v2, v1 []byte) {
+func smallIndexBytes(t testing.TB) (cur, v1 []byte) {
 	t.Helper()
 	ix := indexOf(8, "SELECT x FROM x", "SELECT x FROM x WHERE x = x", "SELECT MAX ( x ) FROM x")
-	var b2, b1 bytes.Buffer
-	if err := ix.Save(&b2); err != nil {
+	var bc, b1 bytes.Buffer
+	if err := ix.Save(&bc); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.saveV1(&b1); err != nil {
 		t.Fatal(err)
 	}
-	return b2.Bytes(), b1.Bytes()
+	return bc.Bytes(), b1.Bytes()
 }
 
 // uv renders a uvarint (hand-building hostile headers).
@@ -33,10 +33,12 @@ func uv(v uint64) []byte {
 // corrupted index file can tell: counts that would size multi-gigabyte
 // allocations from a few bytes of input, structure lengths past the trie
 // table, token ids past the dictionary, child ranges that do not tile the
-// arena. Every one must error after bounded work — never panic, never
-// allocate in proportion to the lie.
+// arena, structures of the wrong length, and dictionaries the interner
+// cannot number one to one. Every one must error after bounded work — never
+// panic, never allocate in proportion to the lie — and where a case names
+// a check, it must fail on that check.
 func TestReadIndexRejectsHostileInput(t *testing.T) {
-	v2, v1 := smallIndexBytes(t)
+	cur, v1 := smallIndexBytes(t)
 
 	head := func(parts ...[]byte) []byte {
 		out := []byte(persistMagic)
@@ -45,8 +47,25 @@ func TestReadIndexRejectsHostileInput(t *testing.T) {
 		}
 		return out
 	}
-	// A minimal valid prefix: v2, maxLen 8, dict ["a"], total 1, 1 trie.
+	v := uv(persistVersion)
+	// A minimal valid prefix: maxLen 8, dict ["a"], total 1, 1 trie.
 	dictA := append(uv(1), append(uv(1), 'a')...)
+	// dictFile is a complete file over dict holding one structure, the
+	// one-token structure of token id tok, so a rejection of it is a
+	// rejection of its dictionary.
+	dictFile := func(tok uint64, dict ...string) []byte {
+		parts := [][]byte{v, uv(8), uv(uint64(len(dict)))}
+		for _, s := range dict {
+			parts = append(parts, uv(uint64(len(s))), []byte(s))
+		}
+		// total 1; one trie: length 1, 1 structure, 2 nodes, child counts
+		// 1 and 0, and the leaf's token.
+		return head(append(parts, uv(1), uv(1), uv(1), uv(1), uv(2), uv(1), uv(0), uv(tok))...)
+	}
+	var distinct []string // 65,536 entries
+	for i := range 1 << 16 {
+		distinct = append(distinct, fmt.Sprintf("t%d", i))
+	}
 
 	cases := map[string][]byte{
 		"empty":       {},
@@ -54,96 +73,130 @@ func TestReadIndexRejectsHostileInput(t *testing.T) {
 		"bad version": head(uv(99)),
 		// maxLen 2^40: would size the trie table without this byte costing
 		// anything near that.
-		"huge maxLen": head(uv(2), uv(1<<40)),
-		"zero maxLen": head(uv(2), uv(0)),
+		"huge maxLen": head(v, uv(1<<40)),
+		"zero maxLen": head(v, uv(0)),
 		// 2^40 dictionary entries with no strings behind them.
-		"huge dict": head(uv(2), uv(8), uv(1<<40)),
+		"huge dict": head(v, uv(8), uv(1<<40)),
 		// More tokens than tokenID can number (silent uint16 wrap).
-		"dict wraps tokenID": head(uv(2), uv(8), uv(1<<17)),
+		"dict wraps tokenID": head(v, uv(8), uv(1<<17)),
+		// Interning folds the repeated "a", so token id 1 passes the id <
+		// entries check and lies past the interner and the per-id tables.
+		"repeated dictionary entry": dictFile(1, "a", "a"),
+		// The last entry would get id 0xFFFF, unknownID, and match every
+		// query token outside the dictionary.
+		"dict reaches unknownID": dictFile(0, distinct...),
 		// Arena claiming 2^30 nodes backed by nothing.
-		"huge arena": head(uv(2), uv(8), dictA, uv(1), uv(1), uv(3), uv(1), uv(1<<30)),
+		"huge arena": head(v, uv(8), dictA, uv(1), uv(1), uv(3), uv(1), uv(1<<30)),
 		// Structure count exceeding the node count.
-		"count > nodes": head(uv(2), uv(8), dictA, uv(1), uv(1), uv(3), uv(9), uv(2)),
+		"count > nodes": head(v, uv(8), dictA, uv(1), uv(1), uv(3), uv(9), uv(2)),
 		// Child count larger than the arena (would wrap int32 if unchecked).
-		"child count wraps": head(uv(2), uv(8), dictA, uv(1), uv(1), uv(3), uv(1), uv(2), uv(1<<33)),
+		"child count wraps": head(v, uv(8), dictA, uv(1), uv(1), uv(3), uv(1), uv(2), uv(1<<33)),
 		// Trie length outside [1, maxLen].
-		"trie length range": head(uv(2), uv(8), dictA, uv(1), uv(1), uv(99), uv(1), uv(2)),
+		"trie length range": head(v, uv(8), dictA, uv(1), uv(1), uv(99), uv(1), uv(2)),
 		// Token id past the dictionary.
-		"token id range": head(uv(2), uv(8), dictA, uv(1), uv(1), uv(2),
+		"token id range": head(v, uv(8), dictA, uv(1), uv(1), uv(1),
 			uv(1), uv(2), uv(1), uv(0), uv(7)),
-		// A path deeper than its trie's length: node 2 of the length-1 trie
-		// sits at depth 2.
-		"path past length": head(uv(2), uv(8), dictA, uv(1), uv(1), uv(1),
-			uv(1), uv(3), uv(1), uv(1), uv(0), uv(0), uv(0), []byte{1 << 2}),
-		// A leaf short of its trie's length: node 1 of the length-2 trie.
-		"leaf short of length": head(uv(2), uv(8), dictA, uv(1), uv(1), uv(2),
-			uv(1), uv(2), uv(1), uv(0), uv(0), []byte{1 << 1}),
+		// Node 1 of the length-2 trie is its own child: the child counts
+		// tile the arena, but node 1's range starts at node 1.
+		"children before parent": head(v, uv(8), dictA, uv(1), uv(1), uv(2),
+			uv(1), uv(2), uv(0), uv(1), uv(0)),
+		// A path deeper than its trie's length: node 1 of the length-1 trie
+		// has a child at depth 2.
+		"path past length": head(v, uv(8), dictA, uv(1), uv(1), uv(1),
+			uv(1), uv(3), uv(1), uv(1), uv(0), uv(0), uv(0)),
+		// A structure short of its trie's length: the length-2 trie's one
+		// path ends at depth 1, so no node lies at depth 2.
+		"leaf short of length": head(v, uv(8), dictA, uv(1), uv(1), uv(2),
+			uv(1), uv(2), uv(1), uv(0), uv(0)),
 	}
-	for i := 1; i < len(v2); i += 11 {
-		cases["v2 truncated@"+string(rune('a'+i%26))] = v2[:i]
+	// The check each of these cases must fail on.
+	wantErr := map[string]string{
+		"repeated dictionary entry": "entry 1 repeats entry 0",
+		"dict reaches unknownID":    "dictionary size 65536",
+		"token id range":            "token id 7",
+		"children before parent":    "node 1's children come before it",
+		"path past length":          "node 1 at depth 1 has children",
+		"leaf short of length":      "0 nodes at depth 2, header says 1",
+	}
+	for i := 1; i < len(cur); i += 11 {
+		cases["truncated@"+string(rune('a'+i%26))] = cur[:i]
 	}
 	for i := 1; i < len(v1); i += 11 {
 		cases["v1 truncated@"+string(rune('a'+i%26))] = v1[:i]
 	}
 	for name, data := range cases {
-		for _, keepINV := range []bool{false, true} {
-			if _, err := ReadIndex(bytes.NewReader(data), keepINV); err == nil {
-				t.Errorf("%s (keepINV=%v): hostile input accepted", name, keepINV)
-			}
+		_, err := ReadIndex(bytes.NewReader(data))
+		if err == nil {
+			t.Errorf("%s: hostile input accepted", name)
+		} else if !strings.Contains(err.Error(), wantErr[name]) {
+			t.Errorf("%s: err = %v, want %q", name, err, wantErr[name])
 		}
 	}
-	// Version 1 is retired: a well-formed v1 file, a bare v1 header, and the
-	// v1 bodies its loader used to bound are all refused on the version alone.
+	// The dictionary cases differ from accepted files only in their
+	// dictionary.
+	for name, data := range map[string][]byte{
+		"distinct entries": dictFile(1, "a", "b"),
+		"65,535 entries":   dictFile(1<<16-2, distinct[:1<<16-1]...),
+	} {
+		if _, err := ReadIndex(bytes.NewReader(data)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	// Versions 1 and 2 are retired: a well-formed v1 file, bare v1 and v2
+	// headers, and the v1 bodies its loader used to bound are all refused
+	// on the version alone.
 	for name, data := range map[string][]byte{
 		"v1 file":               v1,
 		"v1 header":             head(uv(1)),
 		"v1 structure too long": head(uv(1), uv(4), dictA, uv(1), uv(9)),
 		"v1 zero-length":        head(uv(1), uv(4), dictA, uv(1), uv(0)),
+		"v2 header":             head(uv(2)),
 	} {
-		for _, keepINV := range []bool{false, true} {
-			_, err := ReadIndex(bytes.NewReader(data), keepINV)
-			if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-				t.Errorf("%s (keepINV=%v): err = %v, want unsupported version 1", name, keepINV, err)
-			}
+		// The version is the byte after the magic.
+		want := fmt.Sprintf("unsupported version %d", data[len(persistMagic)])
+		if _, err := ReadIndex(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %s", name, err, want)
 		}
 	}
 }
 
 // FuzzReadIndex asserts ReadIndex never panics and never over-allocates on
 // arbitrary input — the seeds include a retired version-1 file, which must
-// be rejected — for both keepINV settings, and that anything accepted is an
-// index whose arenas tile correctly (re-saving it must succeed and
-// round-trip).
+// be rejected — and that anything accepted is an index whose arenas tile
+// correctly (re-saving it must succeed and round-trip) and that can be
+// searched: one SearchTopK whose k exceeds the structure count, so the
+// sweep visits every node, must return every structure.
 func FuzzReadIndex(f *testing.F) {
-	v2, v1 := smallIndexBytes(f)
-	f.Add(v2)
+	cur, v1 := smallIndexBytes(f)
+	f.Add(cur)
 	f.Add(v1)
 	f.Add([]byte(persistMagic))
-	f.Add(v2[:len(v2)/2])
+	f.Add(cur[:len(cur)/2])
 	f.Add(v1[:len(v1)/2])
 	// A couple of single-byte mutants to seed the header paths.
-	for _, i := range []int{7, 9, len(v2) - 1} {
-		m := append([]byte(nil), v2...)
+	for _, i := range []int{7, 9, len(cur) - 1} {
+		m := append([]byte(nil), cur...)
 		m[i] ^= 0xff
 		f.Add(m)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, keepINV := range []bool{false, true} {
-			ix, err := ReadIndex(bytes.NewReader(data), keepINV)
-			if err != nil {
-				continue
-			}
-			var buf bytes.Buffer
-			if err := ix.Save(&buf); err != nil {
-				t.Fatalf("accepted index cannot re-save: %v", err)
-			}
-			back, err := ReadIndex(bytes.NewReader(buf.Bytes()), keepINV)
-			if err != nil {
-				t.Fatalf("re-saved index rejected: %v", err)
-			}
-			if back.Total() != ix.Total() {
-				t.Fatalf("re-save changed totals: %d vs %d", back.Total(), ix.Total())
-			}
+		ix, err := ReadIndex(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			t.Fatalf("accepted index cannot re-save: %v", err)
+		}
+		back, err := ReadIndex(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-saved index rejected: %v", err)
+		}
+		if back.Total() != ix.Total() {
+			t.Fatalf("re-save changed totals: %d vs %d", back.Total(), ix.Total())
+		}
+		if rs, _ := ix.SearchTopK(ix.in.strs, ix.Total()+1, Options{}); len(rs) != ix.Total() {
+			t.Fatalf("search returned %d of %d structures", len(rs), ix.Total())
 		}
 	})
 }

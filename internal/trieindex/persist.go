@@ -11,32 +11,35 @@ import (
 // deployment builds the index once and serves it. Save/ReadIndex persist
 // the index in a compact binary format.
 //
-// Version 2 serializes the arenas directly — per trie the num[]
-// (child-count) array, the tok[] array, and a leaf bitmap. Because the
-// arena layout is breadth-first, first[] is exactly the running prefix sum
-// of num[] and is derived on load, so cold-start is a few bulk array reads
-// per trie with no pointer-trie reconstruction and no re-insertion. It is
-// the only version read: version 1 (each structure as a token-id path),
-// written only by the earliest releases, is rejected like any other
-// unknown version.
+// Version 3 serializes the arenas directly — per trie its length, its
+// structure count, its node count, each node's child count, and tok[1:].
+// Because the arena layout is breadth-first, first[] is the running prefix
+// sum of the child counts, and one pass over the counts also derives each
+// node's depth (readArena); a leaf is a node at depth length, so no leaf
+// flag is stored. Cold-start is a few bulk array reads per trie with no
+// pointer-trie reconstruction and no re-insertion. The inverted lists are
+// not stored, so a loaded index answers an INV search with the trie
+// search. It is the only version read: version 1 (each structure as a
+// token-id path) and version 2 (which also stored a leaf bitmap) are
+// rejected like any other unknown version.
 
 const (
 	persistMagic   = "SPQLIX"
-	persistVersion = 2
+	persistVersion = 3
 
 	// Hostile-input ceilings. A persisted header is untrusted until proven
 	// otherwise: every count is bounded before it sizes an allocation, and
 	// variable-length sections are read with append-grow slices so memory
 	// consumed tracks bytes actually present in the input, not bytes a
 	// forged header promises.
-	maxPersistLen    = 1 << 16 // longest structure any sane corpus holds
-	maxPersistTokens = 1 << 16 // tokenID is uint16; more would wrap intern
-	maxPersistNodes  = 1 << 28 // per-trie arena nodes (int32 offsets)
-	persistPrealloc  = 1 << 12 // cap on header-trusting preallocation
+	maxPersistLen    = 1 << 16   // longest structure any sane corpus holds
+	maxPersistTokens = 1<<16 - 1 // tokenID is uint16, and 0xFFFF is unknownID
+	maxPersistNodes  = 1 << 28   // per-trie arena nodes (int32 offsets)
+	persistPrealloc  = 1 << 12   // cap on header-trusting preallocation
 )
 
-// Save serializes the index in the arena format. The INV flag is not
-// persisted — the loader chooses whether to rebuild the inverted lists.
+// Save serializes the index in the arena format. The inverted lists are not
+// persisted.
 func (ix *Index) Save(w io.Writer) (err error) {
 	bw := bufio.NewWriter(w)
 	defer func() {
@@ -85,12 +88,11 @@ func (ix *Index) Save(w io.Writer) (err error) {
 	return nil
 }
 
-// writeArena emits one trie: its length, structure count, node
-// count, num[] and tok[] arrays, and the leaf bitmap. first[] is implied by
-// the BFS layout and not stored.
+// writeArena emits one trie: its length, structure count, node count, each
+// node's child count, and tok[1:]. first[] is implied by the BFS layout and
+// not stored.
 func writeArena(w *bufio.Writer, length int, tr *trie) error {
-	ft := tr.flat
-	n := len(ft.tok) // includes the root at index 0
+	n := len(tr.tok) // includes the root at index 0
 	if err := writeUvarint(w, uint64(length)); err != nil {
 		return err
 	}
@@ -100,29 +102,23 @@ func writeArena(w *bufio.Writer, length int, tr *trie) error {
 	if err := writeUvarint(w, uint64(n)); err != nil {
 		return err
 	}
-	for _, c := range ft.num {
-		if err := writeUvarint(w, uint64(c)); err != nil {
+	for i := range n {
+		if err := writeUvarint(w, uint64(tr.first[i+1]-tr.first[i])); err != nil {
 			return err
 		}
 	}
-	for _, id := range ft.tok[1:] { // root's tok is unused
+	for _, id := range tr.tok[1:] { // root's tok is unused
 		if err := writeUvarint(w, uint64(id)); err != nil {
 			return err
 		}
 	}
-	bitmap := make([]byte, (n+7)/8)
-	for i, l := range ft.leaf {
-		if l {
-			bitmap[i/8] |= 1 << (i % 8)
-		}
-	}
-	_, err := w.Write(bitmap)
-	return err
+	return nil
 }
 
-// ReadIndex loads an index persisted by Save (the version 2 arena format).
-// keepINV rebuilds the inverted lists for the INV search path.
-func ReadIndex(r io.Reader, keepINV bool) (*Index, error) {
+// ReadIndex loads an index persisted by Save (the version 3 arena format).
+// The index has no inverted lists: an INV search on it takes the trie
+// search.
+func ReadIndex(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(persistMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -152,25 +148,26 @@ func ReadIndex(r io.Reader, keepINV bool) (*Index, error) {
 	if nTokens > maxPersistTokens {
 		return nil, fmt.Errorf("trieindex: token dictionary size %d out of range", nTokens)
 	}
-	// Append-grow: each dictionary entry costs at least one input byte (its
-	// length varint), so growth is paid for by bytes actually read.
-	dict := make([]string, 0, min(nTokens, persistPrealloc))
+	// Intern the dictionary in file order so persisted token ids stay
+	// valid, then bulk-read each trie. Each entry costs at least one input
+	// byte (its length varint), so the interner grows only with bytes
+	// actually read. A repeated entry would fold into its first id and
+	// leave the ids after it past the interner and the per-id tables.
+	ix := newIndex(int(maxLen))
 	for i := uint64(0); i < nTokens; i++ {
 		s, err := readString(br)
 		if err != nil {
 			return nil, err
 		}
-		dict = append(dict, s)
+		id := ix.in.intern(s)
+		if uint64(id) != i {
+			return nil, fmt.Errorf("trieindex: dictionary entry %d repeats entry %d", i, id)
+		}
+		ix.bindToken(id, s)
 	}
 	total, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
-	}
-	// Intern the dictionary up front so persisted token ids stay valid,
-	// then bulk-read each trie.
-	ix := newIndex(int(maxLen))
-	for _, s := range dict {
-		ix.bindToken(ix.in.intern(s), s)
 	}
 	nTries, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -184,25 +181,18 @@ func ReadIndex(r io.Reader, keepINV bool) (*Index, error) {
 	if uint64(ix.total) != total {
 		return nil, fmt.Errorf("trieindex: structure count mismatch: header %d, tries %d", total, ix.total)
 	}
-	if keepINV {
-		// Rebuild the inverted lists by walking the arenas in trie order
-		// (increasing length, then depth-first).
-		path := make([]tokenID, 0, ix.maxLen)
-		for _, tr := range ix.tries {
-			if tr == nil {
-				continue
-			}
-			tr.flat.walkLeaves(&path, func(p []tokenID) {
-				ix.recordInv(append([]tokenID(nil), p...))
-			})
-		}
-		ix.sortInv()
-	}
 	return ix, nil
 }
 
-// readArena loads one trie's arena, deriving first[] from the prefix sum of
-// num[] and validating the structural invariants the BFS layout guarantees.
+// readArena loads one trie's arena. The search kernel's node bound counts
+// the tokens below a node as the trie's length minus its depth, and it
+// offers a node as a leaf when its depth is the length, so an accepted
+// trie must hold structures of exactly that length. One pass over the
+// child counts derives first[] (their prefix sum) and each node's depth
+// (the BFS layout puts each depth in one contiguous run, whose children
+// make the next run), and checks that children come after their parent,
+// that no node at depth length has children, and that the nodes at depth
+// length number the header's structures.
 func readArena(br *bufio.Reader, ix *Index, nTokens uint64) error {
 	length, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -228,14 +218,15 @@ func readArena(br *bufio.Reader, ix *Index, nTokens uint64) error {
 	if count > n {
 		return fmt.Errorf("structure count %d exceeds %d nodes", count, n)
 	}
-	// Read the child counts with append-grow slices before sizing anything
-	// else by n: each count costs at least one input byte, so a header lying
-	// about n cannot make us allocate more than the input's own size until
-	// the input has actually delivered n varints.
-	num := make([]int32, 0, min(n, persistPrealloc))
-	first := make([]int32, 0, min(n, persistPrealloc))
-	next := int32(1)
-	for i := uint64(0); i < n; i++ {
+	// Read the child counts into an append-grow slice before sizing
+	// anything else by n: each count costs at least one input byte, so a
+	// header lying about n cannot make us allocate more than the input's
+	// own size until the input has actually delivered n varints.
+	first := make([]int32, 0, min(n, persistPrealloc)+1)
+	next := int32(1)                       // first[i] for the node being read
+	depth, levelEnd := uint64(0), int32(1) // node i's depth; end of its run
+	leaves := uint64(0)
+	for i := int32(0); uint64(i) < n; i++ {
 		c, err := binary.ReadUvarint(br)
 		if err != nil {
 			return err
@@ -243,8 +234,20 @@ func readArena(br *bufio.Reader, ix *Index, nTokens uint64) error {
 		if c > n {
 			return fmt.Errorf("child count %d exceeds %d nodes", c, n)
 		}
+		if i == levelEnd { // node i opens the next depth: the last depth's children
+			depth++
+			levelEnd = next
+		}
+		if depth == length {
+			leaves++
+			if c > 0 {
+				return fmt.Errorf("node %d at depth %d has children in the length-%d trie", i, depth, length)
+			}
+		}
+		if c > 0 && next <= i {
+			return fmt.Errorf("node %d's children come before it", i)
+		}
 		first = append(first, next)
-		num = append(num, int32(c))
 		next += int32(c)
 		if next < 0 || uint64(next) > n {
 			return fmt.Errorf("child ranges overflow arena (%d > %d)", next, n)
@@ -253,12 +256,10 @@ func readArena(br *bufio.Reader, ix *Index, nTokens uint64) error {
 	if uint64(next) != n {
 		return fmt.Errorf("child ranges cover %d of %d nodes", next, n)
 	}
-	ft := &flatTrie{
-		tok:   make([]tokenID, n),
-		leaf:  make([]bool, n),
-		first: first,
-		num:   num,
+	if leaves != count {
+		return fmt.Errorf("%d nodes at depth %d, header says %d structures", leaves, length, count)
 	}
+	tr := &trie{tok: make([]tokenID, n), first: append(first, next), count: int(count)}
 	for i := uint64(1); i < n; i++ {
 		id, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -267,43 +268,9 @@ func readArena(br *bufio.Reader, ix *Index, nTokens uint64) error {
 		if id >= nTokens {
 			return fmt.Errorf("token id %d out of range", id)
 		}
-		ft.tok[i] = tokenID(id)
+		tr.tok[i] = tokenID(id)
 	}
-	bitmap := make([]byte, (n+7)/8)
-	if _, err := io.ReadFull(br, bitmap); err != nil {
-		return err
-	}
-	leaves := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		if bitmap[i/8]&(1<<(i%8)) != 0 {
-			ft.leaf[i] = true
-			leaves++
-		}
-	}
-	if leaves != count {
-		return fmt.Errorf("leaf bitmap has %d leaves, header says %d", leaves, count)
-	}
-	// The search kernel's node bound counts the tokens below a node as the
-	// trie's length minus its depth, so an accepted trie must hold
-	// structures of exactly that length: children come after their parent
-	// (the BFS layout), no node lies deeper than length, and every leaf
-	// lies at depth length.
-	depth := make([]int32, n)
-	for i := int32(0); i < int32(n); i++ {
-		if ft.leaf[i] && depth[i] != int32(length) {
-			return fmt.Errorf("leaf %d at depth %d in the length-%d trie", i, depth[i], length)
-		}
-		if num[i] == 0 {
-			continue
-		}
-		if first[i] <= i || depth[i] == int32(length) {
-			return fmt.Errorf("node %d has children out of place in the length-%d trie", i, length)
-		}
-		for c := first[i]; c < first[i]+num[i]; c++ {
-			depth[c] = depth[i] + 1
-		}
-	}
-	ix.tries[length] = &trie{flat: ft, count: int(count)}
+	ix.tries[length] = tr
 	ix.total += int(count)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	t.Logf("serialized %d structures in %d bytes (%.1f B/structure)",
 		ix.Total(), buf.Len(), float64(buf.Len())/float64(ix.Total()))
 
-	back, err := ReadIndex(&buf, false)
+	back, err := ReadIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	if back.NumTries() != ix.NumTries() {
 		t.Fatalf("tries differ: %d vs %d", back.NumTries(), ix.NumTries())
 	}
-	// Searches agree exactly.
+	// Searches agree exactly. The loaded index has no inverted lists, so an
+	// INV search on it is the trie search.
 	queries := [][]string{
 		strings.Fields("SELECT x FROM x x x = x"),
 		strings.Fields("SELECT AVG ( x ) FROM x"),
@@ -83,44 +85,26 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	for _, q := range queries {
 		a, _ := ix.Search(q, Options{})
-		b, _ := back.Search(q, Options{})
-		if a.Distance != b.Distance ||
-			strings.Join(a.Tokens, " ") != strings.Join(b.Tokens, " ") {
-			t.Fatalf("search disagrees after round trip for %v:\n  %v (%.2f)\n  %v (%.2f)",
-				q, a.Tokens, a.Distance, b.Tokens, b.Distance)
+		for _, opts := range []Options{{}, {INV: true}} {
+			b, st := back.Search(q, opts)
+			if st.UsedINV || a.Distance != b.Distance ||
+				strings.Join(a.Tokens, " ") != strings.Join(b.Tokens, " ") {
+				t.Fatalf("search %+v disagrees after round trip for %v:\n  %v (%.2f)\n  %v (%.2f, INV used %v)",
+					opts, q, a.Tokens, a.Distance, b.Tokens, b.Distance, st.UsedINV)
+			}
 		}
 	}
 }
 
-func TestPersistKeepINV(t *testing.T) {
-	ix := buildIndex(t, grammar.TestScale(), true)
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadIndex(&buf, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := strings.Fields("SELECT x FROM x WHERE x BETWEEN x AND x")
-	res, st := back.Search(q, Options{INV: true})
-	if !st.UsedINV {
-		t.Error("INV not usable on reloaded index")
-	}
-	if res.Distance != 0 {
-		t.Errorf("reloaded INV search distance = %v", res.Distance)
-	}
-}
-
-// The arena round trip must reproduce the arenas bit for bit — same node
-// counts, tokens, child ranges, and leaf flags per trie.
+// The arena round trip must reproduce the arenas bit for bit — same
+// tokens, child offsets, and structure count per trie.
 func TestPersistArenaRoundTripExact(t *testing.T) {
 	ix := buildIndex(t, grammar.TestScale(), false)
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadIndex(&buf, false)
+	back, err := ReadIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,15 +119,11 @@ func TestPersistArenaRoundTripExact(t *testing.T) {
 		if tr == nil {
 			continue
 		}
-		a, b := tr.flat, btr.flat
-		if len(a.tok) != len(b.tok) {
-			t.Fatalf("length %d: node count %d vs %d", length, len(a.tok), len(b.tok))
+		if !slices.Equal(tr.tok, btr.tok) {
+			t.Fatalf("length %d: tokens differ", length)
 		}
-		for i := range a.tok {
-			if i > 0 && a.tok[i] != b.tok[i] || a.leaf[i] != b.leaf[i] ||
-				a.first[i] != b.first[i] || a.num[i] != b.num[i] {
-				t.Fatalf("length %d: node %d differs", length, i)
-			}
+		if !slices.Equal(tr.first, btr.first) {
+			t.Fatalf("length %d: child offsets differ", length)
 		}
 		if tr.count != btr.count {
 			t.Fatalf("length %d: counts differ", length)
@@ -164,10 +144,10 @@ func TestPersistArenaRoundTripExact(t *testing.T) {
 }
 
 func TestReadIndexErrors(t *testing.T) {
-	if _, err := ReadIndex(strings.NewReader(""), false); err == nil {
+	if _, err := ReadIndex(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := ReadIndex(strings.NewReader("NOTANINDEXFILE"), false); err == nil {
+	if _, err := ReadIndex(strings.NewReader("NOTANINDEXFILE")); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// Truncated payload.
@@ -175,7 +155,7 @@ func TestReadIndexErrors(t *testing.T) {
 	if err := indexOf(10, "SELECT x FROM x").Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadIndex(bytes.NewReader(buf.Bytes()[:buf.Len()-3]), false); err == nil {
+	if _, err := ReadIndex(bytes.NewReader(buf.Bytes()[:buf.Len()-3])); err == nil {
 		t.Error("truncated index accepted")
 	}
 }

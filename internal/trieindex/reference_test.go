@@ -195,9 +195,25 @@ func pointerStats(n *node) LengthStats {
 // slice is scratch; copy to retain.
 func (ix *Index) forEachStructure(fn func(path []tokenID)) {
 	path := make([]tokenID, 0, ix.maxLen)
-	for _, tr := range ix.tries {
+	for n, tr := range ix.tries {
 		if tr != nil {
-			tr.flat.walkLeaves(&path, fn)
+			tr.walkLeaves(0, n, &path, fn)
 		}
+	}
+}
+
+// walkLeaves calls fn with the root→leaf path of every structure below
+// node ni of tr, the length-n trie, in depth-first order; *path holds the
+// root→ni path on entry, so a node is a leaf when the path reaches n
+// tokens. The path slice is reused between calls; fn must copy it to
+// retain it.
+func (tr *trie) walkLeaves(ni int32, n int, path *[]tokenID, fn func(path []tokenID)) {
+	for ci := tr.first[ni]; ci < tr.first[ni+1]; ci++ {
+		*path = append(*path, tr.tok[ci])
+		if len(*path) == n {
+			fn(*path)
+		}
+		tr.walkLeaves(ci, n, path, fn)
+		*path = (*path)[:len(*path)-1]
 	}
 }

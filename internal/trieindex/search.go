@@ -29,13 +29,7 @@ type Stats struct {
 // Search returns the closest structure to maskOut (ties broken by
 // enumeration order). It is Box 2's algorithm with k=1.
 func (ix *Index) Search(maskOut []string, opts Options) (Result, Stats) {
-	return ix.SearchContext(context.Background(), maskOut, opts)
-}
-
-// SearchContext is Search with cancellation: ctx is checked at partition
-// boundaries, and a cancelled search returns the best result found so far.
-func (ix *Index) SearchContext(ctx context.Context, maskOut []string, opts Options) (Result, Stats) {
-	rs, st := ix.SearchTopKContext(ctx, maskOut, 1, opts)
+	rs, st := ix.SearchTopKContext(context.Background(), maskOut, 1, opts)
 	if len(rs) == 0 {
 		return Result{}, st
 	}
@@ -374,7 +368,7 @@ func (s *searcher) searchLen(n int) {
 	s.rootColumn(col)
 	s.path = s.path[:0]
 	s.n = n
-	s.descendFlat(tr.flat, 0, col, 0)
+	s.descendFlat(tr, 0, col, 0)
 }
 
 // rootColumn fills the DP column at a trie root: dp[i][0] = cost of

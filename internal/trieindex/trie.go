@@ -84,8 +84,13 @@ func (n *node) insertChild(tok tokenID) *node {
 }
 
 // trie holds all structures of one token length in arena form (arena.go).
+// Node 0 is the root (its tok entry is unused); node i's children are the
+// index range [first[i], first[i+1]), sorted by token id, so first has one
+// entry more than tok. The leaves are the nodes at depth n, the trie's
+// length.
 type trie struct {
-	flat  *flatTrie
+	tok   []tokenID
+	first []int32
 	count int // number of structures
 }
 
@@ -108,8 +113,9 @@ type Options struct {
 }
 
 // Index is the structure index: one arena trie per structure length plus
-// the optional inverted index. Construct it with a Builder (or ReadIndex);
-// it is immutable afterwards, and Search is safe for concurrent use.
+// the optional inverted index. Construct it with a Builder (or ReadIndex,
+// whose index has no inverted lists); it is immutable afterwards, and
+// Search is safe for concurrent use.
 type Index struct {
 	in      *interner
 	tries   []*trie // indexed by structure length
@@ -195,7 +201,7 @@ func (b *Builder) Build() *Index {
 	ix := b.ix
 	for length, root := range b.roots {
 		if root != nil {
-			ix.tries[length].flat = flatten(root)
+			ix.tries[length].flatten(root)
 			b.roots[length] = nil
 		}
 	}
@@ -233,7 +239,7 @@ func (ix *Index) recordInv(ids []tokenID) {
 }
 
 // sortInv length-sorts the inverted lists, once, before the index is
-// returned (Build, ReadIndex); nothing mutates them afterwards, so
+// returned (Build); nothing mutates them afterwards, so
 // concurrent INV scans need no lock. The INV scan expands outward from the
 // query's length and stops on the Proposition 1 bound, which requires each
 // list to be in non-decreasing length order; the sort is stable, so
@@ -282,7 +288,7 @@ func (ix *Index) Memory() MemoryStats {
 		if t == nil {
 			continue
 		}
-		n := len(t.flat.tok) - 1
+		n := len(t.tok) - 1
 		st.Nodes += n
 		st.PerLength[length] = LengthStats{Structures: t.count, Nodes: n}
 	}

@@ -87,7 +87,7 @@ func bruteTopK(ix *Index, q []string) []Result {
 	var all []Result
 	path := make([]tokenID, 0, ix.maxLen)
 	for _, n := range order {
-		ix.tries[n].flat.walkLeaves(&path, func(p []tokenID) {
+		ix.tries[n].walkLeaves(0, n, &path, func(p []tokenID) {
 			toks := ix.stringsOf(p)
 			all = append(all, Result{Tokens: toks, Distance: metrics.WeightedTokenEditDistance(q, toks)})
 		})

@@ -81,11 +81,11 @@ func CatalogOf(db *sqlengine.Database) *Catalog {
 }
 
 // TestGrammar is the smallest grammar scale preset (Section 3.2's
-// structure generator): ~12k structures, built in milliseconds — the right
-// choice for tests and examples.
+// structure generator): 14,022 structures, built in milliseconds — the
+// right choice for tests and examples.
 func TestGrammar() GrammarConfig { return grammar.TestScale() }
 
-// DefaultGrammar is the experiment-default grammar scale (~0.45M
+// DefaultGrammar is the experiment-default grammar scale (516,705
 // structures).
 func DefaultGrammar() GrammarConfig { return grammar.DefaultScale() }
 
