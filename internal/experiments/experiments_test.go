@@ -172,14 +172,18 @@ func TestFigure15Shapes(t *testing.T) {
 	if def.ExactFrac != noBDB.ExactFrac {
 		t.Errorf("BDB changed accuracy: %.3f vs %.3f", def.ExactFrac, noBDB.ExactFrac)
 	}
-	// BDB saves work (wall time is load-sensitive in tests; node visits
-	// are the deterministic measure behind it).
-	if def.MeanNodes >= noBDB.MeanNodes {
-		t.Errorf("BDB did not save work: %.0f vs %.0f nodes", def.MeanNodes, noBDB.MeanNodes)
+	// BDB saves work (wall time is load-sensitive in tests; sweep nodes
+	// plus dive steps are the deterministic measure behind it).
+	work := func(v AblationVariant) float64 { return v.MeanSweepNodes + v.MeanDiveSteps }
+	if work(def) >= work(noBDB) {
+		t.Errorf("BDB did not save work: %.0f vs %.0f nodes", work(def), work(noBDB))
 	}
 	// DAP visits fewer nodes but is not more accurate than exact search.
-	if dap.MeanNodes >= def.MeanNodes {
-		t.Errorf("DAP not cheaper: %.0f vs default %.0f nodes", dap.MeanNodes, def.MeanNodes)
+	if work(dap) >= work(def) {
+		t.Errorf("DAP not cheaper: %.0f vs default %.0f nodes", work(dap), work(def))
+	}
+	if dap.MeanDiveSteps != 0 {
+		t.Errorf("DAP dove: %.0f steps per query", dap.MeanDiveSteps)
 	}
 	if dap.ExactFrac > def.ExactFrac+1e-9 {
 		t.Errorf("DAP more accurate than exact search?")

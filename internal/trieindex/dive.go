@@ -19,11 +19,12 @@ package trieindex
 import "context"
 
 // beamNode is one beam entry: a trie node, its node bound (Proposition 1 at
-// the node, see stepInto), and its DP column.
+// the node, see stepInto), and its DP column with the column's band.
 type beamNode struct {
-	ni    int32
-	bound int32
-	col   []int32
+	ni     int32
+	bound  int32
+	lo, hi int
+	col    []int32
 }
 
 // dive runs the warm-start beam and sets s.seed to the k-th smallest leaf
@@ -33,13 +34,10 @@ type beamNode struct {
 // gap·W_L is at least the k-th smallest of them: no leaf of a trie at that
 // gap can lower the seed. ctx is checked between tries, as in the sweep.
 func (s *searcher) dive(ctx context.Context) {
-	s.prepareDive()
+	s.diveBest = s.diveBest[:0]
 	m := len(s.q)
 	for g := 0; m-g >= 1 || m+g <= s.ix.maxLen; g++ {
-		if len(s.diveBest) >= s.k && lengthGap(m+g, m) >= s.diveBest[s.k-1] {
-			break
-		}
-		if ctx.Err() != nil {
+		if lengthGap(m+g, m) >= s.diveLimit() || ctx.Err() != nil {
 			break
 		}
 		s.diveLen(m - g)
@@ -47,58 +45,60 @@ func (s *searcher) dive(ctx context.Context) {
 			s.diveLen(m + g)
 		}
 	}
-	s.seed = unbounded
-	if len(s.diveBest) >= s.k {
-		s.seed = s.diveBest[s.k-1]
-	}
+	s.seed = s.diveLimit()
 }
 
-// prepareDive clears the recorded leaves and sizes the beam's DP columns,
-// at least 2k+1 of them, for the current query. Between tries every column
-// is on the free stack, so the stack is their only home.
-func (s *searcher) prepareDive() {
-	s.diveBest = s.diveBest[:0]
-	for len(s.diveFree) < 2*s.k+1 {
-		s.diveFree = append(s.diveFree, nil)
+// diveLimit is the k-th smallest leaf distance the dive has recorded, or
+// unbounded while it holds fewer than k. No leaf at or above it can lower
+// the seed.
+func (s *searcher) diveLimit() int32 {
+	if len(s.diveBest) < s.k {
+		return unbounded
 	}
-	need := len(s.q) + 1
-	for i, col := range s.diveFree {
-		if cap(col) < need {
-			col = make([]int32, need)
-		}
-		s.diveFree[i] = col[:need]
-	}
+	return s.diveBest[s.k-1]
 }
 
 // diveLen runs the beam down the trie of length n, if there is one. Each
 // level steps every child of every beam node and keeps the k children with
 // the lowest node bound; at the last level every child is a leaf, and its
-// distance col[m] is recorded. A level never holds more than k columns and
-// the next one at most k, so with the one being stepped into 2k+1 columns
-// always suffice, and each goes back on the free stack when its node leaves
+// distance col[m] is recorded. Columns are banded at diveLimit, read once
+// per beam node (stepInto), and a child whose node bound reaches it is
+// dropped: no leaf below it can enter the k smallest. Every child below the
+// limit has its full-column bound, and a dropped child could only have
+// taken a beam slot that no child below the limit wanted, so the beam's
+// nodes below the limit, and with them the seed, are those of full
+// columns. Each column goes back on the free stack when its node leaves
 // the beam.
 func (s *searcher) diveLen(n int) {
 	if n < 1 || n > s.ix.maxLen || s.ix.tries[n] == nil {
 		return
 	}
 	tr := s.ix.tries[n]
+	m := len(s.q)
 	root := s.popColumn()
 	s.rootColumn(root)
-	cur := append(s.beamCur[:0], beamNode{col: root})
+	cur := append(s.beamCur[:0], beamNode{hi: m, col: root})
 	next := s.beamNext[:0]
 	for depth := 0; depth < n && len(cur) > 0; depth++ {
 		rem := n - depth - 1 // structure tokens below each child
 		for _, p := range cur {
+			limit := s.diveLimit()
+			fence(p.col, p.lo, p.hi)
 			for ci := tr.first[p.ni]; ci < tr.first[p.ni+1]; ci++ {
 				col := s.popColumn()
-				bound := s.stepInto(p.col, col, tr.tok[ci], rem)
+				bound, lo, hi := s.stepInto(p.col, col, p.lo, p.hi, tr.tok[ci], rem, limit)
 				s.st.DiveSteps++
-				if rem > 0 {
-					next = s.keepBeam(next, beamNode{ni: ci, bound: bound, col: col})
-					continue
+				switch {
+				case bound >= limit:
+					s.diveFree = append(s.diveFree, col)
+				case rem > 0:
+					next = s.keepBeam(next, beamNode{ni: ci, bound: bound, lo: lo, hi: hi, col: col})
+				default:
+					if hi == m {
+						s.recordLeaf(col[m])
+					}
+					s.diveFree = append(s.diveFree, col)
 				}
-				s.recordLeaf(col[len(col)-1])
-				s.diveFree = append(s.diveFree, col)
 			}
 		}
 		for _, p := range cur {
@@ -109,12 +109,21 @@ func (s *searcher) diveLen(n int) {
 	s.beamCur, s.beamNext = cur, next
 }
 
-// popColumn takes a DP column off the beam's free stack.
+// popColumn takes a DP column off the beam's free stack, sized for the
+// current query. The stack grows only when it is empty, so a search holds
+// as many columns as its beam levels do at once, however large k is.
 func (s *searcher) popColumn() []int32 {
+	need := len(s.q) + 1
 	n := len(s.diveFree) - 1
+	if n < 0 {
+		return make([]int32, need)
+	}
 	col := s.diveFree[n]
 	s.diveFree = s.diveFree[:n]
-	return col
+	if cap(col) < need {
+		col = make([]int32, need)
+	}
+	return col[:need]
 }
 
 // keepBeam adds e to the next beam level, which is kept sorted by node

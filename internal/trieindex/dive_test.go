@@ -3,6 +3,8 @@ package trieindex
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -36,13 +38,24 @@ func (ix *Index) diveSeed(maskOut []string, k int, opts Options) int32 {
 	return s.seed
 }
 
+// referenceDiveSeed is diveSeed for the full-column dive of the reference
+// (referenceDive).
+func (ix *Index) referenceDiveSeed(maskOut []string, k int, opts Options) int32 {
+	var st Stats
+	s := ix.getSearcher(maskOut, k, opts, &st)
+	defer ix.putSearcher(s)
+	s.referenceDive()
+	return s.seed
+}
+
 // TestDiveSeed checks the warm start (dive.go) against the sweep it seeds.
 //
 // sound: for the exact, uniform-weights and BDB-off searches, and INV
 // searches that fall back to the tries, at k ∈ {1, 3, 10}, the seed is
-// never below the true k-th best of the unseeded sweep; the seeded search
-// returns the unseeded results, visits no more sweep nodes, and the seeded
-// searches together visit fewer.
+// the full-column reference dive's seed and never below the true k-th best
+// of the unseeded sweep; the seeded search returns the unseeded results,
+// visits no more sweep nodes, and the seeded searches together visit
+// fewer.
 //
 // pooled: the seed and the dive's k-best list live on the pooled searcher,
 // so a stale one would prune the next search. After a k=10 search of an
@@ -67,6 +80,9 @@ func TestDiveSeed(t *testing.T) {
 					}
 					label := fmt.Sprintf("%+v k=%d q#%d %v", opts, k, qi, q)
 					seed := ix.diveSeed(q, k, opts)
+					if ref := ix.referenceDiveSeed(q, k, opts); seed != ref {
+						t.Fatalf("%s: banded dive seed %v, full-column dive seed %v", label, seed, ref)
+					}
 					if len(want) == k && float64(seed)/sqltoken.CostScale < want[k-1].Distance {
 						t.Fatalf("%s: seed %v below the true k-th best %v", label, seed, want[k-1].Distance)
 					}
@@ -125,4 +141,33 @@ func TestDiveSeed(t *testing.T) {
 			t.Fatalf("2 structures, k=2: seed %v, want the second-best distance %v", seed, want[1].Distance)
 		}
 	})
+}
+
+// TestDiveScratchGrowsWithBeam checks that the dive's DP columns grow with
+// its beam, not with k: one search on a fresh index allocates no more at k
+// far above Total() than at k = Total(), where the beam already holds every
+// node of a level. Each figure is the least of three runs, each on a fresh
+// index, so each starts from an empty searcher pool.
+func TestDiveScratchGrowsWithBeam(t *testing.T) {
+	q := strings.Fields("SELECT x FROM x WHERE x = x AND x = x OR x < x x x foo A B")
+	total := indexOf(16, fuzzStructures...).Total()
+	bytesAt := func(k int) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			ix := indexOf(16, fuzzStructures...)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if rs, _ := ix.SearchTopK(q, k, Options{}); len(rs) != total {
+				t.Fatalf("k=%d: %d results, want all %d", k, len(rs), total)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	atTotal, far := bytesAt(total), bytesAt(1000*total)
+	if far > atTotal {
+		t.Fatalf("one search allocated %d B at k=%d, %d B at k=%d (Total)", far, 1000*total, atTotal, total)
+	}
+	t.Logf("one search allocated %d B at k=%d, %d B at k=%d (Total)", far, 1000*total, atTotal, total)
 }

@@ -224,10 +224,12 @@ var fuzzVocab = [10]string{"x", "A", "B", "foo", "SELECT", "FROM", "WHERE", "=",
 
 // FuzzSearchMatchesReference is a differential for the search kernel: for a
 // fuzzed query over fuzzVocab (at most 24 tokens), k ∈ 1..12 and each of
-// the five option sets, the arena SearchTopK — warm-start dive, node bound
-// and all — must return exactly what the pointer reference returns pruning
-// on min(col) alone with no seed: the same structures at the same
-// distances in the same order.
+// the five option sets, the arena SearchTopK — warm-start dive, node bound,
+// banded columns and all — must return exactly what the pointer reference
+// returns pruning on min(col) alone with no seed: the same structures at
+// the same distances in the same order. Its Stats must equal those of the
+// full-column reference with the node bound and the reference dive, except
+// DiveSteps, which may only be lower.
 func FuzzSearchMatchesReference(f *testing.F) {
 	ix, roots := indexWithPointers(16, fuzzStructures...)
 	optSets := [5]Options{{}, {DisableBDB: true}, {DAP: true}, {INV: true}, {UniformWeights: true}}
@@ -245,7 +247,87 @@ func FuzzSearchMatchesReference(f *testing.F) {
 		kk := 1 + int(k)%12
 		opts := optSets[int(opt)%len(optSets)]
 		want, _ := ix.searchPointer(roots, q, kk, opts, false, false)
-		got, _ := ix.SearchTopK(q, kk, opts)
-		sameResults(t, fmt.Sprintf("%+v k=%d %v", opts, kk, q), got, want)
+		got, st := ix.SearchTopK(q, kk, opts)
+		label := fmt.Sprintf("%+v k=%d %v", opts, kk, q)
+		sameResults(t, label, got, want)
+		if _, ref := ix.searchPointer(roots, q, kk, opts, true, true); !matchesReferenceStats(st, ref) {
+			t.Fatalf("%s: stats differ:\n reference %+v\n arena     %+v", label, ref, st)
+		}
+	})
+}
+
+// FuzzBandMatchesFull checks the banded column kernel against the full
+// one, step by step. It steps a fuzzed query (over fuzzVocab, at most 24
+// tokens) down a fuzzed path of index tokens (at most the index's longest
+// structure) twice: with fullStep, and with stepInto under a fuzzed limit
+// that each step may tighten, fencing each parent as the callers do and
+// stepping into columns whose stale rows read 0, the cheapest lie. At
+// every step each row whose full-column cell bound is below the limit must
+// lie in the band and hold its full-column value, and the node bound must
+// equal the full column's whenever that is below the limit. The walk
+// stops where the kernel would prune: at a node bound at or above the
+// limit. Limits map to 0–510 tenths, and 511 to unbounded.
+func FuzzBandMatchesFull(f *testing.F) {
+	ix := indexOf(16, fuzzStructures...)
+	optSets := [3]Options{{}, {DisableBDB: true}, {UniformWeights: true}}
+	f.Add([]byte{4, 0, 5, 0, 6, 0, 7, 0}, []byte{0, 1, 2, 1, 3, 1, 4, 1}, uint16(60), uint8(0))
+	f.Add([]byte{0, 0, 0, 0}, []byte{1, 1, 1, 1, 1}, uint16(511), uint8(1))
+	f.Add([]byte{1, 2, 9, 3}, []byte{0x35, 0x12, 0x21}, uint16(40), uint8(2))
+	f.Add([]byte{}, []byte{2, 2}, uint16(25), uint8(0))
+	f.Fuzz(func(t *testing.T, qb, pb []byte, lim uint16, opt uint8) {
+		if len(qb) > 24 {
+			qb = qb[:24]
+		}
+		if len(pb) > ix.maxLen {
+			pb = pb[:ix.maxLen]
+		}
+		q := make([]string, len(qb))
+		for i, b := range qb {
+			q[i] = fuzzVocab[int(b)%len(fuzzVocab)]
+		}
+		var st Stats
+		s := ix.getSearcher(q, 1, optSets[int(opt)%len(optSets)], &st)
+		defer ix.putSearcher(s)
+		m := len(s.q)
+		limit := int32(lim % 512)
+		if limit == 511 {
+			limit = unbounded
+		}
+		full := make([]int32, m+1)
+		s.rootColumn(full)
+		band := append([]int32(nil), full...)
+		lo, hi := 0, m
+		for d, b := range pb {
+			// The low bits pick the token, the high ones tighten the limit.
+			tok := tokenID(int(b&0x1f) % len(ix.in.strs))
+			if limit != unbounded {
+				limit = max(0, limit-int32(b>>5)*5)
+			}
+			rem := len(pb) - d - 1
+			fullNext := make([]int32, m+1)
+			fullBound := s.fullStep(full, fullNext, tok, rem)
+			fence(band, lo, hi)
+			next := make([]int32, m+1)
+			bound, clo, chi := s.stepInto(band, next, lo, hi, tok, rem, limit)
+			label := fmt.Sprintf("%v step %d (%q, rem %d, limit %d)", q, d, ix.in.str(tok), rem, limit)
+			for i, v := range fullNext {
+				if v+s.gap[rem+i] >= limit {
+					continue
+				}
+				if i < clo || i > chi {
+					t.Fatalf("%s: live row %d outside band [%d, %d]", label, i, clo, chi)
+				}
+				if next[i] != v {
+					t.Fatalf("%s: row %d holds %d, full column %d", label, i, next[i], v)
+				}
+			}
+			if (fullBound < limit || bound < limit) && bound != fullBound {
+				t.Fatalf("%s: node bound %d, full column %d", label, bound, fullBound)
+			}
+			if fullBound >= limit {
+				return // the kernel prunes here
+			}
+			full, band, lo, hi = fullNext, next, clo, chi
+		}
 	})
 }

@@ -1,7 +1,7 @@
 package trieindex
 
 import (
-	"context"
+	"sort"
 	"strings"
 	"testing"
 
@@ -11,12 +11,14 @@ import (
 // The pointer-trie DP kernel: the pre-arena search kernel, kept here as the
 // reference the arena kernel is differentially tested against
 // (TestArenaMatchesPointer). It walks the Builder's pointer tries, which
-// Build otherwise drops, and allocates one column per node visit. Unseeded,
-// it prunes a node's subtree on min(col) alone, the rule results are checked
-// against; with nodeBound set it also applies Proposition 1 at every node,
-// computed here straight from the definition, and seeded it starts from the
-// arena kernel's warm-start seed, which together reproduce the arena
-// kernel's visits exactly.
+// Build otherwise drops, allocates one column per node visit, and fills
+// every row of it (fullStep, the full-column kernel). Unseeded, it prunes a
+// node's subtree on min(col) alone, the rule results are checked against;
+// with nodeBound set it also applies Proposition 1 at every node, computed
+// here straight from the definition, and seeded it first runs its own copy
+// of the warm-start dive (referenceDive), which together reproduce the arena
+// kernel's sweep exactly. None of it calls the shipped column kernel or
+// dive.
 
 // buildWithPointers builds an index over cfg's corpus and also returns the
 // builder's pointer tries (indexed by structure length).
@@ -48,9 +50,9 @@ func indexWithPointers(maxLen int, structures ...string) (*Index, []*node) {
 // searchPointer is SearchTopK on the pointer kernel over roots: the INV fast
 // path (which scans the inverted lists, not the tries), then the
 // bidirectional partition sweep. nodeBound adds the per-node length bound to
-// the min(col) prune. seeded runs the arena kernel's warm-start dive before
-// the sweep, outside DAP as SearchTopK does, so the sweep prunes on the
-// same seed and the dive's steps land in Stats; unseeded, the sweep starts
+// the min(col) prune. seeded runs referenceDive before the sweep, outside
+// DAP as SearchTopK does, so the sweep prunes on the seed of full columns
+// and the reference dive's steps land in Stats; unseeded, the sweep starts
 // from +Inf, which is the rule results are checked against.
 func (ix *Index) searchPointer(roots []*node, maskOut []string, k int, opts Options, nodeBound, seeded bool) ([]Result, Stats) {
 	var st Stats
@@ -64,7 +66,7 @@ func (ix *Index) searchPointer(roots []*node, maskOut []string, k int, opts Opti
 		return s.results(), st
 	}
 	if seeded && !opts.DAP {
-		s.dive(context.Background())
+		s.referenceDive()
 	}
 	for _, n := range s.partitionOrder(len(s.q)) {
 		s.searchLenPointer(roots[n], n, nodeBound)
@@ -147,11 +149,101 @@ func (s *searcher) visit(c *node, col []int32, n int, nodeBound bool) {
 }
 
 // step advances the DP one column for trie token tok into a fresh column
-// (the rem argument only feeds stepInto's bound, which step discards).
+// (the rem argument only feeds fullStep's bound, which step discards).
 func (s *searcher) step(prev []int32, tok tokenID) []int32 {
 	cur := make([]int32, len(prev))
-	s.stepInto(prev, cur, tok, 0)
+	s.fullStep(prev, cur, tok, 0)
 	return cur
+}
+
+// fullStep is the full-column kernel, stepInto without bands: it fills
+// every row of cur (a column of prev's length) from prev for trie token
+// tok, and returns the node bound min_i(cur[i] + gap[rem+i]) over all of
+// them, rem being the structure tokens below the new column's node.
+func (s *searcher) fullStep(prev, cur []int32, tok tokenID, rem int) int32 {
+	w := s.w[tok]
+	q, qw := s.q[:len(prev)-1], s.qw[:len(prev)-1]
+	cur = cur[:len(prev)]
+	gap := s.gap[rem : rem+len(prev)]
+	v := prev[0] + w
+	cur[0] = v
+	bound := v + gap[0]
+	for i := 1; i < len(cur); i++ {
+		if q[i-1] == tok {
+			v = prev[i-1]
+		} else {
+			v = min(prev[i]+w, v+qw[i-1])
+		}
+		cur[i] = v
+		if b := v + gap[i]; b < bound {
+			bound = b
+		}
+	}
+	return bound
+}
+
+// referenceDive is the warm-start dive over full columns: a beam of the k
+// children with the lowest node bound per level (ties to the child stepped
+// first), full columns stepped by fullStep, every child kept in the running
+// whatever its bound, and every leaf of the last level recorded. Tries are
+// taken by increasing length gap until k leaves are held and the next gap's
+// gap·W_L reaches the k-th smallest. It sets s.seed to that k-th smallest,
+// or unbounded, and counts its steps in DiveSteps.
+func (s *searcher) referenceDive() {
+	type entry struct {
+		ni    int32
+		bound int32
+		col   []int32
+	}
+	m := len(s.q)
+	var best []int32 // the k smallest leaf distances recorded, sorted
+	kth := func() int32 {
+		if len(best) < s.k {
+			return unbounded
+		}
+		return best[s.k-1]
+	}
+	diveLen := func(n int) {
+		if n < 1 || n > s.ix.maxLen || s.ix.tries[n] == nil {
+			return
+		}
+		tr := s.ix.tries[n]
+		root := make([]int32, m+1)
+		for i := 1; i <= m; i++ {
+			root[i] = root[i-1] + s.qw[i-1]
+		}
+		cur := []entry{{col: root}}
+		for depth := 0; depth < n && len(cur) > 0; depth++ {
+			rem := n - depth - 1
+			var next []entry
+			for _, p := range cur {
+				for ci := tr.first[p.ni]; ci < tr.first[p.ni+1]; ci++ {
+					col := make([]int32, m+1)
+					bound := s.fullStep(p.col, col, tr.tok[ci], rem)
+					s.st.DiveSteps++
+					if rem > 0 {
+						next = append(next, entry{ci, bound, col})
+					} else {
+						best = append(best, col[m])
+					}
+				}
+			}
+			sort.SliceStable(next, func(i, j int) bool { return next[i].bound < next[j].bound })
+			cur = next[:min(len(next), s.k)]
+		}
+		sort.Slice(best, func(i, j int) bool { return best[i] < best[j] })
+		best = best[:min(len(best), s.k)]
+	}
+	for g := 0; m-g >= 1 || m+g <= s.ix.maxLen; g++ {
+		if lengthGap(m+g, m) >= kth() {
+			break
+		}
+		diveLen(m - g)
+		if g > 0 {
+			diveLen(m + g)
+		}
+	}
+	s.seed = kth()
 }
 
 func minOf(col []int32) int32 {

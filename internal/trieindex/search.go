@@ -197,9 +197,11 @@ const unbounded int32 = math.MaxInt32
 // searcher carries the per-query search state. Searchers are pooled per
 // index: the buffers below the fold persist across queries, which is what
 // makes the steady-state search kernel allocation-free. Costs and DP cells
-// are int32 tenths with no overflow guard: a cell costs at most 12 per
-// token, so int32 overflows only past about 178M query tokens (2^31/12),
-// more than the memory of one DP column per trie depth allows.
+// are int32 tenths with no overflow guard: a cell read from dead (2^30) or
+// from a real distance adds at most 12 per query or structure token and a
+// gap entry at most 10 per token, so int32 overflows only past about 48M
+// tokens ((2^31 − 2^30)/22), more than the memory of one DP column per trie
+// depth allows.
 type searcher struct {
 	ix   *Index
 	q    []tokenID // MaskOut, interned
@@ -301,14 +303,23 @@ func (s *searcher) threshold() int32 {
 	return s.heap[0].dist
 }
 
-// viable reports whether a candidate (or subtree lower bound) at distance d
-// can still reach the final top-k. Against the kept heap the test is
-// d < threshold(): an equal-distance candidate enumerated later always loses
-// the tie to the kept one. Against the seed the test is d <= seed: the seed
-// only bounds the final k-th best from above, so a candidate at exactly the
-// seed may still belong to the top k and must survive the prune.
+// limit is the bound below which a candidate (or subtree lower bound) can
+// still reach the final top-k. Against the kept heap that is threshold():
+// an equal-distance candidate enumerated later always loses the tie to the
+// kept one. Against the seed it is seed+1: the seed only bounds the final
+// k-th best from above, so a candidate at exactly the seed may still
+// belong to the top k and must survive the prune.
+func (s *searcher) limit() int32 {
+	if t := s.threshold(); t <= s.seed {
+		return t
+	}
+	return s.seed + 1
+}
+
+// viable reports whether a candidate at distance d can still reach the
+// final top-k.
 func (s *searcher) viable(d int32) bool {
-	return d < s.threshold() && d <= s.seed
+	return d < s.limit()
 }
 
 // offer records a candidate leaf. Token buffers are recycled: an evicted
@@ -368,7 +379,7 @@ func (s *searcher) searchLen(n int) {
 	s.rootColumn(col)
 	s.path = s.path[:0]
 	s.n = n
-	s.descendFlat(tr, 0, col, 0)
+	s.descendFlat(tr, 0, col, 0, len(s.q), 0)
 }
 
 // rootColumn fills the DP column at a trie root: dp[i][0] = cost of
@@ -381,41 +392,107 @@ func (s *searcher) rootColumn(col []int32) {
 	}
 }
 
-// stepInto advances the DP one column for trie token tok into cur, a column
-// of prev's length (Algorithm 1): row 0 inserts tok; row i matches q[i-1]
-// diagonally or takes the cheaper of deleting q[i-1] (cost qw) or inserting
-// tok (cost W(tok)). rem is the number of structure tokens below the new
-// column's node.
+// dead is what a row outside a column's band reads as: fence writes it
+// just outside the parent's band, so stepInto reads every row of its range
+// with no range check. It is above every bounded limit, which is a real
+// distance, so a value derived from it never reads as live; and it is far
+// enough below math.MaxInt32 that the costs an alignment path adds to it
+// cannot overflow. Under an unbounded limit every band is full width, so no
+// row is ever fenced then.
+const dead int32 = math.MaxInt32 / 2
+
+// fence marks the rows just outside col's band [lo, hi] dead. The callers
+// of stepInto fence a parent column once, before stepping its children.
+func fence(col []int32, lo, hi int) {
+	if lo > 0 {
+		col[lo-1] = dead
+	}
+	if hi+1 < len(col) {
+		col[hi+1] = dead
+	}
+}
+
+// stepInto advances the DP one column for trie token tok into cur
+// (Algorithm 1): row 0 inserts tok; row i matches q[i-1] diagonally or
+// takes the cheaper of deleting q[i-1] (cost qw) or inserting tok (cost
+// W(tok)). rem is the number of structure tokens below the new column's
+// node.
 //
-// In the same pass it returns the node bound visitFlat prunes on:
-// min_i(cur[i] + |(m−i) − rem|·W_L), Proposition 1 applied at the node.
-// Every leaf below sits exactly rem tokens deeper (a trie holds structures
-// of one length), and an alignment path through cell i still has m−i query
-// and rem structure tokens to consume; at least |(m−i) − rem| of them go
-// unmatched, at W_L or more each. The sums are exact and no gap entry is
-// negative, so the bound is never below min(cur).
-func (s *searcher) stepInto(prev, cur []int32, tok tokenID, rem int) int32 {
+// Row i of a column is live when its cell bound cur[i] + gap[rem+i] is
+// below limit: Proposition 1 at the cell. An alignment path through cell i
+// still has m−i query and rem structure tokens to consume, and at least
+// |(m−i) − rem| of them go unmatched, at W_L or more each. stepInto
+// computes only the rows that can be live. prev's live rows lie in its band
+// [lo, hi], and its rows lo−1 and hi+1, where they exist, hold dead
+// (fence). A match keeps a cell's bound, and an insertion or a deletion
+// adds at least W_L while moving the gap by exactly W_L (by 0 under
+// DisableBDB), so the bound never falls along an alignment path: a live
+// cell's best predecessor is live, and a dead cell feeds only dead ones.
+// So rows lo to hi+1 are computed from prev, and the rows past hi+1 by
+// deletion alone, up to the first dead one. Every live row holds its
+// full-column value; a dead row inside the band holds at least its own.
+// limit must be at most the one prev was stepped at.
+//
+// It returns cur's band (chi < 0 when no row is live) and the node bound
+// visitFlat prunes on: the least cell bound of cur's live rows, or a value
+// at least limit when it has none. That is Proposition 1 applied at the
+// node, since every leaf below sits exactly rem tokens deeper (a trie holds
+// structures of one length), and it equals the full column's
+// min_i(cur[i] + gap[rem+i]) whenever that is below limit.
+func (s *searcher) stepInto(prev, cur []int32, lo, hi int, tok tokenID, rem int, limit int32) (bound int32, clo, chi int) {
 	w := s.w[tok]
-	q, qw := s.q[:len(prev)-1], s.qw[:len(prev)-1]
-	cur = cur[:len(prev)]
-	gap := s.gap[rem : rem+len(prev)]
-	v := prev[0] + w
-	cur[0] = v
-	bound := v + gap[0]
-	for i := 1; i < len(cur); i++ {
-		if q[i-1] == tok {
-			v = prev[i-1]
+	m := len(s.q)
+	q, qw := s.q, s.qw
+	gap := s.gap[rem : rem+m+1]
+	bound, chi = dead, -1
+	i := lo
+	v := dead // cur's row lo−1, outside the band
+	if i == 0 {
+		v = prev[0] + w
+		cur[0] = v
+		if bound = v + gap[0]; bound < limit {
+			chi = 0
+		}
+		i = 1
+	}
+	// Rows up to hi+1, resliced to one length so the loop indexes them
+	// without bounds checks.
+	pv := prev[:min(hi+2, m+1)]
+	cv, gv := cur[:len(pv)], gap[:len(pv)]
+	qv, qwv := q[:len(pv)-1], qw[:len(pv)-1]
+	for ; i < len(cv); i++ {
+		if qv[i-1] == tok {
+			v = pv[i-1]
 		} else {
 			// Insert the trie token (advance column only) or delete the
 			// query token (advance row only).
-			v = min(prev[i]+w, v+qw[i-1])
+			v = min(pv[i]+w, v+qwv[i-1])
 		}
-		cur[i] = v
-		if b := v + gap[i]; b < bound {
-			bound = b
+		cv[i] = v
+		b := v + gv[i]
+		bound = min(bound, b)
+		if b < limit {
+			chi = i
 		}
 	}
-	return bound
+	// Past hi+1 both prev rows that feed a row are dead, so a row is live
+	// only through a deletion from a live row above it: the first dead row
+	// ends the band.
+	for ; i <= m; i++ {
+		v += qw[i-1]
+		b := v + gap[i]
+		if b >= limit {
+			break
+		}
+		cur[i] = v
+		bound = min(bound, b)
+		chi = i
+	}
+	clo = lo
+	for clo <= chi && cur[clo]+gap[clo] >= limit {
+		clo++
+	}
+	return bound, clo, chi
 }
 
 // primeGroup classifies a token into the prime superset groups of DAP:
